@@ -13,10 +13,13 @@ OMP_NUM_THREADS and MKL_NUM_THREADS set to 1.
 
 - ``setup_s``: from just before a worker process starts until its inputs are
   ready (interpreter start, ``import optoepr``, writing the configs), the
-  median over SETUP_PROBES set-up-only workers and the measuring worker;
-- ``run_s``: wall time of the workload's fixed batch, one operation at a
-  time (a closed loop with one client), with each operation at its fastest
-  of the run's repeats (see ``worker.fastest_batch_s``);
+  median over SETUP_PROBES set-up-only workers and the measuring worker
+  (half of the probes run before the measuring worker and half after, so
+  that the median spans two moments of a shared host's drifting speed);
+- ``run_ref``: cost of the workload's fixed batch, one operation at a time
+  (a closed loop with one client), in units of a fixed pure-Python
+  reference loop timed around each operation (see
+  ``worker.reference_cost``); the batch's wall time is in the readout;
 - ``peak_rss_mb``: peak resident memory of the measuring worker through
   set-up and its first batch;
 - ``pass_ratio``: operations that passed over operations attempted.
@@ -41,7 +44,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKLOAD_NAMES = ("oracle", "deterministic")
-SETUP_PROBES = 9
+SETUP_PROBES = 12
 DEADLINE_S = 170.0   # the whole run, set-up probes included
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -86,9 +89,10 @@ def main(argv=None) -> int:
 
     deadline = time.monotonic() + DEADLINE_S
     try:
-        setup = [] if args.trace else [run_worker(args, "setup", deadline)[0]["setup_s"]
-                                       for _ in range(SETUP_PROBES)]
+        probes = 0 if args.trace else SETUP_PROBES // 2
+        setup = [run_worker(args, "setup", deadline)[0]["setup_s"] for _ in range(probes)]
         result, readout = run_worker(args, "run", deadline)
+        setup += [run_worker(args, "setup", deadline)[0]["setup_s"] for _ in range(probes)]
     except WorkerError as exc:
         print(f"benchmark: {exc}", file=sys.stderr)
         return 1

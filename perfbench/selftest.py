@@ -1,5 +1,6 @@
-"""Self-tests of the benchmark: each check rejects a corrupted output, and
-the tracer's self-time arithmetic adds up.
+"""Self-tests of the benchmark: each check rejects a corrupted output, the
+tracer's self-time arithmetic adds up, and the reference-loop cost cancels
+a uniform slow-down but not a slower operation.
 
 Run from the root of a checkout (about ten seconds):
 
@@ -226,6 +227,22 @@ class RepeatCheck(unittest.TestCase):
             tally.record({"op": output})
         tally.check({"op": b"c"})
         self.assertEqual((tally.attempted, tally.failed), (2, 2))
+
+
+class ReferenceCost(unittest.TestCase):
+    TIMES = [{"a": 1.0, "b": 0.4}, {"a": 3.0, "b": 0.6}, {"a": 1.2, "b": 0.5}]
+    REFS = [{"a": 0.02, "b": 0.02}, {"a": 0.06, "b": 0.03}, {"a": 0.02, "b": 0.02}]
+
+    def test_cost_is_the_sum_of_median_ratios(self):
+        # a: ratios 50, 50, 60; b: ratios 20, 20, 25.
+        self.assertAlmostEqual(worker.reference_cost(self.TIMES, self.REFS), 70.0)
+
+    def test_a_slow_spell_cancels_and_a_slower_operation_shows(self):
+        slow = [{k: 1.5 * v for k, v in b.items()} for b in self.TIMES]
+        slow_refs = [{k: 1.5 * v for k, v in b.items()} for b in self.REFS]
+        self.assertAlmostEqual(worker.reference_cost(slow, slow_refs), 70.0)
+        slower_a = [dict(b, a=2.0 * b["a"]) for b in self.TIMES]
+        self.assertAlmostEqual(worker.reference_cost(slower_a, self.REFS), 120.0)
 
 
 class BenchmarkFile(unittest.TestCase):

@@ -41,7 +41,8 @@ from workloads import WORKLOADS, make_workload  # noqa: E402
 MIN_BATCHES = 3      # timed batches per run, untraced mode
 MIN_PAIRS = 2        # untraced/traced batch pairs per run, traced mode
 
-END_TO_END = {"setup_s": "s", "run_s": "s", "peak_rss_mb": "MB", "pass_ratio": "ratio"}
+END_TO_END = {"setup_s": "s", "run_ref": "ref", "peak_rss_mb": "MB", "pass_ratio": "ratio"}
+REFERENCE_LOOP_N = 300_000   # about 20 ms of pure-Python work on a 2-core Xeon
 
 PER_LAYER = {
     "cli.self_s": "s", "cli.bytes_out": "bytes",
@@ -212,24 +213,50 @@ class Tally:
                 self._fail(op.label, problems, count)
 
 
-def run_batch(wl) -> tuple[dict[str, float], dict[str, object]]:
-    """Run every operation once; return per-operation wall times and outputs."""
-    times, results = {}, {}
+def reference_loop() -> float:
+    """Wall time of a fixed pure-Python loop that touches no optoepr code."""
+    start = time.perf_counter()
+    total = 0
+    for i in range(REFERENCE_LOOP_N):
+        total += i * i
+    return time.perf_counter() - start
+
+
+def run_batch(wl) -> tuple[dict[str, float], dict[str, float], dict[str, object]]:
+    """Run every operation once, with the reference loop before each and after
+    the last; return per-operation wall times, the mean reference time around
+    each operation, and the outputs."""
+    times, refs, results = {}, {}, {}
+    before = reference_loop()
     for op in wl.ops:
         start = time.perf_counter()
         results[op.label] = op.run()
         times[op.label] = time.perf_counter() - start
-    return times, results
+        after = reference_loop()
+        refs[op.label] = 0.5 * (before + after)
+        before = after
+    return times, refs, results
+
+
+def reference_cost(times: list[dict[str, float]], refs: list[dict[str, float]]) -> float:
+    """Batch cost in reference-loop units: the sum over operations of the
+    median, over the run's repeats, of the operation's wall time divided by
+    the reference loop's time around it.
+
+    A shared host's speed drifts by tens of percent in spells from a fraction
+    of a second to minutes.  The reference loop, timed right before and after
+    each operation, runs at the speed the operation saw, so the ratio cancels
+    the slow spells, and the median drops the repeats where the speed changed
+    mid-operation.  The reference is fixed code, so a change to optoepr moves
+    the ratio in proportion to the operation's time.
+    """
+    return sum(statistics.median(t[label] / r[label] for t, r in zip(times, refs))
+               for label in times[0])
 
 
 def fastest_batch_s(batches: list[dict[str, float]]) -> float:
-    """Batch wall time with each operation at its fastest repeat.
-
-    On a shared host, other tenants can slow a whole process by half for
-    seconds at a time.  The fastest repeat of each operation is its least
-    disturbed reading, and the sum is much steadier across runs than the
-    median batch, which the readout also prints.
-    """
+    """Batch wall time with each operation at its fastest repeat: the least
+    disturbed wall-time reading of the batch, printed in the readout."""
     return sum(min(b[label] for b in batches) for label in batches[0])
 
 
@@ -240,6 +267,7 @@ def _metric_block(values: dict[str, float], units: dict[str, str]) -> dict:
 def measure(wl, seconds: float, traced: bool, report: dict) -> dict:
     tally = Tally(wl)
     plain: list[dict[str, float]] = []
+    plain_refs: list[dict[str, float]] = []
     traced_times: list[dict[str, float]] = []
     per_batch: list[dict[str, float]] = []
     tracer = Tracer()
@@ -256,7 +284,7 @@ def measure(wl, seconds: float, traced: bool, report: dict) -> dict:
             if with_trace:
                 tracer.install(targets)
             try:
-                times, results = run_batch(wl)
+                times, refs, results = run_batch(wl)
             finally:
                 tracer.uninstall()
             tally.record(results)
@@ -272,6 +300,7 @@ def measure(wl, seconds: float, traced: bool, report: dict) -> dict:
                 report["spans"] = spans
             else:
                 plain.append(times)
+                plain_refs.append(refs)
         pair += 1
 
     tally.check(results)
@@ -292,11 +321,11 @@ def measure(wl, seconds: float, traced: bool, report: dict) -> dict:
         report["spans"] = [[s.name, s.parent, s.start, s.end, s.notes]
                            for s in report["spans"]]
     else:
-        values = {"run_s": fastest_batch_s(plain), "peak_rss_mb": peak_rss_mb,
+        values = {"run_ref": reference_cost(plain, plain_refs), "peak_rss_mb": peak_rss_mb,
                   "pass_ratio": (tally.attempted - tally.failed) / tally.attempted}
         metrics = _metric_block(values, {k: v for k, v in END_TO_END.items()
                                          if k != "setup_s"})
-    report.update(untraced_op_s=plain, traced_op_s=traced_times,
+    report.update(untraced_op_s=plain, untraced_ref_s=plain_refs, traced_op_s=traced_times,
                   digests=tally.digests, problems=tally.problems)
     for label, digest in tally.digests.items():
         print(f"digest {label} sha256={digest}")
@@ -305,6 +334,9 @@ def measure(wl, seconds: float, traced: bool, report: dict) -> dict:
             print(f"{side} batches={len(batches)} median_batch_s="
                   f"{statistics.median(sum(b.values()) for b in batches):.4f} "
                   f"fastest_batch_s={fastest_batch_s(batches):.4f}")
+    if plain_refs:
+        print("reference_loop median_s="
+              f"{statistics.median(r for b in plain_refs for r in b.values()):.5f}")
     for problem in tally.problems[:20]:
         print(f"FAILED {problem}")
     return {"correct": tally.failed == 0, "attempted": tally.attempted,

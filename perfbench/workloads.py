@@ -9,12 +9,13 @@ The parts, one per route through optoepr:
 
 - simulate_headline: the stochastic oracle (``sde``) through the CLI, at
   the headline point with the CLI's default trajectory count, window and
-  seed.  The seed stays the default one: the oracle's own |z| < 3 gate
-  raises a false alarm on about 0.5 % of seeds.
+  seed, one window per trajectory.  The seed stays the default one: the
+  oracle's own |z| < 3 gate raises a false alarm on about 0.5 % of seeds.
 - records_offcarrier: ``sde.integrate`` with the record materialized, then
   windowed transforms on and off the carrier; loop- and memory-bound.
-- scan_contour: ``criterion`` through ``optoepr scan --contour`` at 400x400.
-- spectrum_sweep: ``spectra`` through ``optoepr spectrum``, both angles.
+- scan_contour: ``criterion`` through ``optoepr scan --contour`` at 200x200.
+- spectrum_sweep: ``spectra`` through ``optoepr spectrum`` at 2001 points,
+  both angles.
 
 The workloads pair them so that every optimisation the roadmap names is
 exercised by one workload and skipped by the other: ``oracle`` runs the two
@@ -22,7 +23,11 @@ exercised by one workload and skipped by the other: ``oracle`` runs the two
 ``deterministic`` runs the ``criterion`` and ``spectra`` parts (a
 vectorized paradox_boundary, a batched spectrum).  Two workloads rather
 than four buy runs long enough to be steady: on a shared 2-core host the
-speed of one process drifts by up to a factor of two over tens of seconds.
+speed of one process drifts by up to a factor of two, in spells from a
+fraction of a second to tens of seconds.  For the same reason every
+operation is kept short (0.2 to 1.5 s), so that a run repeats it often
+enough for its fastest repeat (see ``worker.fastest_batch_s``) to fall in
+an undisturbed spell.
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ class Workload:
 
 
 class SimulateHeadline(Workload):
-    SEGMENTS = 2
+    SEGMENTS = 1
 
     def __init__(self, workdir: Path, rng: np.random.Generator):
         config = workdir / "headline.cfg"
@@ -110,7 +115,7 @@ class SimulateHeadline(Workload):
 
 class RecordsOffcarrier(Workload):
     TRAJECTORIES = 4
-    SEGMENTS = 8
+    SEGMENTS = 3
     OMEGAS = (0.0, 0.5, 1.0)   # sideband frequencies in gamma_c
 
     def __init__(self, workdir: Path, rng: np.random.Generator):
@@ -180,7 +185,7 @@ class RecordsOffcarrier(Workload):
 
 
 class ScanContour(Workload):
-    RESOLUTION = 400
+    RESOLUTION = 200
     DRAWN_DELTAS = 1
     SAMPLED_CELLS = 200
 
@@ -223,7 +228,7 @@ class ScanContour(Workload):
 
 
 class SpectrumSweep(Workload):
-    POINTS = 4001          # odd, so omega = 0 is the middle row
+    POINTS = 2001          # odd, so omega = 0 is the middle row
     SPAN = 8.0             # omega range, +-SPAN gamma_c
     DRAWN_TRIPLES = 2
 
