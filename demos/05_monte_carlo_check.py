@@ -4,8 +4,8 @@ Integrates the linearized dynamics as a linear Ito system (Euler-Maruyama,
 white-noise levels matched to the carrier), applies the finite-time
 windowed transform to the simulated reflected fields, and estimates both
 minimized inference variances and their product.  A modest trajectory
-budget keeps this demo around half a minute; the acceptance suite runs the
-full-precision version.
+budget keeps this demo to about 4 s (2-core x86 host, one BLAS thread);
+the acceptance suite runs the full-precision version.
 """
 
 import math

@@ -23,6 +23,7 @@ Exit codes: 0 ok, 1 config error, 2 numerical failure, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -258,10 +259,7 @@ def _sim_config_from(values, sm) -> sde.SimConfig:
     if "duration" in values:
         if values["duration"] < cfg.n_segments * cfg.tau + cfg.burn_in:
             raise ParameterError("configured duration too short")
-        cfg = sde.SimConfig(dt=cfg.dt, duration=values["duration"], tau=cfg.tau,
-                            n_segments=cfg.n_segments,
-                            n_trajectories=cfg.n_trajectories, seed=cfg.seed,
-                            burn_in=cfg.burn_in)
+        cfg = dataclasses.replace(cfg, duration=values["duration"])
     return cfg
 
 

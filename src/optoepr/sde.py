@@ -19,8 +19,18 @@ O(dt) discretization bias; the only systematic is the spectral-leakage edge
 term of order 1/(Gamma tau), controlled by the default window length.
 
 Every trajectory derives its own random stream from (seed, trajectory
-index), drawn in fixed-size blocks, so results are bit-reproducible and
-independent of how trajectories are batched.
+index), drawn in fixed-size blocks, so reruns are bit-reproducible and a
+trajectory's draws do not depend on how trajectories are batched.
+
+No Python loop runs per step.  The recursion x' = S x + B dW with
+S = I + dt A is linear, so one impulse response, the powers S^m and the
+noise responses S^m B for m below the noise block, gives any stretch of
+steps as a matrix product of its start state and its Wiener increments.
+`integrate` takes every step's outputs from block-Toeplitz products over
+short sub-blocks; the streaming estimator cuts each noise block at the
+burn-in and window edges and maps each piece to its end state and window
+sum in one product.  The draws are those of the per-step recursion, and the
+results equal it up to rounding.
 """
 
 from __future__ import annotations
@@ -43,6 +53,12 @@ DT_SAFETY = 0.08
 
 # Hard step-size guard from the integrate() contract.
 DT_LIMIT = 0.1
+
+# integrate() refuses output records larger than this many bytes.
+RECORD_BUDGET_BYTES = 2**30
+
+# Steps per block-Toeplitz product in integrate(); divides NOISE_BLOCK.
+SUB_BLOCK = 64
 
 # Default measurement window in cavity lifetimes.  The naive choice of a few
 # tens of lifetimes leaves a 1/(Gamma tau) spectral-leakage bias on the
@@ -101,16 +117,14 @@ class SimulationRecords:
 
     ``increments`` has shape (n_trajectories, n_steps, 4) and holds the
     time-integrated output quadratures (x1, y1, x2, y2) over each step;
-    divide by ``dt`` for averaged instantaneous values.  ``states`` is only
-    populated when requested and then has shape
-    (n_trajectories, n_steps + 1, 6).
+    divide by ``dt`` for averaged instantaneous values.  ``final_states``
+    has shape (n_trajectories, 6).
     """
 
     increments: np.ndarray
     dt: float
     gamma_c: float
     final_states: np.ndarray
-    states: np.ndarray | None = None
 
 
 def default_sim_config(model: StateSpace, *, n_trajectories: int = 180,
@@ -185,51 +199,117 @@ def _draw_block(rngs: list[np.random.Generator], nb: int) -> np.ndarray:
     return np.stack([rng.standard_normal((nb, spectra.N_NOISES)) for rng in rngs])
 
 
+def _impulse_response(model: StateSpace, noise: NoisePsd | None, dt: float,
+                      length: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Impulse response of the Euler-Maruyama chain x' = S x + B sig z.
+
+    Returns the powers S^m for m <= length (shape (length+1, 6, 6)), the
+    noise responses P_m = S^m B diag(sig) for m < length (shape
+    (length, 6, 5)) and sig, the per-noise standard deviation of one step's
+    Wiener increment, so that a unit normal z drives the chain.  The powers
+    are built by doubling: log2(length) batched 6x6 products.
+    """
+    sig = np.sqrt(_noise_levels(model, noise) * dt)
+    step = np.eye(spectra.N_STATES) + dt * model.drift
+    powers = np.empty((length + 1, spectra.N_STATES, spectra.N_STATES))
+    powers[0] = np.eye(spectra.N_STATES)
+    filled = 1
+    while filled <= length:
+        k = min(filled, length + 1 - filled)
+        powers[filled:filled + k] = powers[:k] @ (powers[filled - 1] @ step)
+        filled += k
+    return powers, powers[:length] @ (model.input_map * sig), sig
+
+
+def _toeplitz(powers: np.ndarray, responses: np.ndarray, out_map: np.ndarray,
+              feed: np.ndarray, length: int) -> tuple[np.ndarray, ...]:
+    """Maps of one sub-block of ``length`` steps, for row-vector states.
+
+    With the start state x (n, 6) and the sub-block's unit normals flattened
+    step-major to z (n, 5*length), the sub-block's outputs are
+    ``x @ x_out + z @ z_out`` (n, 4*length, step-major) and its end state is
+    ``x @ x_end + z @ z_end``.
+    """
+    n_in, n_out = spectra.N_NOISES, spectra.N_OUTPUTS
+    # lag[i, j] = j - i + 1 indexes [0, D, C P_0, C P_1, ...]: output j sees
+    # its own step's noise through D and earlier noise through C P_{j-1-i}.
+    taps = np.concatenate([np.zeros((1, n_out, n_in)), feed[None],
+                           out_map @ responses[:length - 1]])
+    lag = np.clip(np.arange(length)[None, :] - np.arange(length)[:, None] + 1, 0, None)
+    z_out = taps[lag].transpose(0, 3, 1, 2).reshape(n_in * length, n_out * length)
+    x_out = (out_map @ powers[:length]).transpose(2, 0, 1).reshape(
+        spectra.N_STATES, n_out * length)
+    z_end = responses[length - 1::-1].transpose(0, 2, 1).reshape(
+        n_in * length, spectra.N_STATES)
+    return x_out, z_out, powers[length].T, z_end
+
+
 def integrate(model: StateSpace, noise: NoisePsd | None, cfg: SimConfig,
-              initial_state: np.ndarray | None = None,
-              keep_states: bool = False) -> SimulationRecords:
+              initial_state: np.ndarray | None = None) -> SimulationRecords:
     """Euler-Maruyama trajectories with pathwise output records.
 
     Simulates ``round(cfg.duration/cfg.dt)`` steps for every trajectory and
     returns the integrated output increments (burn-in included; the
-    estimators skip it).  Memory is O(n_trajectories * n_steps); use the
-    streaming estimators for production window counts.
+    estimators skip it).  Memory is O(n_trajectories * n_steps), and a
+    record above RECORD_BUDGET_BYTES is refused before anything is
+    allocated; use the streaming estimators for production window counts.
+
+    The recursion is evaluated in sub-blocks of T = SUB_BLOCK steps built
+    from one impulse response: the sub-block start states come from a
+    short loop over sub-blocks, x <- S^T x + sum_i S^(T-1-i) B dW_i, and
+    every step's outputs of a whole noise block then follow from one
+    block-Toeplitz product of the start states and the Wiener increments.
+    The result equals the per-step recursion up to rounding.
     """
-    burn_steps, _ = _check_step(model, cfg)
-    del burn_steps
+    _check_step(model, cfg)
     n_steps = round(cfg.duration / cfg.dt)
     n_traj = cfg.n_trajectories
+    record_bytes = n_traj * n_steps * spectra.N_OUTPUTS * 8
+    if record_bytes > RECORD_BUDGET_BYTES:
+        raise ParameterError(
+            f"record of {n_traj} trajectories x {n_steps} steps needs "
+            f"{record_bytes / 2**30:.1f} GiB, above the "
+            f"{RECORD_BUDGET_BYTES / 2**30:.0f} GiB budget; use the streaming "
+            "estimators")
     dt = cfg.dt
-    levels = _noise_levels(model, noise)
-    sig = np.sqrt(levels * dt)
-
-    step_mat = (np.eye(spectra.N_STATES) + dt * model.drift).T
-    b_t = model.input_map.T
-    c_t = model.output_map.T * dt
-    d_t = model.feedthrough.T
+    sub = min(SUB_BLOCK, n_steps)
+    powers, responses, sig = _impulse_response(model, noise, dt, sub)
+    out_map = model.output_map * dt
+    feed = model.feedthrough * sig
+    maps = _toeplitz(powers, responses, out_map, feed, sub)
 
     x = np.zeros((n_traj, spectra.N_STATES))
     if initial_state is not None:
         x[:] = np.asarray(initial_state, dtype=float)
     out = np.empty((n_traj, n_steps, spectra.N_OUTPUTS))
-    states = np.empty((n_traj, n_steps + 1, spectra.N_STATES)) if keep_states else None
-    if states is not None:
-        states[:, 0] = x
 
     rngs = _streams(cfg.seed, n_traj)
     step = 0
     while step < n_steps:
         nb = min(NOISE_BLOCK, n_steps - step)
-        dw = _draw_block(rngs, nb) * sig
-        for k in range(nb):
-            dwk = dw[:, k, :]
-            out[:, step] = x @ c_t + dwk @ d_t
-            x = x @ step_mat + dwk @ b_t
-            step += 1
-            if states is not None:
-                states[:, step] = x
+        z = _draw_block(rngs, nb)
+        # Whole sub-blocks, then (last noise block only) one shorter tail.
+        for start, length, count in ((0, sub, nb // sub),
+                                     (nb - nb % sub, nb % sub, 1)):
+            if length * count == 0:
+                continue
+            x_out, z_out, x_end, z_end = (
+                maps if length == sub
+                else _toeplitz(powers, responses, out_map, feed, length))
+            zs = z[:, start:start + count * length].reshape(
+                n_traj, count, spectra.N_NOISES * length)
+            starts = np.empty((n_traj, count, spectra.N_STATES))
+            for b in range(count):
+                starts[:, b] = x
+                x = x @ x_end + zs[:, b] @ z_end
+            span = out[:, step + start:step + start + count * length].reshape(
+                n_traj, count, spectra.N_OUTPUTS * length)
+            np.matmul(zs, z_out, out=span)
+            span += starts @ x_out
+        step += nb
+        del z, zs   # free the block before the next draw
     return SimulationRecords(increments=out, dt=dt, gamma_c=model.gamma_c,
-                             final_states=x, states=states)
+                             final_states=x)
 
 
 def windowed_transform(increments: np.ndarray, dt: float, tau: float,
@@ -281,36 +361,50 @@ def estimate_inference_variance(model: StateSpace, noise: NoisePsd | None,
     n_steps = burn_steps + cfg.n_segments * window_steps
     if n_steps * dt > cfg.duration * (1.0 + 1e-12):
         raise ParameterError("duration does not cover burn_in + n_segments*tau")
-    levels = _noise_levels(model, noise)
-    sig = np.sqrt(levels * dt)
+    block = min(NOISE_BLOCK, n_steps)
+    powers, responses, sig = _impulse_response(model, noise, dt, block)
 
     c, s = math.cos(phi), math.sin(phi)
     weights = np.array([c, s, -gain * c, -gain * s])
-    step_mat = (np.eye(spectra.N_STATES) + dt * model.drift).T
-    b_t = model.input_map.T
     c_vec = (model.output_map.T * dt) @ weights
-    d_vec = model.feedthrough.T @ weights
+    # sums[L] = sum_{l<L} (S^l)^T c: a start state's share of an L-step sum.
+    sums = np.zeros((block + 1, spectra.N_STATES))
+    np.cumsum(powers[:-1].transpose(0, 2, 1) @ c_vec, axis=0, out=sums[1:])
+    # A piece of L steps maps (x, z) to (end state, window sum) as
+    # x @ x_maps[L] + z_flat @ z_map[-5L:]; rows of z_map run over the lag
+    # m = L-1 ... 0 of each step from the piece's end, holding P_m^T and
+    # Q_m = sig d + (B sig)^T sums[m].
+    x_maps = np.concatenate([powers.transpose(0, 2, 1), sums[:, :, None]], axis=2)
+    q = (model.feedthrough * sig).T @ weights + sums[:block] @ (model.input_map * sig)
+    z_map = np.concatenate([responses.transpose(0, 2, 1), q[:, :, None]], axis=2)
+    z_map = np.ascontiguousarray(z_map[::-1]).reshape(block * spectra.N_NOISES, -1)
 
     x = np.zeros((n_traj, spectra.N_STATES))
     wsum = np.zeros(n_traj)
     sum_sq = np.zeros(n_traj)
     rngs = _streams(cfg.seed, n_traj)
-    in_window = 0
     step = 0
     while step < n_steps:
         nb = min(NOISE_BLOCK, n_steps - step)
-        dw = _draw_block(rngs, nb) * sig
-        for k in range(nb):
-            dwk = dw[:, k, :]
-            if step >= burn_steps:
-                wsum += x @ c_vec + dwk @ d_vec
-                in_window += 1
-                if in_window == window_steps:
+        z = _draw_block(rngs, nb)
+        # Cut the block at the burn-in and window edges.
+        a = 0
+        while a < nb:
+            into = step + a - burn_steps
+            stop = min(nb, a - into if into < 0
+                       else a + window_steps - into % window_steps)
+            length = stop - a
+            res = (z[:, a:stop].reshape(n_traj, spectra.N_NOISES * length)
+                   @ z_map[(block - length) * spectra.N_NOISES:] + x @ x_maps[length])
+            x = res[:, :spectra.N_STATES]
+            if into >= 0:
+                wsum += res[:, spectra.N_STATES]
+                if (into + length) % window_steps == 0:
                     sum_sq += wsum * wsum
                     wsum[:] = 0.0
-                    in_window = 0
-            x = x @ step_mat + dwk @ b_t
-            step += 1
+            a = stop
+        step += nb
+        del z   # free the block before the next draw, the memory peak
     per_traj = sum_sq / (cfg.n_segments * tau_eff * model.gamma_c)
     mean = float(per_traj.mean())
     if n_traj > 1:

@@ -1,6 +1,7 @@
 """Tests for the Euler-Maruyama oracle: integrator, windows, and estimators."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from optoepr import (DimensionlessParams, NumericalError, ParameterError,
                      inferred_variance_at, integrate, noise_psd,
                      realize_dimensionless, windowed_transform)
 from optoepr.constants import HBAR
+from optoepr.sde import (NOISE_BLOCK, RECORD_BUDGET_BYTES, _draw_block,
+                         _noise_levels, _streams)
 
 from conftest import HEADLINE
 
@@ -34,6 +37,107 @@ def small_cfg(model, *, n_traj=24, n_seg=12, tau_lifetimes=300.0, seed=0,
     return default_sim_config(model, n_trajectories=n_traj, n_segments=n_seg,
                               seed=seed, dt=dt_frac / rho,
                               tau=tau_lifetimes / model.gamma_c)
+
+
+def reference_records(model, noise, cfg, x0=None):
+    """The Euler-Maruyama recursion one step at a time, on the oracle's noise
+    stream: the plain loop that the blocked kernel evaluates, kept as a test
+    oracle.  Returns (increments, final states)."""
+    n_steps = round(cfg.duration / cfg.dt)
+    sig = np.sqrt(_noise_levels(model, noise) * cfg.dt)
+    step_mat = (np.eye(6) + cfg.dt * model.drift).T
+    x = np.zeros((cfg.n_trajectories, 6)) + (0.0 if x0 is None else x0)
+    out = np.empty((cfg.n_trajectories, n_steps, 4))
+    rngs = _streams(cfg.seed, cfg.n_trajectories)
+    for start in range(0, n_steps, NOISE_BLOCK):
+        dw = _draw_block(rngs, min(NOISE_BLOCK, n_steps - start)) * sig
+        for k in range(dw.shape[1]):
+            out[:, start + k] = (x @ model.output_map.T * cfg.dt
+                                 + dw[:, k] @ model.feedthrough.T)
+            x = x @ step_mat + dw[:, k] @ model.input_map.T
+    return out, x
+
+
+def max_rel_diff(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.fixture(scope="module")
+def ragged_cfg(headline):
+    # More than two noise blocks, the last one partial, and a window that does
+    # not divide NOISE_BLOCK, so every cut of the blocked kernels is taken.
+    _, model, _ = headline
+    cfg = small_cfg(model, n_traj=3, n_seg=5, tau_lifetimes=150.0, seed=17)
+    n_steps = round(cfg.duration / cfg.dt)
+    window_steps = round(cfg.tau / cfg.dt)
+    assert n_steps > 2 * NOISE_BLOCK and n_steps % NOISE_BLOCK
+    assert NOISE_BLOCK % window_steps
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def edge_cfg(headline):
+    # As ragged_cfg, but the first noise block ends one step past a window
+    # edge, so a one-step piece closes nothing and must not square the sum.
+    _, model, _ = headline
+    cfg = small_cfg(model, n_traj=3, n_seg=6, tau_lifetimes=107.0, seed=17)
+    n_steps = round(cfg.duration / cfg.dt)
+    burn_steps = math.ceil(cfg.burn_in / cfg.dt - 1e-9)
+    window_steps = round(cfg.tau / cfg.dt)
+    assert n_steps > 2 * NOISE_BLOCK and n_steps % NOISE_BLOCK
+    assert (NOISE_BLOCK - burn_steps) % window_steps == 1
+    return cfg
+
+
+class TestBlockedKernel:
+    def test_integrate_matches_per_step_recursion(self, headline, ragged_cfg):
+        _, model, noise = headline
+        x0 = np.array([0.3, -0.2, 1.0, -0.5, 0.25, 0.8])
+        res = integrate(model, noise, ragged_cfg, initial_state=x0)
+        out, x = reference_records(model, noise, ragged_cfg, x0)
+        assert max_rel_diff(res.increments, out) < 1e-12
+        assert max_rel_diff(res.final_states, x) < 1e-12
+
+    @pytest.mark.parametrize("plan", ["ragged_cfg", "edge_cfg"])
+    def test_estimator_matches_per_step_recursion(self, headline, plan, request):
+        params, model, noise = headline
+        cfg, phi, gain = request.getfixturevalue(plan), 0.7, -0.3
+        est = estimate_inference_variance(model, noise, cfg, phi, gain)
+        out, _ = reference_records(model, noise, cfg)
+        burn_steps = math.ceil(cfg.burn_in / cfg.dt - 1e-9)
+        window_steps = round(cfg.tau / cfg.dt)
+        c, s = math.cos(phi), math.sin(phi)
+        z = out[:, burn_steps:burn_steps + cfg.n_segments * window_steps] @ [
+            c, s, -gain * c, -gain * s]
+        sums = z.reshape(cfg.n_trajectories, cfg.n_segments, window_steps).sum(axis=2)
+        per_traj = (sums ** 2).mean(axis=1) / (window_steps * cfg.dt * params.gamma_c)
+        assert est.mean == pytest.approx(per_traj.mean(), rel=1e-12)
+        assert est.std_err == pytest.approx(
+            per_traj.std(ddof=1) / math.sqrt(cfg.n_trajectories), rel=1e-12)
+
+    def test_integrate_independent_of_batching(self, headline):
+        # A trajectory's record must not depend on how many others share its
+        # matrix products.
+        _, model, noise = headline
+        wide = small_cfg(model, n_traj=24, n_seg=2, tau_lifetimes=120.0, seed=4)
+        a = integrate(model, noise, wide)
+        b = integrate(model, noise, replace(wide, n_trajectories=3))
+        assert max_rel_diff(a.increments[:3], b.increments) < 1e-12
+        assert max_rel_diff(a.final_states[:3], b.final_states) < 1e-12
+
+    def test_record_budget_refused_before_work(self, headline):
+        # Both configurations trip the guard before anything is allocated:
+        # the estimator's default plan (~14 GB as a record) and one long
+        # single trajectory.
+        _, model, noise = headline
+        with pytest.raises(ParameterError, match="budget"):
+            integrate(model, noise, default_sim_config(model))
+        cfg = small_cfg(model, n_traj=1, n_seg=1)
+        steps = RECORD_BUDGET_BYTES // (4 * 8) + 1   # 4 doubles per step
+        long_run = SimConfig(dt=cfg.dt, duration=steps * cfg.dt, tau=cfg.tau,
+                             n_segments=1, n_trajectories=1, seed=0, burn_in=0.0)
+        with pytest.raises(ParameterError, match="budget"):
+            integrate(model, noise, long_run)
 
 
 class TestIntegrate:
