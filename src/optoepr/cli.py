@@ -183,33 +183,17 @@ def cmd_criterion(args) -> int:
     return EXIT_OK
 
 
-def _axis(lo: float, hi: float, resolution: int) -> np.ndarray:
-    if resolution < 1:
-        raise ParameterError("resolution must be >= 1")
-    if resolution == 1 or hi == lo:
-        return np.array([lo])
-    return np.linspace(lo, hi, resolution)
-
-
 def cmd_scan(args) -> int:
-    if not (args.delta is not None and args.delta > 0):
-        raise ParameterError("scan requires --delta > 0")
-    p_axis = _axis(args.p_min, args.p_max, args.p_res)
-    t_axis = _axis(args.t_min, args.t_max, args.t_res)
-    if np.any(p_axis < 0) or np.any(t_axis < 0):
-        raise ParameterError("p_cal and t_cal must be non-negative")
-    lhs = criterion._lhs_arrays(p_axis[np.newaxis, :], t_axis[:, np.newaxis],
-                                args.delta)
+    grid = criterion.scan((args.p_min, args.p_max), (args.t_min, args.t_max),
+                          args.delta, (args.p_res, args.t_res))
     lines = ["p_cal,t_cal,lhs,paradox"]
-    for i, t in enumerate(t_axis):
-        for j, p in enumerate(p_axis):
-            v = lhs[i, j]
+    for i, t in enumerate(grid.t_axis):
+        for j, p in enumerate(grid.p_axis):
+            v = grid.lhs_values[i, j]
             paradox = bool(np.isfinite(v) and v < 1.0)
             lines.append(f"{_fmt(p)},{_fmt(t)},{_fmt(float(v))},{_fmt(paradox)}")
     _write_lines(args.output, lines)
     if args.contour is not None:
-        grid = criterion.ScanGrid(p_axis=p_axis, t_axis=t_axis,
-                                  delta=args.delta, lhs_values=lhs)
         pts = criterion.paradox_boundary(grid)
         clines = ["p_cal,t_cal"]
         clines += [f"{_fmt(p)},{_fmt(t)}" for p, t in pts]
@@ -236,10 +220,10 @@ def cmd_spectrum(args) -> int:
     omegas = np.linspace(args.omega_min, args.omega_max, args.points)
     lines = ["omega,s11,s12,s22,inferred_variance,gain"]
     for w in omegas:
-        mat = spectra.output_spectral_matrix(sm, noise, float(w), args.phi).s
-        var, gain = spectra.inferred_variance_at(sm, noise, float(w), args.phi)
-        lines.append(",".join(_fmt(v) for v in
-                              (w, mat[0, 0], mat[0, 1], mat[1, 1], var, gain)))
+        spec = spectra.output_spectral_matrix(sm, noise, float(w), args.phi)
+        var, gain = spec.inference()
+        row = (w, spec.s[0, 0], spec.s[0, 1], spec.s[1, 1], var / sm.gamma_c, gain)
+        lines.append(",".join(_fmt(v) for v in row))
     _write_lines(args.output, lines)
     return EXIT_OK
 

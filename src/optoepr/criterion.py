@@ -72,14 +72,22 @@ class ScanGrid:
     lhs_values: np.ndarray
 
 
+def _epsilons(p, t, delta):
+    """(eps(0), eps(pi/2)) at float or broadcasting-array (p_cal, t_cal)."""
+    d2 = delta * delta
+    denom = (d2 + p + 0.25) ** 2
+    e0 = 0.5 * (t - 1.0) * p / denom
+    eh = (d2 + p + 0.25 * t) / (2.0 * d2) * p / denom
+    return e0, eh
+
+
 def epsilon_zero(dp: DimensionlessParams) -> float:
     """Amplitude-quadrature correlation parameter eps(0).
 
     Negative exactly when t_cal < 1 and p_cal > 0, which is the resource
     that pulls the phi = 0 inference variance below the vacuum level.
     """
-    d2 = dp.delta * dp.delta
-    return 0.5 * (dp.t_cal - 1.0) * dp.p_cal / (d2 + dp.p_cal + 0.25) ** 2
+    return _epsilons(dp.p_cal, dp.t_cal, dp.delta)[0]
 
 
 def epsilon_half_pi(dp: DimensionlessParams) -> float:
@@ -88,11 +96,7 @@ def epsilon_half_pi(dp: DimensionlessParams) -> float:
     Diverges as delta -> 0 at fixed p_cal: with vanishing detuning only the
     amplitude quadratures correlate and no paradox can form.
     """
-    if dp.delta == 0.0:
-        raise ParameterError("epsilon_half_pi is undefined at delta = 0")
-    d2 = dp.delta * dp.delta
-    return ((d2 + dp.p_cal + 0.25 * dp.t_cal) / (2.0 * d2)
-            * dp.p_cal / (d2 + dp.p_cal + 0.25) ** 2)
+    return _epsilons(dp.p_cal, dp.t_cal, dp.delta)[1]
 
 
 def inferred_variance(eps: float) -> float:
@@ -112,8 +116,7 @@ def inferred_variance(eps: float) -> float:
 
 def epr_lhs(dp: DimensionlessParams) -> EprResult:
     """Evaluate the full criterion at one reduced parameter point."""
-    e0 = epsilon_zero(dp)
-    eh = epsilon_half_pi(dp)
+    e0, eh = _epsilons(dp.p_cal, dp.t_cal, dp.delta)
     vx = inferred_variance(e0)
     vy = inferred_variance(eh)
     lhs = vx * vy
@@ -123,8 +126,7 @@ def epr_lhs(dp: DimensionlessParams) -> EprResult:
 
 def optimal_gains(dp: DimensionlessParams) -> GainPair:
     """Closed-form optimal inference gains, g = eps/(1 + eps) per angle."""
-    e0 = epsilon_zero(dp)
-    eh = epsilon_half_pi(dp)
+    e0, eh = _epsilons(dp.p_cal, dp.t_cal, dp.delta)
     if e0 <= EPS_FLOOR:
         raise InvalidRegimeError(f"eps0 = {e0!r} <= -1/2")
     return GainPair(g_x=e0 / (1.0 + e0), g_y=eh / (1.0 + eh))
@@ -149,13 +151,19 @@ def optimal_gain(s11: float, s12: float, s22: float) -> float:
 
 def _lhs_arrays(p: np.ndarray, t: np.ndarray, delta: float) -> np.ndarray:
     """Vectorized criterion with NaN sentinels for invalid-regime cells."""
-    d2 = delta * delta
-    denom = (d2 + p + 0.25) ** 2
-    e0 = 0.5 * (t - 1.0) * p / denom
-    eh = (d2 + p + 0.25 * t) / (2.0 * d2) * p / denom
+    e0, eh = _epsilons(p, t, delta)
     with np.errstate(invalid="ignore", divide="ignore"):
         lhs = (1.0 + e0 / (1.0 + e0)) * (1.0 + eh / (1.0 + eh))
     return np.where(e0 <= EPS_FLOOR, np.nan, lhs)
+
+
+def _axis(lo: float, hi: float, res: int) -> np.ndarray:
+    if not (0.0 <= lo < math.inf and math.isfinite(hi)):
+        raise ParameterError(f"scan range ({lo!r}, {hi!r}) must be finite, lo >= 0")
+    if not ((lo < hi and res >= 2) or (lo == hi and res == 1)):
+        raise ParameterError(f"scan axis ({lo!r}, {hi!r}) at resolution {res!r}: need "
+                             "lo < hi at resolution >= 2, or lo == hi at resolution 1")
+    return np.linspace(lo, hi, res)
 
 
 def scan(p_range: tuple[float, float], t_range: tuple[float, float],
@@ -163,62 +171,48 @@ def scan(p_range: tuple[float, float], t_range: tuple[float, float],
     """Evaluate the criterion on a dense rectangular (p_cal, t_cal) grid.
 
     ``resolution`` is the number of points per axis (a single int applies to
-    both axes) and must be at least 2; ranges must be non-degenerate with
-    non-negative lower ends.
+    both axes).  Each axis is either a range lo < hi with resolution >= 2, or
+    a single value lo == hi with resolution 1.  Range ends must be finite
+    with non-negative lower ends, and delta finite and > 0.
     """
     if isinstance(resolution, int):
         res_p = res_t = resolution
     else:
         res_p, res_t = resolution
-    p_lo, p_hi = map(float, p_range)
-    t_lo, t_hi = map(float, t_range)
-    if not (p_hi > p_lo) or not (t_hi > t_lo):
-        raise ParameterError("scan ranges must be non-degenerate")
-    if p_lo < 0.0 or t_lo < 0.0:
-        raise ParameterError("p_cal and t_cal ranges must be non-negative")
-    if not (delta > 0.0):
-        raise ParameterError(f"delta must be > 0, got {delta!r}")
-    if res_p < 2 or res_t < 2:
-        raise ParameterError("resolution must be >= 2 per axis")
-    p_axis = np.linspace(p_lo, p_hi, res_p)
-    t_axis = np.linspace(t_lo, t_hi, res_t)
+    if not (0.0 < delta < math.inf):
+        raise ParameterError(f"delta must be finite and > 0, got {delta!r}")
+    p_axis = _axis(*map(float, p_range), res_p)
+    t_axis = _axis(*map(float, t_range), res_t)
     lhs = _lhs_arrays(p_axis[np.newaxis, :], t_axis[:, np.newaxis], delta)
     return ScanGrid(p_axis=p_axis, t_axis=t_axis, delta=delta, lhs_values=lhs)
+
+
+def _row_crossings(f: np.ndarray, x: np.ndarray, touch: bool):
+    """(row, position on ``x``) of each sign change of f along its rows, in
+    row-major order; edges with a non-finite end are skipped.  With ``touch``
+    an edge whose left end is exactly zero also counts, at that end."""
+    a, b = f[:, :-1], f[:, 1:]
+    with np.errstate(all="ignore"):
+        hit = np.isfinite(a) & np.isfinite(b) & ((a * b < 0.0) | (touch & (a == 0.0)))
+        rows, cols = np.nonzero(hit)
+        a, b = a[rows, cols], b[rows, cols]
+        pos = x[cols] + a / (a - b) * (x[cols + 1] - x[cols])
+    return rows, np.where(a == 0.0, x[cols], pos)
 
 
 def paradox_boundary(grid: ScanGrid) -> np.ndarray:
     """Linear-interpolation contour of lhs = 1 along grid edges.
 
-    Returns an (n, 2) array of (p_cal, t_cal) crossing points collected by
-    marching over horizontal then vertical cell edges; empty when the grid
-    never crosses the bound.  Edges touching NaN cells are skipped.
+    Returns an (n, 2) array of (p_cal, t_cal) crossing points, horizontal
+    edges row-major then vertical edges column-major; empty when the grid
+    never crosses the bound.  Edges touching NaN cells are skipped; a cell
+    exactly on the bound counts on its horizontal edge only.
     """
     f = grid.lhs_values - 1.0
-    points = []
-    nt, npnts = f.shape
-    for i in range(nt):
-        for j in range(npnts - 1):
-            a, b = f[i, j], f[i, j + 1]
-            if not (np.isfinite(a) and np.isfinite(b)):
-                continue
-            if a == 0.0:
-                points.append((grid.p_axis[j], grid.t_axis[i]))
-            elif a * b < 0.0:
-                frac = a / (a - b)
-                p = grid.p_axis[j] + frac * (grid.p_axis[j + 1] - grid.p_axis[j])
-                points.append((p, grid.t_axis[i]))
-    for j in range(npnts):
-        for i in range(nt - 1):
-            a, b = f[i, j], f[i + 1, j]
-            if not (np.isfinite(a) and np.isfinite(b)):
-                continue
-            if a * b < 0.0:
-                frac = a / (a - b)
-                t = grid.t_axis[i] + frac * (grid.t_axis[i + 1] - grid.t_axis[i])
-                points.append((grid.p_axis[j], t))
-    if not points:
-        return np.empty((0, 2))
-    return np.array(points)
+    rows, p = _row_crossings(f, grid.p_axis, touch=True)
+    cols, t = _row_crossings(f.T, grid.t_axis, touch=False)
+    return np.concatenate([np.column_stack([p, grid.t_axis[rows]]),
+                           np.column_stack([grid.p_axis[cols], t])])
 
 
 def best_power(t_cal: float, delta: float, p_max: float = 10.0,

@@ -259,8 +259,9 @@ def _real_roots(delta0: float, kappa: float) -> list[float]:
     d_hi = (delta0 + sq) / 3.0   # local minimum
     f_lo = _cubic(d_lo, delta0, kappa)
     f_hi = _cubic(d_hi, delta0, kappa)
-    scale = max(abs(kappa), (abs(d_lo) + abs(delta0)) * (0.25 + d_lo * d_lo))
-    if abs(f_lo) <= 1e-12 * scale or abs(f_hi) <= 1e-12 * scale:
+    # A fold puts a double root at an extremum; each has its own scale.
+    if (_cubic_residual(d_lo, delta0, kappa) <= 1e-12
+            or _cubic_residual(d_hi, delta0, kappa) <= 1e-12):
         raise NumericalError(
             "degenerate double root of the steady-state cubic "
             f"(delta0={delta0!r}, kappa={kappa!r})")

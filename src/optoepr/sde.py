@@ -196,7 +196,10 @@ def _streams(seed: int, n: int) -> list[np.random.Generator]:
 
 
 def _draw_block(rngs: list[np.random.Generator], nb: int) -> np.ndarray:
-    return np.stack([rng.standard_normal((nb, spectra.N_NOISES)) for rng in rngs])
+    z = np.empty((len(rngs), nb, spectra.N_NOISES))
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
+    return z
 
 
 def _impulse_response(model: StateSpace, noise: NoisePsd | None, dt: float,

@@ -102,6 +102,12 @@ class SpectralMatrix:
     phi2: float
     s: np.ndarray
 
+    def inference(self) -> tuple[float, float]:
+        """(s11 - 2 g s12 + g^2 s22, g) at the optimal gain g, in units of ``s``."""
+        s = self.s
+        gain = criterion.optimal_gain(s[0, 0], s[0, 1], s[1, 1])
+        return s[0, 0] - 2.0 * gain * s[0, 1] + gain * gain * s[1, 1], gain
+
 
 def brownian_psd(omega: float, params: PhysicalParams) -> float:
     """Symmetrized quantum Brownian force PSD, 2 m gamma_m hbar omega coth(...).
@@ -221,9 +227,7 @@ def inferred_variance_at(model: StateSpace, noise: NoisePsd, omega: float,
     At omega = 0 this reproduces the closed form in `criterion` exactly; at
     other sideband frequencies it generalizes the criterion off the carrier.
     """
-    sm = output_spectral_matrix(model, noise, omega, phi).s
-    gain = criterion.optimal_gain(sm[0, 0], sm[0, 1], sm[1, 1])
-    variance = sm[0, 0] - 2.0 * gain * sm[0, 1] + gain * gain * sm[1, 1]
+    variance, gain = output_spectral_matrix(model, noise, omega, phi).inference()
     return variance / model.gamma_c, gain
 
 

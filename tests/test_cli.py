@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from optoepr import epr_lhs
+from optoepr import epr_lhs, spectra
 from optoepr.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main,
                          parse_config)
 
@@ -155,6 +155,28 @@ class TestScan:
                       "--output", str(tmp_path / "no/such/dir/x.csv"))
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("flags", [
+        ["--p-min", "0", "--p-max", "1", "--p-res", "1"],
+        ["--p-min", "0.3", "--p-max", "0.3", "--p-res", "5"],
+        ["--t-res", "0"],
+        ["--p-max", "inf"],
+        ["--t-min", "nan"],
+        ["--p-min", "-inf"],
+    ])
+    def test_refused_axes_exit_config(self, capsys, tmp_path, flags):
+        grid, contour = tmp_path / "g.csv", tmp_path / "c.csv"
+        code, _ = run(capsys, "scan", "--delta", "0.18", *flags,
+                      "--output", str(grid), "--contour", str(contour))
+        assert code == EXIT_CONFIG
+        assert not grid.exists() and not contour.exists()
+
+    @pytest.mark.parametrize("delta", ["inf", "nan", "0", "-0.1"])
+    def test_bad_delta_exits_config(self, capsys, tmp_path, delta):
+        grid = tmp_path / "g.csv"
+        code, _ = run(capsys, "scan", f"--delta={delta}", "--output", str(grid))
+        assert code == EXIT_CONFIG
+        assert not grid.exists()
+
 
 class TestSpectrum:
     def test_empty_cavity_flat_s11(self, capsys, tmp_path):
@@ -185,6 +207,20 @@ class TestSpectrum:
                 out_path.read_text().splitlines()[1:]]
         for row, mirrored in zip(rows, reversed(rows)):
             assert row[1] == pytest.approx(mirrored[1], rel=1e-9)
+
+    def test_one_solve_per_frequency(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(TEXTBOOK_PHYSICAL.replace("input_power_w  = 0.03",
+                                              "input_power_w  = 0"))
+        solves = []
+        solve = spectra.output_response
+        monkeypatch.setattr(spectra, "output_response",
+                            lambda *a: solves.append(a) or solve(*a))
+        code, _ = run(capsys, "spectrum", "--config", str(cfg),
+                      "--omega-min", "0", "--omega-max", "4e6",
+                      "--points", "9", "--output", str(tmp_path / "s.csv"))
+        assert code == EXIT_OK
+        assert len(solves) == 9
 
     def test_literal_textbook_set_exits_numerical(self, capsys, tmp_path):
         # The quoted laboratory point is anti-damped; building its state

@@ -1,5 +1,8 @@
 """Tests for the closed-form criterion, gain optimizer, scans, and boundary."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -166,8 +169,115 @@ class TestScan:
         with pytest.raises(ParameterError):
             scan((-0.1, 1.0), (0.0, 1.0), 0.18, 10)
 
+    def test_single_value_axis(self):
+        # An axis is lo < hi with resolution >= 2, or lo == hi with resolution 1.
+        grid = scan((0.17, 0.17), (0.0, 1.0), 0.18, (1, 5))
+        assert grid.p_axis.tolist() == [0.17]
+        assert grid.lhs_values.shape == (5, 1)
+        cell = scan((0.17, 0.17), (0.1, 0.1), 0.18, 1)
+        assert cell.lhs_values[0, 0] == epr_lhs(HEADLINE).lhs
+
+    def test_rejects_reversed_range_and_zero_resolution(self):
+        with pytest.raises(ParameterError):
+            scan((1.0, 0.0), (0.0, 1.0), 0.18, 5)
+        with pytest.raises(ParameterError):
+            scan((0.0, 1.0), (0.0, 1.0), 0.18, (5, 0))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_inputs(self, bad):
+        with pytest.raises(ParameterError):
+            scan((0.0, bad), (0.0, 1.0), 0.18, 10)
+        with pytest.raises(ParameterError):
+            scan((0.0, 1.0), (bad, 1.0), 0.18, 10)
+        with pytest.raises(ParameterError):
+            scan((0.0, 1.0), (0.0, 1.0), bad, 10)
+
+
+def reference_boundary(grid):
+    """The edge-by-edge double loop that `paradox_boundary` vectorizes, kept
+    as a test oracle."""
+    f = grid.lhs_values - 1.0
+    points = []
+    nt, npnts = f.shape
+    for i in range(nt):
+        for j in range(npnts - 1):
+            a, b = f[i, j], f[i, j + 1]
+            if not (np.isfinite(a) and np.isfinite(b)):
+                continue
+            if a == 0.0:
+                points.append((grid.p_axis[j], grid.t_axis[i]))
+            elif a * b < 0.0:
+                frac = a / (a - b)
+                p = grid.p_axis[j] + frac * (grid.p_axis[j + 1] - grid.p_axis[j])
+                points.append((p, grid.t_axis[i]))
+    for j in range(npnts):
+        for i in range(nt - 1):
+            a, b = f[i, j], f[i + 1, j]
+            if not (np.isfinite(a) and np.isfinite(b)):
+                continue
+            if a * b < 0.0:
+                frac = a / (a - b)
+                t = grid.t_axis[i] + frac * (grid.t_axis[i + 1] - grid.t_axis[i])
+                points.append((grid.p_axis[j], t))
+    if not points:
+        return np.empty((0, 2))
+    return np.array(points)
+
+
+def _with_cells(grid, cells, value):
+    lhs = grid.lhs_values.copy()
+    for i, j in cells:
+        lhs[i, j] = value
+    return replace(grid, lhs_values=lhs)
+
+
+_BASE = scan((0.0, 1.0), (0.0, 0.9), 0.18, (23, 17))
+_ON_BOUND = [(2, 0), (3, 4), (3, 5), (9, 22), (16, 11)]   # (3, 4), (3, 5) adjacent
+# Cells next to paradox cells (lhs < 1), where an edge not checked for
+# finiteness would report a crossing: inf right of (2, 15), left of (1, 2)
+# and below (5, 5), and a cell on the bound with NaN to its right.
+_NON_FINITE = _with_cells(_with_cells(_with_cells(
+    _BASE, [(2, 16), (1, 1), (6, 5)], math.inf), [(3, 9)], math.nan), [(3, 8)], 1.0)
+
+BOUNDARY_GRIDS = {
+    "square": scan((0.0, 1.0), (0.0, 1.0), 0.18, 60),
+    "wide": scan((0.0, 1.0), (0.0, 0.9), 0.3, (97, 13)),
+    "2xN": scan((0.1, 0.6), (0.0, 0.9), 0.18, (2, 41)),
+    "Nx2": scan((0.0, 1.0), (0.05, 0.4), 0.18, (41, 2)),
+    "offset": scan((0.05, 1.7), (0.02, 0.85), 0.18, 50),
+    "tiny_delta": scan((0.0, 1.0), (0.0, 1.0), 1e-9, (201, 50)),
+    "nan_cells": _with_cells(_BASE, [(0, 3), (4, 7), (4, 8), (10, 0), (16, 22)],
+                             math.nan),
+    "non_finite": _NON_FINITE,
+    "on_bound": _with_cells(_BASE, _ON_BOUND, 1.0),
+    "no_crossing": scan((0.01, 1.0), (1.0, 2.0), 0.18, 32),
+    "single_cell": scan((0.17, 0.17), (0.1, 0.1), 0.18, 1),
+}
+
 
 class TestParadoxBoundary:
+    @pytest.mark.parametrize("name", sorted(BOUNDARY_GRIDS))
+    def test_matches_double_loop(self, name):
+        grid = BOUNDARY_GRIDS[name]
+        got = paradox_boundary(grid)
+        want = reference_boundary(grid)
+        assert got.shape == want.shape
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_reference_grids_exercise_every_case(self):
+        assert np.isnan(BOUNDARY_GRIDS["tiny_delta"].lhs_values).any()
+        assert len(reference_boundary(BOUNDARY_GRIDS["no_crossing"])) == 0
+        for name in ("2xN", "Nx2", "nan_cells", "on_bound", "non_finite"):
+            assert len(reference_boundary(BOUNDARY_GRIDS[name])) > 0
+        # Each cell exactly on the bound counts once, at its own position, on
+        # its horizontal edge only (a pair of adjacent ones included).
+        on_bound = paradox_boundary(BOUNDARY_GRIDS["on_bound"])
+        for i, j in _ON_BOUND:
+            if j < _BASE.p_axis.size - 1:
+                hit = (on_bound == [_BASE.p_axis[j], _BASE.t_axis[i]]).all(axis=1)
+                assert hit.sum() == 1
+
     def test_hot_grid_has_no_contour(self):
         grid = scan((0.01, 1.0), (1.0, 2.0), 0.18, 32)
         assert paradox_boundary(grid).shape == (0, 2)

@@ -15,6 +15,7 @@ from optoepr import (DimensionlessParams, NumericalError, ParameterError,
 from optoepr.constants import HBAR
 from optoepr.sde import (NOISE_BLOCK, RECORD_BUDGET_BYTES, _draw_block,
                          _noise_levels, _streams)
+from optoepr.spectra import N_NOISES
 
 from conftest import HEADLINE
 
@@ -124,6 +125,15 @@ class TestBlockedKernel:
         b = integrate(model, noise, replace(wide, n_trajectories=3))
         assert max_rel_diff(a.increments[:3], b.increments) < 1e-12
         assert max_rel_diff(a.final_states[:3], b.final_states) < 1e-12
+
+    def test_draw_block_is_the_per_stream_sequence(self):
+        # The noise stream every kernel and reference_records rest on: block k
+        # of trajectory n is the next standard_normal((nb, N_NOISES)) draw of
+        # stream n, a partial last block included.
+        rngs, refs = _streams(5, 3), _streams(5, 3)
+        for nb in (NOISE_BLOCK, 1000, 7):
+            want = np.stack([r.standard_normal((nb, N_NOISES)) for r in refs])
+            assert _draw_block(rngs, nb).tobytes() == want.tobytes()
 
     def test_record_budget_refused_before_work(self, headline):
         # Both configurations trip the guard before anything is allocated:

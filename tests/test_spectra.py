@@ -121,6 +121,32 @@ class TestStateSpace:
             build_state_space(params, ss)
 
 
+class TestRealizationDomain:
+    def test_log_grid_realized_or_unstable(self):
+        # Every triple of a log grid reaching far into small detuning and high
+        # power is realized with a stable drift matrix at the wanted detuning,
+        # or refused as unstable.  Near delta = 1e-3 the bare detuning is
+        # strongly negative and the cubic has two well-separated extrema; their
+        # fold tests must each use their own scale.
+        for p in np.geomspace(1e-4, 50.0, 25):
+            for t in (0.0, 0.1, 1.0, 5.0):
+                for delta in np.geomspace(1e-3, 10.0, 25):
+                    dp = DimensionlessParams(float(p), t, float(delta))
+                    try:
+                        params, ss = realize_dimensionless(dp)
+                    except InstabilityError:
+                        continue
+                    assert np.all(require_stable(
+                        build_state_space(params, ss).drift).real < 0.0)
+                    assert abs(ss.delta - dp.delta) <= 1e-7 * max(1.0, dp.delta)
+
+    def test_small_detuning_high_power_matches_closed_form(self):
+        params, ss = realize_dimensionless(DimensionlessParams(3.2485, 0.0, 1e-3))
+        for phi in (0.0, math.pi / 2):
+            got, want = closed_form_check(params, ss, phi)
+            assert got == pytest.approx(want, rel=1e-5)
+
+
 class TestOutputSpectra:
     def test_empty_cavity_reflection_is_vacuum(self, empty_cavity_model):
         params, _, model, noise = empty_cavity_model
@@ -165,6 +191,16 @@ class TestOutputSpectra:
         params, _, model, noise = headline_model
         var, _ = inferred_variance_at(model, noise, 10 * params.gamma_c, 0.0)
         assert var == pytest.approx(1.0, abs=0.05)
+
+    def test_inference_from_the_computed_matrix(self, headline_model):
+        # The minimized variance and gain read off one computed spectrum are
+        # exactly those of inferred_variance_at.
+        params, _, model, noise = headline_model
+        for w in np.linspace(-3.0, 3.0, 13) * params.gamma_c:
+            for phi in (0.0, 0.7, math.pi / 2):
+                var, gain = output_spectral_matrix(model, noise, w, phi).inference()
+                assert (var / model.gamma_c, gain) == inferred_variance_at(
+                    model, noise, w, phi)
 
     def test_empty_cavity_inference_is_trivial(self, empty_cavity_model):
         _, _, model, noise = empty_cavity_model
