@@ -1,11 +1,12 @@
 """Cross-check the analytic criterion against a stochastic simulation.
 
 Integrates the linearized dynamics as a linear Ito system (Euler-Maruyama,
-white-noise levels matched to the carrier), applies the finite-time
-windowed transform to the simulated reflected fields, and estimates both
-minimized inference variances and their product.  A modest trajectory
-budget keeps this demo to about 4 s (2-core x86 host, one BLAS thread);
-the acceptance suite runs the full-precision version.
+white-noise levels matched to the carrier) with the streaming estimator,
+which accumulates the carrier window sums of the simulated reflected fields
+without keeping the records, and estimates both minimized inference
+variances and their product.  A modest trajectory budget keeps this demo to
+about 2.5 s (2-core x86 host, one BLAS thread); the acceptance suite runs
+the full-precision version.
 """
 
 import math

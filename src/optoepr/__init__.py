@@ -24,8 +24,7 @@ from .spectra import (NoisePsd, SpectralMatrix, StateSpace, brownian_psd,
                       build_state_space, commutator_norm_check,
                       inferred_variance_at, noise_psd, output_response,
                       output_spectral_matrix, realize_dimensionless,
-                      require_stable, state_space_matrices,
-                      state_spectral_density)
+                      require_stable, state_space_matrices)
 
 __version__ = "0.1.0"
 
@@ -43,7 +42,6 @@ __all__ = [
     "build_state_space", "commutator_norm_check", "inferred_variance_at",
     "noise_psd", "output_response", "output_spectral_matrix",
     "realize_dimensionless", "require_stable", "state_space_matrices",
-    "state_spectral_density",
     "Estimate", "SimConfig", "SimulationRecords", "default_sim_config",
     "epr_product_estimate", "estimate_inference_variance", "integrate",
     "windowed_transform",

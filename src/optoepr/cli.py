@@ -50,8 +50,6 @@ SIM_KEYS = {"dt", "duration", "tau", "segments", "trajectories", "seed", "burn_i
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
     return f"{value:.12g}"
 
 
@@ -212,12 +210,18 @@ def _model_from_physical(values, branch: int):
 
 
 def cmd_spectrum(args) -> int:
+    lo, hi, n = args.omega_min, args.omega_max, args.points
+    if not (math.isfinite(lo) and math.isfinite(hi)
+            and ((lo < hi and n >= 2) or (lo == hi and n == 1))):
+        raise ParameterError(
+            f"frequency axis ({lo!r}, {hi!r}) at {n!r} points: need finite ends "
+            "with omega-min < omega-max at >= 2 points, or equal ends at 1 point")
     values = _load_config(args)
     if not values.keys() & PHYSICAL_KEYS:
         raise ParameterError("spectrum requires a physical config block")
     params, ss, sm = _model_from_physical(values, args.branch)
     noise = spectra.noise_psd(params)
-    omegas = np.linspace(args.omega_min, args.omega_max, args.points)
+    omegas = np.linspace(lo, hi, n)
     lines = ["omega,s11,s12,s22,inferred_variance,gain"]
     for w in omegas:
         spec = spectra.output_spectral_matrix(sm, noise, float(w), args.phi)
@@ -230,19 +234,17 @@ def cmd_spectrum(args) -> int:
 
 def _sim_config_from(values, sm) -> sde.SimConfig:
     kwargs = {}
-    if "trajectories" in values:
-        kwargs["n_trajectories"] = int(values["trajectories"])
-    if "segments" in values:
-        kwargs["n_segments"] = int(values["segments"])
-    if "seed" in values:
-        kwargs["seed"] = int(values["seed"])
-    for key, name in (("dt", "dt"), ("tau", "tau"), ("burn_in", "burn_in")):
+    for key, name in (("trajectories", "n_trajectories"), ("segments", "n_segments"),
+                      ("seed", "seed")):
         if key in values:
-            kwargs[name] = values[key]
+            if not values[key].is_integer():
+                raise ParameterError(f"{key} must be a whole number, got {values[key]!r}")
+            kwargs[name] = int(values[key])
+    for key in ("dt", "tau", "burn_in"):
+        if key in values:
+            kwargs[key] = values[key]
     cfg = sde.default_sim_config(sm, **kwargs)
     if "duration" in values:
-        if values["duration"] < cfg.n_segments * cfg.tau + cfg.burn_in:
-            raise ParameterError("configured duration too short")
         cfg = dataclasses.replace(cfg, duration=values["duration"])
     return cfg
 

@@ -173,14 +173,14 @@ def scan(p_range: tuple[float, float], t_range: tuple[float, float],
     ``resolution`` is the number of points per axis (a single int applies to
     both axes).  Each axis is either a range lo < hi with resolution >= 2, or
     a single value lo == hi with resolution 1.  Range ends must be finite
-    with non-negative lower ends, and delta finite and > 0.
+    with non-negative lower ends, and delta must pass the detuning rule of
+    `DimensionlessParams`.
     """
     if isinstance(resolution, int):
         res_p = res_t = resolution
     else:
         res_p, res_t = resolution
-    if not (0.0 < delta < math.inf):
-        raise ParameterError(f"delta must be finite and > 0, got {delta!r}")
+    DimensionlessParams(0.0, 0.0, delta)   # the detuning rule
     p_axis = _axis(*map(float, p_range), res_p)
     t_axis = _axis(*map(float, t_range), res_t)
     lhs = _lhs_arrays(p_axis[np.newaxis, :], t_axis[:, np.newaxis], delta)
@@ -215,20 +215,15 @@ def paradox_boundary(grid: ScanGrid) -> np.ndarray:
                            np.column_stack([grid.p_axis[cols], t])])
 
 
-def best_power(t_cal: float, delta: float, p_max: float = 10.0,
-               tol: float = 1e-6) -> tuple[float, float]:
-    """Minimize lhs over p_cal in (0, p_max] at fixed (t_cal, delta).
+def best_power(t_cal: float, delta: float) -> tuple[float, float]:
+    """Minimize lhs over p_cal in (0, 10] at fixed (t_cal, delta).
 
     A coarse grid brackets the global minimum, then golden-section search
-    refines it to absolute tolerance ``tol`` in p_cal.  Returns
+    refines it to absolute tolerance 1e-6 in p_cal.  Returns
     (p_star, lhs_star).
     """
-    if t_cal < 0.0:
-        raise ParameterError(f"t_cal must be >= 0, got {t_cal!r}")
-    if not (delta > 0.0):
-        raise ParameterError(f"delta must be > 0, got {delta!r}")
-    if not (p_max > 0.0):
-        raise ParameterError(f"p_max must be > 0, got {p_max!r}")
+    DimensionlessParams(0.0, t_cal, delta)   # validates t_cal and delta
+    p_max, tol = 10.0, 1e-6
 
     def lhs_at(p: float) -> float:
         return float(_lhs_arrays(np.array(p), np.array(t_cal), delta))

@@ -27,6 +27,7 @@ rates in 1/s.  Every function here is pure and every type immutable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .constants import C_LIGHT, HBAR, K_B
@@ -114,12 +115,16 @@ class DimensionlessParams:
     delta: float
 
     def __post_init__(self) -> None:
+        # The one detuning rule.  The criterion divides by 2 delta^2, so a
+        # delta whose square is zero or subnormal (delta < ~1.5e-154) is out.
+        if (not (0.0 < self.delta < math.inf)
+                or self.delta * self.delta < sys.float_info.min):
+            raise ParameterError(
+                f"delta must be finite and > 0 with a normal square, got {self.delta!r}")
         if not (self.p_cal >= 0.0) or not math.isfinite(self.p_cal):
             raise ParameterError(f"p_cal must be >= 0, got {self.p_cal!r}")
         if not (self.t_cal >= 0.0) or not math.isfinite(self.t_cal):
             raise ParameterError(f"t_cal must be >= 0, got {self.t_cal!r}")
-        if not (self.delta > 0.0) or not math.isfinite(self.delta):
-            raise ParameterError(f"delta must be > 0, got {self.delta!r}")
 
 
 @dataclass(frozen=True)
@@ -176,11 +181,9 @@ def to_dimensionless(params: PhysicalParams, delta: float) -> DimensionlessParam
     Raises
     ------
     ParameterError
-        If ``delta <= 0`` (the reduced description is only defined for
-        positive detuning).
+        If ``delta`` breaks the detuning rule of `DimensionlessParams` (the
+        reduced description is only defined for positive detuning).
     """
-    if not (delta > 0.0):
-        raise ParameterError(f"delta must be > 0, got {delta!r}")
     p_cal = (8.0 * params.omega_0 * delta * params.input_power
              / (params.mass * params.cavity_length ** 2 * params.omega_m ** 2
                 * params.gamma_c ** 2 * (1.0 + 4.0 * delta * delta)))
@@ -246,47 +249,40 @@ def _real_roots(delta0: float, kappa: float) -> list[float]:
         return [delta0]
     span = 1.0 + abs(delta0) + abs(kappa) ** (1.0 / 3.0)
     disc = delta0 * delta0 - 0.75
-    if disc <= 0.0:
-        # Monotone cubic: single root.
-        lo, hi = delta0 - span, delta0 + span
-        while _cubic(lo, delta0, kappa) > 0.0:
-            lo -= span
-        while _cubic(hi, delta0, kappa) < 0.0:
-            hi += span
-        return [_polish(_bisect(lo, hi, delta0, kappa), delta0, kappa)]
-    sq = math.sqrt(disc)
-    d_lo = (delta0 - sq) / 3.0   # local maximum
-    d_hi = (delta0 + sq) / 3.0   # local minimum
-    f_lo = _cubic(d_lo, delta0, kappa)
-    f_hi = _cubic(d_hi, delta0, kappa)
-    # A fold puts a double root at an extremum; each has its own scale.
-    if (_cubic_residual(d_lo, delta0, kappa) <= 1e-12
-            or _cubic_residual(d_hi, delta0, kappa) <= 1e-12):
-        raise NumericalError(
-            "degenerate double root of the steady-state cubic "
-            f"(delta0={delta0!r}, kappa={kappa!r})")
-    if f_lo < 0.0 or f_hi > 0.0:
-        # Single crossing, outside (or clear of) the fold region.
-        lo, hi = delta0 - span, delta0 + span
-        while _cubic(lo, delta0, kappa) > 0.0:
-            lo -= span
-        while _cubic(hi, delta0, kappa) < 0.0:
-            hi += span
-        return [_polish(_bisect(lo, hi, delta0, kappa), delta0, kappa)]
-    # f_lo > 0 > f_hi: three crossings.
-    lo = d_lo - span
+    if disc > 0.0:
+        sq = math.sqrt(disc)
+        d_lo = (delta0 - sq) / 3.0   # local maximum
+        d_hi = (delta0 + sq) / 3.0   # local minimum
+        f_lo = _cubic(d_lo, delta0, kappa)
+        f_hi = _cubic(d_hi, delta0, kappa)
+        # A fold puts a double root at an extremum; each has its own scale.
+        if (_cubic_residual(d_lo, delta0, kappa) <= 1e-12
+                or _cubic_residual(d_hi, delta0, kappa) <= 1e-12):
+            raise NumericalError(
+                "degenerate double root of the steady-state cubic "
+                f"(delta0={delta0!r}, kappa={kappa!r})")
+        if not (f_lo < 0.0 or f_hi > 0.0):
+            # f_lo > 0 > f_hi: three crossings.
+            lo = d_lo - span
+            while _cubic(lo, delta0, kappa) > 0.0:
+                lo -= span
+            hi = d_hi + span
+            while _cubic(hi, delta0, kappa) < 0.0:
+                hi += span
+            roots = [
+                _polish(_bisect(lo, d_lo, delta0, kappa), delta0, kappa),
+                _polish(_bisect(d_lo, d_hi, delta0, kappa), delta0, kappa),
+                _polish(_bisect(d_hi, hi, delta0, kappa), delta0, kappa),
+            ]
+            roots.sort()
+            return roots
+    # Single crossing: a monotone cubic, or one clear of the fold region.
+    lo, hi = delta0 - span, delta0 + span
     while _cubic(lo, delta0, kappa) > 0.0:
         lo -= span
-    hi = d_hi + span
     while _cubic(hi, delta0, kappa) < 0.0:
         hi += span
-    roots = [
-        _polish(_bisect(lo, d_lo, delta0, kappa), delta0, kappa),
-        _polish(_bisect(d_lo, d_hi, delta0, kappa), delta0, kappa),
-        _polish(_bisect(d_hi, hi, delta0, kappa), delta0, kappa),
-    ]
-    roots.sort()
-    return roots
+    return [_polish(_bisect(lo, hi, delta0, kappa), delta0, kappa)]
 
 
 def steady_state(params: PhysicalParams) -> list[SteadyState]:

@@ -54,7 +54,8 @@ DT_SAFETY = 0.08
 # Hard step-size guard from the integrate() contract.
 DT_LIMIT = 0.1
 
-# integrate() refuses output records larger than this many bytes.
+# integrate() refuses output records, and the streaming estimator noise
+# blocks, larger than this many bytes.
 RECORD_BUDGET_BYTES = 2**30
 
 # Steps per block-Toeplitz product in integrate(); divides NOISE_BLOCK.
@@ -73,8 +74,9 @@ class SimConfig:
 
     ``tau`` is the measurement window of the finite-time transform,
     ``n_segments`` the number of non-overlapping windows per trajectory and
-    ``burn_in`` the discarded transient.  ``duration`` must cover
-    burn_in + n_segments * tau.
+    ``burn_in`` the discarded transient.  ``duration`` must be finite and
+    cover burn_in + n_segments * tau, so every time is finite; ``seed`` must
+    be >= 0.
     """
 
     dt: float
@@ -88,15 +90,19 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (self.dt > 0.0):
             raise ParameterError(f"dt must be positive, got {self.dt!r}")
+        if not math.isfinite(self.duration):
+            raise ParameterError(f"duration must be finite, got {self.duration!r}")
         if self.tau < 100.0 * self.dt:
             raise ParameterError(
                 f"tau = {self.tau!r} must be at least 100*dt = {100 * self.dt!r}")
         if self.n_segments < 1 or self.n_trajectories < 1:
             raise ParameterError("n_segments and n_trajectories must be >= 1")
+        if self.seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {self.seed!r}")
         if self.burn_in < 0.0:
             raise ParameterError(f"burn_in must be >= 0, got {self.burn_in!r}")
         need = self.n_segments * self.tau + self.burn_in
-        if need > self.duration * (1.0 + 1e-12):
+        if not (need <= self.duration * (1.0 + 1e-12)):   # NaN fails too
             raise ParameterError(
                 f"duration {self.duration!r} shorter than burn_in + "
                 f"n_segments*tau = {need!r}")
@@ -117,13 +123,11 @@ class SimulationRecords:
 
     ``increments`` has shape (n_trajectories, n_steps, 4) and holds the
     time-integrated output quadratures (x1, y1, x2, y2) over each step;
-    divide by ``dt`` for averaged instantaneous values.  ``final_states``
+    divide by the step for averaged instantaneous values.  ``final_states``
     has shape (n_trajectories, 6).
     """
 
     increments: np.ndarray
-    dt: float
-    gamma_c: float
     final_states: np.ndarray
 
 
@@ -136,8 +140,14 @@ def default_sim_config(model: StateSpace, *, n_trajectories: int = 180,
     dt is set a factor DT_SAFETY below the stability guard, tau to
     TAU_LIFETIMES cavity lifetimes (rounded to a whole number of steps) and
     burn_in to 30 relaxation times of the slowest mode (never below the
-    5/gamma_m floor demanded by the estimator).
+    5/gamma_m floor demanded by the estimator).  A given dt must be finite
+    and positive, and a given tau or burn_in finite.
     """
+    for name, value in (("dt", dt), ("tau", tau), ("burn_in", burn_in)):
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+    if dt is not None and not (dt > 0.0):
+        raise ParameterError(f"dt must be positive, got {dt!r}")
     eigs = np.linalg.eigvals(model.drift)
     rho = float(np.max(np.abs(eigs)))
     margin = float(np.min(-eigs.real))
@@ -163,7 +173,7 @@ def _noise_levels(model: StateSpace, noise: NoisePsd | None) -> np.ndarray:
     omega -> 0 Brownian level.  ``noise=None`` means a noiseless run."""
     if noise is None:
         return np.zeros(spectra.N_NOISES)
-    levels = np.array([noise.brownian(0.0)] + [noise.vacuum_level] * 4)
+    levels = noise.levels(0.0)
     if np.any(levels < 0.0):
         raise ParameterError("noise intensities must be non-negative")
     return levels
@@ -311,8 +321,7 @@ def integrate(model: StateSpace, noise: NoisePsd | None, cfg: SimConfig,
             span += starts @ x_out
         step += nb
         del z, zs   # free the block before the next draw
-    return SimulationRecords(increments=out, dt=dt, gamma_c=model.gamma_c,
-                             final_states=x)
+    return SimulationRecords(increments=out, final_states=x)
 
 
 def windowed_transform(increments: np.ndarray, dt: float, tau: float,
@@ -365,6 +374,12 @@ def estimate_inference_variance(model: StateSpace, noise: NoisePsd | None,
     if n_steps * dt > cfg.duration * (1.0 + 1e-12):
         raise ParameterError("duration does not cover burn_in + n_segments*tau")
     block = min(NOISE_BLOCK, n_steps)
+    block_bytes = n_traj * block * spectra.N_NOISES * 8
+    if block_bytes > RECORD_BUDGET_BYTES:
+        raise ParameterError(
+            f"noise block of {n_traj} trajectories x {block} steps needs "
+            f"{block_bytes / 2**30:.1f} GiB, above the "
+            f"{RECORD_BUDGET_BYTES / 2**30:.0f} GiB budget; use fewer trajectories")
     powers, responses, sig = _impulse_response(model, noise, dt, block)
 
     c, s = math.cos(phi), math.sin(phi)

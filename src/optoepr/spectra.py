@@ -34,7 +34,7 @@ calibration constant between conventions is identically 1; verified to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -43,7 +43,7 @@ from . import criterion
 from .constants import HBAR, K_B
 from .errors import InstabilityError, NumericalError, ParameterError
 from .model import (DimensionlessParams, PhysicalParams, SteadyState,
-                    couplings, steady_state, to_dimensionless)
+                    couplings, drive_kappa, steady_state, to_dimensionless)
 
 N_STATES = 6
 N_NOISES = 5
@@ -97,9 +97,6 @@ class NoisePsd:
 class SpectralMatrix:
     """Symmetrized 2x2 mode-indexed output spectrum at one (omega, phi)."""
 
-    omega: float
-    phi1: float
-    phi2: float
     s: np.ndarray
 
     def inference(self) -> tuple[float, float]:
@@ -217,7 +214,7 @@ def output_spectral_matrix(model: StateSpace, noise: NoisePsd, omega: float,
     if np.min(np.linalg.eigvalsh(s)) < -SPECTRAL_PSD_TOL * abs(trace):
         raise NumericalError(
             f"output spectral matrix not positive semidefinite at omega={omega!r}")
-    return SpectralMatrix(omega=omega, phi1=phi, phi2=phi, s=s)
+    return SpectralMatrix(s=s)
 
 
 def inferred_variance_at(model: StateSpace, noise: NoisePsd, omega: float,
@@ -254,23 +251,11 @@ def commutator_norm_check(model: StateSpace, modes: tuple[int, int] = (1, 1)) ->
     return abs(cout[2 * (j - 1), 2 * (k - 1) + 1]) / model.gamma_c
 
 
-def state_spectral_density(model: StateSpace, noise: NoisePsd,
-                           omega: float) -> np.ndarray:
-    """Diagonal of the symmetrized spectral matrix of the six states."""
-    m = -1j * omega * np.eye(N_STATES) - model.drift
-    h = np.linalg.solve(m, model.input_map)
-    return np.einsum("ij,j,ij->i", h, noise.levels(omega), h.conj()).real
-
-
 # ---------------------------------------------------------------------------
 # Stable laboratory realization of a reduced parameter point
 # ---------------------------------------------------------------------------
 
-def realize_dimensionless(dp: DimensionlessParams, *, mass: float = 3e-5,
-                          cavity_length: float = 1e-3, omega_c: float = 2e15,
-                          gamma_c: float = 2e6, omega_m: float | None = None,
-                          gamma_m: float | None = None,
-                          ) -> tuple[PhysicalParams, SteadyState]:
+def realize_dimensionless(dp: DimensionlessParams) -> tuple[PhysicalParams, SteadyState]:
     """Construct a stable physical parameter set realizing ``dp`` exactly.
 
     The reduced triple fixes every omega = 0 observable but leaves the
@@ -287,32 +272,27 @@ def realize_dimensionless(dp: DimensionlessParams, *, mass: float = 3e-5,
     (whose detuning equals ``dp.delta`` by construction of the bare
     detuning).
     """
-    if omega_m is None:
-        omega_m = 0.55 * gamma_c
-    if gamma_m is None:
-        gamma_m = 0.5 * gamma_c
+    mass, cavity_length, omega_c, gamma_c = 3e-5, 1e-3, 2e15, 2e6
+    omega_m, gamma_m = 0.55 * gamma_c, 0.5 * gamma_c
     delta = dp.delta
     u4 = 1.0 + 4.0 * delta * delta
 
     for _ in range(8):
+        temperature = (dp.t_cal * HBAR * omega_m ** 2
+                       / (8.0 * K_B * gamma_m * delta))
         # Input power from the reduced-power definition, iterating the tiny
         # omega_0 shift from the self-consistent bare detuning.
         omega_0 = omega_c
-        p_in = 0.0
         for _ in range(4):
             p_in = (dp.p_cal * mass * cavity_length ** 2 * omega_m ** 2
                     * gamma_c ** 2 * u4 / (8.0 * omega_0 * delta))
-            ain2 = p_in / (2.0 * HBAR * omega_0)
-            kappa = (2.0 * HBAR * omega_c ** 2 * ain2
-                     / (mass * omega_m ** 2 * cavity_length ** 2 * gamma_c ** 2))
-            delta0 = delta - kappa / (0.25 + delta * delta)
+            params = PhysicalParams(
+                mass=mass, cavity_length=cavity_length, omega_m=omega_m,
+                gamma_m=gamma_m, omega_c=omega_c, omega_0=omega_0,
+                gamma_c=gamma_c, temperature=temperature, input_power=p_in)
+            delta0 = delta - drive_kappa(params) / (0.25 + delta * delta)
             omega_0 = omega_c + gamma_c * delta0
-        temperature = (dp.t_cal * HBAR * omega_m ** 2
-                       / (8.0 * K_B * gamma_m * delta))
-        params = PhysicalParams(
-            mass=mass, cavity_length=cavity_length, omega_m=omega_m,
-            gamma_m=gamma_m, omega_c=omega_c, omega_0=omega_0,
-            gamma_c=gamma_c, temperature=temperature, input_power=p_in)
+        params = replace(params, omega_0=omega_0)
         roots = steady_state(params)
         ss = min(roots, key=lambda r: abs(r.delta - delta))
         g = couplings(params, ss)

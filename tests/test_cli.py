@@ -178,6 +178,14 @@ class TestScan:
         assert not grid.exists()
 
 
+@pytest.mark.parametrize("argv", [["criterion", "--p", "0.1", "--t", "0.1"], ["scan"]])
+def test_subnormal_detuning_square_exits_config(capsys, tmp_path, argv):
+    out_path = tmp_path / "out.csv"
+    code, _ = run(capsys, *argv, "--delta", "1e-170", "--output", str(out_path))
+    assert code == EXIT_CONFIG
+    assert not out_path.exists()
+
+
 class TestSpectrum:
     def test_empty_cavity_flat_s11(self, capsys, tmp_path):
         cfg = tmp_path / "empty.cfg"
@@ -221,6 +229,26 @@ class TestSpectrum:
                       "--points", "9", "--output", str(tmp_path / "s.csv"))
         assert code == EXIT_OK
         assert len(solves) == 9
+
+    @pytest.mark.parametrize("axis", [
+        ["--omega-min", "0", "--omega-max", "4e6", "--points", "-1"],
+        ["--omega-min", "0", "--omega-max", "4e6", "--points", "0"],
+        ["--omega-min", "0", "--omega-max", "4e6", "--points", "1"],
+        ["--omega-min", "4e6", "--omega-max", "4e6", "--points", "3"],
+        ["--omega-min", "4e6", "--omega-max", "0", "--points", "3"],
+        ["--omega-min", "0", "--omega-max", "inf", "--points", "3"],
+        ["--omega-min", "nan", "--omega-max", "4e6", "--points", "3"],
+        ["--omega-min=-inf", "--omega-max", "0", "--points", "3"],
+    ])
+    def test_refused_frequency_axis_exits_config(self, capsys, tmp_path, axis):
+        cfg = tmp_path / "empty.cfg"
+        cfg.write_text(TEXTBOOK_PHYSICAL.replace("input_power_w  = 0.03",
+                                              "input_power_w  = 0"))
+        out_path = tmp_path / "s.csv"
+        code = main(["spectrum", "--config", str(cfg), *axis, "--output", str(out_path)])
+        assert code == EXIT_CONFIG
+        assert "frequency axis" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_literal_textbook_set_exits_numerical(self, capsys, tmp_path):
         # The quoted laboratory point is anti-damped; building its state
@@ -309,6 +337,22 @@ class TestSimulate:
         vals = kv(out)
         assert code == EXIT_OK, out
         assert float(vals["phi_0_std_err"]) > 0
+
+    @pytest.mark.parametrize("key, value", [
+        ("trajectories", "nan"), ("trajectories", "inf"), ("trajectories", "2.9"),
+        ("segments", "nan"), ("seed", "-1"), ("seed", "nan"),
+        ("dt", "nan"), ("dt", "inf"), ("dt", "0"), ("tau", "nan"), ("tau", "inf"),
+        ("burn_in", "nan"), ("burn_in", "inf"), ("duration", "nan"),
+        ("duration", "inf"),
+    ])
+    def test_refused_sim_key_exits_config(self, capsys, tmp_path, key, value):
+        keys = {"trajectories": "2", "segments": "1", key: value}
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(DIMLESS + "".join(f"{k} = {v}\n" for k, v in keys.items()))
+        out_path = tmp_path / "sim.out"
+        code, _ = run(capsys, "simulate", "--config", str(cfg), "--output", str(out_path))
+        assert code == EXIT_CONFIG
+        assert not out_path.exists()
 
 
 class TestSpectrumCriterionConsistency:

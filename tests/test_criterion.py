@@ -192,6 +192,12 @@ class TestScan:
         with pytest.raises(ParameterError):
             scan((0.0, 1.0), (0.0, 1.0), bad, 10)
 
+    def test_rejects_subnormal_detuning_square(self):
+        with pytest.raises(ParameterError):
+            scan((0.0, 1.0), (0.0, 1.0), 1e-170, 10)
+        with pytest.raises(ParameterError):
+            best_power(0.1, 1e-170)
+
 
 def reference_boundary(grid):
     """The edge-by-edge double loop that `paradox_boundary` vectorizes, kept

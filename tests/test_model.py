@@ -53,6 +53,16 @@ class TestParamValidation:
         with pytest.raises(ParameterError):
             DimensionlessParams(-0.1, 0.1, 0.18)
 
+    def test_detuning_square_must_be_normal(self, textbook_lab_params):
+        # The criterion divides by 2 delta^2: a delta whose square is zero or
+        # subnormal is refused, the smallest delta with a normal square is not.
+        for bad in (1e-170, 1e-155):
+            with pytest.raises(ParameterError):
+                DimensionlessParams(0.1, 0.1, bad)
+            with pytest.raises(ParameterError):
+                to_dimensionless(textbook_lab_params, bad)
+        assert DimensionlessParams(0.1, 0.1, 1.5e-154).delta == 1.5e-154
+
 
 class TestToDimensionless:
     def test_textbook_lab_values(self, textbook_lab_params):

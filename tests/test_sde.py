@@ -12,6 +12,7 @@ from optoepr import (DimensionlessParams, NumericalError, ParameterError,
                      epr_lhs, epr_product_estimate, estimate_inference_variance,
                      inferred_variance_at, integrate, noise_psd,
                      realize_dimensionless, windowed_transform)
+from optoepr import sde
 from optoepr.constants import HBAR
 from optoepr.sde import (NOISE_BLOCK, RECORD_BUDGET_BYTES, _draw_block,
                          _noise_levels, _streams)
@@ -148,6 +149,21 @@ class TestBlockedKernel:
                              n_segments=1, n_trajectories=1, seed=0, burn_in=0.0)
         with pytest.raises(ParameterError, match="budget"):
             integrate(model, noise, long_run)
+
+    def test_trajectory_budget_refused_before_streams(self, headline, monkeypatch):
+        # One trajectory more than a NOISE_BLOCK x 5 noise block can hold
+        # within the budget; the guard must fire before any stream is spawned.
+        _, model, noise = headline
+        n_traj = RECORD_BUDGET_BYTES // (NOISE_BLOCK * N_NOISES * 8) + 1
+        cfg = small_cfg(model, n_traj=n_traj, n_seg=1)
+        assert cfg.duration / cfg.dt > NOISE_BLOCK
+
+        def no_streams(*args):
+            raise AssertionError("streams spawned before the budget check")
+
+        monkeypatch.setattr(sde, "_streams", no_streams)
+        with pytest.raises(ParameterError, match="budget"):
+            estimate_inference_variance(model, noise, cfg, 0.0, 0.0)
 
 
 class TestIntegrate:

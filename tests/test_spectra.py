@@ -15,7 +15,7 @@ from optoepr import (DimensionlessParams, InstabilityError, K_B,
                      build_state_space, commutator_norm_check, epr_lhs,
                      inferred_variance_at, noise_psd, output_spectral_matrix,
                      realize_dimensionless, require_stable,
-                     state_space_matrices, state_spectral_density, steady_state,
+                     state_space_matrices, steady_state,
                      to_dimensionless)
 from optoepr.constants import HBAR
 from optoepr.spectra import closed_form_check
@@ -283,10 +283,3 @@ def spectral_rows(model, levels, omegas):
         rows[i] = np.einsum("ij,j,ij->i", h, levels, h.conj()).real
     return rows
 
-
-def test_state_spectral_density_is_nonnegative(headline_realization):
-    params, ss = headline_realization
-    model = build_state_space(params, ss)
-    noise = noise_psd(params)
-    for w in (0.0, 1e5, 1e6, 1e7):
-        assert np.all(state_spectral_density(model, noise, w) >= 0.0)
