@@ -125,29 +125,23 @@ def _load_config(args) -> dict[str, float]:
     return {}
 
 
-def _resolve_dimensionless(args, values) -> tuple[model.DimensionlessParams,
-                                                  model.DimensionlessParams | None]:
-    """Reduced parameters from flags or config.
-
-    Returns (dp, reduced-from-physical or None); the second entry is set when
-    a physical block was reduced so the caller can report the mapping.
-    """
+def _resolve_dimensionless(args, values) -> model.DimensionlessParams:
+    """Reduced parameters from flags or config."""
     flags = [args.p is not None, args.t is not None]
     if any(flags):
         if not all(flags) or args.delta is None:
             raise ParameterError("--p, --t and --delta must be given together")
-        return model.DimensionlessParams(args.p, args.t, args.delta), None
+        return model.DimensionlessParams(args.p, args.t, args.delta)
     if values.keys() & DIMENSIONLESS_KEYS:
         dp = dimensionless_from_config(values)
         if args.delta is not None:
             dp = model.DimensionlessParams(dp.p_cal, dp.t_cal, args.delta)
-        return dp, None
+        return dp
     if values.keys() & PHYSICAL_KEYS:
         if args.delta is None:
             raise ParameterError("physical config requires --delta")
         params = physical_from_config(values)
-        dp = model.to_dimensionless(params, args.delta)
-        return dp, dp
+        return model.to_dimensionless(params, args.delta)
     raise ParameterError("no parameters given (use --config or --p/--t/--delta)")
 
 
@@ -162,7 +156,7 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 def cmd_criterion(args) -> int:
     values = _load_config(args)
-    dp, _ = _resolve_dimensionless(args, values)
+    dp = _resolve_dimensionless(args, values)
     result = criterion.epr_lhs(dp)
     gains = criterion.optimal_gains(dp)
     fields = [

@@ -81,13 +81,24 @@ def _epsilons(p, t, delta):
     return e0, eh
 
 
+def _point_epsilons(dp: DimensionlessParams) -> tuple[float, float]:
+    """(eps(0), eps(pi/2)) at one point, refused unless both are finite."""
+    try:
+        e0, eh = _epsilons(dp.p_cal, dp.t_cal, dp.delta)
+        if math.isfinite(e0) and math.isfinite(eh):
+            return e0, eh
+    except OverflowError:   # float (d2 + p + 1/4) ** 2 past the double range
+        pass
+    raise ParameterError(f"closed form overflows at {dp}")
+
+
 def epsilon_zero(dp: DimensionlessParams) -> float:
     """Amplitude-quadrature correlation parameter eps(0).
 
     Negative exactly when t_cal < 1 and p_cal > 0, which is the resource
     that pulls the phi = 0 inference variance below the vacuum level.
     """
-    return _epsilons(dp.p_cal, dp.t_cal, dp.delta)[0]
+    return _point_epsilons(dp)[0]
 
 
 def epsilon_half_pi(dp: DimensionlessParams) -> float:
@@ -96,7 +107,7 @@ def epsilon_half_pi(dp: DimensionlessParams) -> float:
     Diverges as delta -> 0 at fixed p_cal: with vanishing detuning only the
     amplitude quadratures correlate and no paradox can form.
     """
-    return _epsilons(dp.p_cal, dp.t_cal, dp.delta)[1]
+    return _point_epsilons(dp)[1]
 
 
 def inferred_variance(eps: float) -> float:
@@ -116,7 +127,7 @@ def inferred_variance(eps: float) -> float:
 
 def epr_lhs(dp: DimensionlessParams) -> EprResult:
     """Evaluate the full criterion at one reduced parameter point."""
-    e0, eh = _epsilons(dp.p_cal, dp.t_cal, dp.delta)
+    e0, eh = _point_epsilons(dp)
     vx = inferred_variance(e0)
     vy = inferred_variance(eh)
     lhs = vx * vy
@@ -126,7 +137,7 @@ def epr_lhs(dp: DimensionlessParams) -> EprResult:
 
 def optimal_gains(dp: DimensionlessParams) -> GainPair:
     """Closed-form optimal inference gains, g = eps/(1 + eps) per angle."""
-    e0, eh = _epsilons(dp.p_cal, dp.t_cal, dp.delta)
+    e0, eh = _point_epsilons(dp)
     if e0 <= EPS_FLOOR:
         raise InvalidRegimeError(f"eps0 = {e0!r} <= -1/2")
     return GainPair(g_x=e0 / (1.0 + e0), g_y=eh / (1.0 + eh))
@@ -149,12 +160,15 @@ def optimal_gain(s11: float, s12: float, s22: float) -> float:
     return s12 / s22
 
 
-def _lhs_arrays(p: np.ndarray, t: np.ndarray, delta: float) -> np.ndarray:
-    """Vectorized criterion with NaN sentinels for invalid-regime cells."""
-    e0, eh = _epsilons(p, t, delta)
-    with np.errstate(invalid="ignore", divide="ignore"):
+def _lhs_arrays(p: np.ndarray, t: np.ndarray,
+                delta: float) -> tuple[np.ndarray, bool]:
+    """Vectorized criterion with NaN sentinels for invalid-regime cells and
+    cells whose eps overflows, and whether every eps is finite."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        e0, eh = _epsilons(p, t, delta)
         lhs = (1.0 + e0 / (1.0 + e0)) * (1.0 + eh / (1.0 + eh))
-    return np.where(e0 <= EPS_FLOOR, np.nan, lhs)
+    finite = bool(np.isfinite(e0).all() and np.isfinite(eh).all())
+    return np.where(e0 <= EPS_FLOOR, np.nan, lhs), finite
 
 
 def _axis(lo: float, hi: float, res: int) -> np.ndarray:
@@ -174,7 +188,8 @@ def scan(p_range: tuple[float, float], t_range: tuple[float, float],
     both axes).  Each axis is either a range lo < hi with resolution >= 2, or
     a single value lo == hi with resolution 1.  Range ends must be finite
     with non-negative lower ends, and delta must pass the detuning rule of
-    `DimensionlessParams`.
+    `DimensionlessParams`.  A grid on which eps(0) or eps(pi/2) overflows
+    anywhere is refused.
     """
     if isinstance(resolution, int):
         res_p = res_t = resolution
@@ -183,7 +198,10 @@ def scan(p_range: tuple[float, float], t_range: tuple[float, float],
     DimensionlessParams(0.0, 0.0, delta)   # the detuning rule
     p_axis = _axis(*map(float, p_range), res_p)
     t_axis = _axis(*map(float, t_range), res_t)
-    lhs = _lhs_arrays(p_axis[np.newaxis, :], t_axis[:, np.newaxis], delta)
+    lhs, finite = _lhs_arrays(p_axis[np.newaxis, :], t_axis[:, np.newaxis], delta)
+    if not finite:
+        raise ParameterError(
+            f"closed form overflows on the scan grid at delta = {delta!r}")
     return ScanGrid(p_axis=p_axis, t_axis=t_axis, delta=delta, lhs_values=lhs)
 
 
@@ -220,13 +238,14 @@ def best_power(t_cal: float, delta: float) -> tuple[float, float]:
 
     A coarse grid brackets the global minimum, then golden-section search
     refines it to absolute tolerance 1e-6 in p_cal.  Returns
-    (p_star, lhs_star).
+    (p_star, lhs_star).  Bracket points where the closed form overflows
+    count as invalid, and a bracket with no valid point is refused.
     """
     DimensionlessParams(0.0, t_cal, delta)   # validates t_cal and delta
     p_max, tol = 10.0, 1e-6
 
     def lhs_at(p: float) -> float:
-        return float(_lhs_arrays(np.array(p), np.array(t_cal), delta))
+        return float(_lhs_arrays(np.array(p), np.array(t_cal), delta)[0])
 
     # Bracket the global minimum on a linear grid plus a geometric tail: with
     # no paradox window the infimum sits at the p -> 0 edge, where the
@@ -235,7 +254,9 @@ def best_power(t_cal: float, delta: float) -> tuple[float, float]:
     lin = np.linspace(p_max / n, p_max, n)
     geo = np.geomspace(p_max * 1e-10, p_max / n, 65)[:-1]
     ps = np.concatenate([geo, lin])
-    vals = _lhs_arrays(ps, np.full_like(ps, t_cal), delta)
+    vals, _ = _lhs_arrays(ps, np.full_like(ps, t_cal), delta)
+    if np.isnan(vals).all():
+        raise ParameterError(f"no valid p_cal at t_cal = {t_cal!r}, delta = {delta!r}")
     k = int(np.nanargmin(vals))
     lo = ps[k - 1] if k > 0 else 0.5 * ps[0]
     hi = ps[k + 1] if k < len(ps) - 1 else p_max

@@ -24,18 +24,20 @@ trajectory's draws do not depend on how trajectories are batched.
 
 No Python loop runs per step.  The recursion x' = S x + B dW with
 S = I + dt A is linear, so one impulse response, the powers S^m and the
-noise responses S^m B for m below the noise block, gives any stretch of
-steps as a matrix product of its start state and its Wiener increments.
-`integrate` takes every step's outputs from block-Toeplitz products over
-short sub-blocks; the streaming estimator cuts each noise block at the
-burn-in and window edges and maps each piece to its end state and window
-sum in one product.  The draws are those of the per-step recursion, and the
-results equal it up to rounding.
+noise responses S^m B, gives any piece of steps as one matrix product of
+its start state and its Wiener increments.  One generator, `_chain`, draws
+the noise blocks, cuts them into pieces and chains the products: `integrate`
+uses pieces of SUB_BLOCK steps whose products hold every step's outputs,
+the streaming estimator pieces ending at the burn-in and window edges whose
+products hold the window sums.  The draws are those of the per-step
+recursion, and the results equal it up to rounding.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -179,26 +181,28 @@ def _noise_levels(model: StateSpace, noise: NoisePsd | None) -> np.ndarray:
     return levels
 
 
-def _check_step(model: StateSpace, cfg: SimConfig,
-                require_burn: bool = False) -> tuple[int, int]:
+def _check_step(model: StateSpace, cfg: SimConfig) -> tuple[int, int]:
     rho = float(np.max(np.abs(np.linalg.eigvals(model.drift))))
     if cfg.dt * rho > DT_LIMIT:
         raise NumericalError(
             f"dt * spectral_radius(A) = {cfg.dt * rho:.3f} exceeds {DT_LIMIT}; "
             "reduce the step size")
-    if require_burn:
-        # Stationarity floor for the estimators; raw integration runs (e.g.
-        # transient studies) are exempt.
-        gamma_m = -0.5 * model.drift[1, 1]
-        if gamma_m > 0.0 and cfg.burn_in < 5.0 / gamma_m:
-            raise ParameterError(
-                f"burn_in = {cfg.burn_in!r} shorter than 5 mechanical "
-                f"relaxation times = {5.0 / gamma_m!r}")
     burn_steps = math.ceil(cfg.burn_in / cfg.dt - 1e-9)
     window_steps = round(cfg.tau / cfg.dt)
     if abs(window_steps * cfg.dt - cfg.tau) > 1e-9 * cfg.tau:
         raise ParameterError("tau must be a whole number of steps")
     return burn_steps, window_steps
+
+
+def _check_budget(what: str, n_traj: int, n_steps: int, width: int,
+                  advice: str) -> None:
+    """Refuse an array of n_traj x n_steps x width doubles above the budget."""
+    n_bytes = n_traj * n_steps * width * 8
+    if n_bytes > RECORD_BUDGET_BYTES:
+        raise ParameterError(
+            f"{what} of {n_traj} trajectories x {n_steps} steps needs "
+            f"{n_bytes / 2**30:.1f} GiB, above the "
+            f"{RECORD_BUDGET_BYTES / 2**30:.0f} GiB budget; {advice}")
 
 
 def _streams(seed: int, n: int) -> list[np.random.Generator]:
@@ -234,15 +238,37 @@ def _impulse_response(model: StateSpace, noise: NoisePsd | None, dt: float,
     return powers, powers[:length] @ (model.input_map * sig), sig
 
 
-def _toeplitz(powers: np.ndarray, responses: np.ndarray, out_map: np.ndarray,
-              feed: np.ndarray, length: int) -> tuple[np.ndarray, ...]:
-    """Maps of one sub-block of ``length`` steps, for row-vector states.
+def _chain(seed: int, x: np.ndarray, n_steps: int,
+           maps: Callable[[int], tuple[np.ndarray, np.ndarray]], offset: int,
+           period: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Run the chain over n_steps from the start states x (n, 6), piece by piece.
 
-    With the start state x (n, 6) and the sub-block's unit normals flattened
-    step-major to z (n, 5*length), the sub-block's outputs are
-    ``x @ x_out + z @ z_out`` (n, 4*length, step-major) and its end state is
-    ``x @ x_end + z @ z_end``.
+    Draws the trajectories' noise streams in NOISE_BLOCK blocks, freeing each
+    block before the next draw, and cuts every block at its edges, at step
+    ``offset`` and every ``period`` steps after it.  ``maps(L)`` gives the
+    (x_map, z_map) of an L-step piece, which takes the start states and the
+    piece's unit normals flattened step-major to z (n, 5L) to the product
+    ``x @ x_map + z @ z_map``, whose first 6 columns are the end states.
+    Yields (first step, end step, product) per piece.
     """
+    rngs = _streams(seed, len(x))
+    for start in range(0, n_steps, NOISE_BLOCK):
+        z = _draw_block(rngs, min(NOISE_BLOCK, n_steps - start))
+        a, end = start, start + z.shape[1]
+        while a < end:
+            b = min(end, offset if a < offset else a + period - (a - offset) % period)
+            x_map, z_map = maps(b - a)
+            res = x @ x_map + z[:, a - start:b - start].reshape(len(x), -1) @ z_map
+            x = res[:, :spectra.N_STATES]
+            yield a, b, res
+            a = b
+        del z   # free the block before the next draw, the memory peak
+
+
+def _toeplitz(powers: np.ndarray, responses: np.ndarray, out_map: np.ndarray,
+              feed: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x_map, z_map) of a piece of ``length`` steps for `_chain`, whose
+    product columns are the end state, then every step's 4 outputs."""
     n_in, n_out = spectra.N_NOISES, spectra.N_OUTPUTS
     # lag[i, j] = j - i + 1 indexes [0, D, C P_0, C P_1, ...]: output j sees
     # its own step's noise through D and earlier noise through C P_{j-1-i}.
@@ -254,7 +280,8 @@ def _toeplitz(powers: np.ndarray, responses: np.ndarray, out_map: np.ndarray,
         spectra.N_STATES, n_out * length)
     z_end = responses[length - 1::-1].transpose(0, 2, 1).reshape(
         n_in * length, spectra.N_STATES)
-    return x_out, z_out, powers[length].T, z_end
+    return (np.concatenate([powers[length].T, x_out], axis=1),
+            np.concatenate([z_end, z_out], axis=1))
 
 
 def integrate(model: StateSpace, noise: NoisePsd | None, cfg: SimConfig,
@@ -267,60 +294,27 @@ def integrate(model: StateSpace, noise: NoisePsd | None, cfg: SimConfig,
     record above RECORD_BUDGET_BYTES is refused before anything is
     allocated; use the streaming estimators for production window counts.
 
-    The recursion is evaluated in sub-blocks of T = SUB_BLOCK steps built
-    from one impulse response: the sub-block start states come from a
-    short loop over sub-blocks, x <- S^T x + sum_i S^(T-1-i) B dW_i, and
-    every step's outputs of a whole noise block then follow from one
-    block-Toeplitz product of the start states and the Wiener increments.
-    The result equals the per-step recursion up to rounding.
+    The chain runs through `_chain` in pieces of SUB_BLOCK steps: one
+    block-Toeplitz product per piece maps its start states and Wiener
+    increments to its end states and every step's outputs.  The result
+    equals the per-step recursion up to rounding.
     """
     _check_step(model, cfg)
     n_steps = round(cfg.duration / cfg.dt)
     n_traj = cfg.n_trajectories
-    record_bytes = n_traj * n_steps * spectra.N_OUTPUTS * 8
-    if record_bytes > RECORD_BUDGET_BYTES:
-        raise ParameterError(
-            f"record of {n_traj} trajectories x {n_steps} steps needs "
-            f"{record_bytes / 2**30:.1f} GiB, above the "
-            f"{RECORD_BUDGET_BYTES / 2**30:.0f} GiB budget; use the streaming "
-            "estimators")
-    dt = cfg.dt
-    sub = min(SUB_BLOCK, n_steps)
-    powers, responses, sig = _impulse_response(model, noise, dt, sub)
-    out_map = model.output_map * dt
-    feed = model.feedthrough * sig
-    maps = _toeplitz(powers, responses, out_map, feed, sub)
-
+    _check_budget("record", n_traj, n_steps, spectra.N_OUTPUTS,
+                  "use the streaming estimators")
+    powers, responses, sig = _impulse_response(model, noise, cfg.dt, SUB_BLOCK)
+    maps = functools.cache(functools.partial(_toeplitz, powers, responses,
+                                             model.output_map * cfg.dt,
+                                             model.feedthrough * sig))
     x = np.zeros((n_traj, spectra.N_STATES))
     if initial_state is not None:
         x[:] = np.asarray(initial_state, dtype=float)
     out = np.empty((n_traj, n_steps, spectra.N_OUTPUTS))
-
-    rngs = _streams(cfg.seed, n_traj)
-    step = 0
-    while step < n_steps:
-        nb = min(NOISE_BLOCK, n_steps - step)
-        z = _draw_block(rngs, nb)
-        # Whole sub-blocks, then (last noise block only) one shorter tail.
-        for start, length, count in ((0, sub, nb // sub),
-                                     (nb - nb % sub, nb % sub, 1)):
-            if length * count == 0:
-                continue
-            x_out, z_out, x_end, z_end = (
-                maps if length == sub
-                else _toeplitz(powers, responses, out_map, feed, length))
-            zs = z[:, start:start + count * length].reshape(
-                n_traj, count, spectra.N_NOISES * length)
-            starts = np.empty((n_traj, count, spectra.N_STATES))
-            for b in range(count):
-                starts[:, b] = x
-                x = x @ x_end + zs[:, b] @ z_end
-            span = out[:, step + start:step + start + count * length].reshape(
-                n_traj, count, spectra.N_OUTPUTS * length)
-            np.matmul(zs, z_out, out=span)
-            span += starts @ x_out
-        step += nb
-        del z, zs   # free the block before the next draw
+    for a, b, res in _chain(cfg.seed, x, n_steps, maps, 0, SUB_BLOCK):
+        out[:, a:b] = res[:, spectra.N_STATES:].reshape(n_traj, b - a, -1)
+        x = res[:, :spectra.N_STATES]
     return SimulationRecords(increments=out, final_states=x)
 
 
@@ -366,7 +360,13 @@ def estimate_inference_variance(model: StateSpace, noise: NoisePsd | None,
     per-trajectory means), which is robust to any residual correlation
     between windows of one trajectory.
     """
-    burn_steps, window_steps = _check_step(model, cfg, require_burn=True)
+    burn_steps, window_steps = _check_step(model, cfg)
+    # Stationarity floor; raw `integrate` runs (transient studies) are exempt.
+    gamma_m = -0.5 * model.drift[1, 1]
+    if gamma_m > 0.0 and cfg.burn_in < 5.0 / gamma_m:
+        raise ParameterError(
+            f"burn_in = {cfg.burn_in!r} shorter than 5 mechanical "
+            f"relaxation times = {5.0 / gamma_m!r}")
     n_traj = cfg.n_trajectories
     dt = cfg.dt
     tau_eff = window_steps * dt
@@ -374,12 +374,8 @@ def estimate_inference_variance(model: StateSpace, noise: NoisePsd | None,
     if n_steps * dt > cfg.duration * (1.0 + 1e-12):
         raise ParameterError("duration does not cover burn_in + n_segments*tau")
     block = min(NOISE_BLOCK, n_steps)
-    block_bytes = n_traj * block * spectra.N_NOISES * 8
-    if block_bytes > RECORD_BUDGET_BYTES:
-        raise ParameterError(
-            f"noise block of {n_traj} trajectories x {block} steps needs "
-            f"{block_bytes / 2**30:.1f} GiB, above the "
-            f"{RECORD_BUDGET_BYTES / 2**30:.0f} GiB budget; use fewer trajectories")
+    _check_budget("noise block", n_traj, block, spectra.N_NOISES,
+                  "use fewer trajectories")
     powers, responses, sig = _impulse_response(model, noise, dt, block)
 
     c, s = math.cos(phi), math.sin(phi)
@@ -397,32 +393,18 @@ def estimate_inference_variance(model: StateSpace, noise: NoisePsd | None,
     z_map = np.concatenate([responses.transpose(0, 2, 1), q[:, :, None]], axis=2)
     z_map = np.ascontiguousarray(z_map[::-1]).reshape(block * spectra.N_NOISES, -1)
 
-    x = np.zeros((n_traj, spectra.N_STATES))
+    def maps(length):
+        return x_maps[length], z_map[(block - length) * spectra.N_NOISES:]
+
     wsum = np.zeros(n_traj)
     sum_sq = np.zeros(n_traj)
-    rngs = _streams(cfg.seed, n_traj)
-    step = 0
-    while step < n_steps:
-        nb = min(NOISE_BLOCK, n_steps - step)
-        z = _draw_block(rngs, nb)
-        # Cut the block at the burn-in and window edges.
-        a = 0
-        while a < nb:
-            into = step + a - burn_steps
-            stop = min(nb, a - into if into < 0
-                       else a + window_steps - into % window_steps)
-            length = stop - a
-            res = (z[:, a:stop].reshape(n_traj, spectra.N_NOISES * length)
-                   @ z_map[(block - length) * spectra.N_NOISES:] + x @ x_maps[length])
-            x = res[:, :spectra.N_STATES]
-            if into >= 0:
-                wsum += res[:, spectra.N_STATES]
-                if (into + length) % window_steps == 0:
-                    sum_sq += wsum * wsum
-                    wsum[:] = 0.0
-            a = stop
-        step += nb
-        del z   # free the block before the next draw, the memory peak
+    x = np.zeros((n_traj, spectra.N_STATES))
+    for a, b, res in _chain(cfg.seed, x, n_steps, maps, burn_steps, window_steps):
+        if a >= burn_steps:
+            wsum += res[:, spectra.N_STATES]
+            if (b - burn_steps) % window_steps == 0:
+                sum_sq += wsum * wsum
+                wsum[:] = 0.0
     per_traj = sum_sq / (cfg.n_segments * tau_eff * model.gamma_c)
     mean = float(per_traj.mean())
     if n_traj > 1:

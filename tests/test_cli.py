@@ -186,6 +186,21 @@ def test_subnormal_detuning_square_exits_config(capsys, tmp_path, argv):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["criterion", "--p", "0.1", "--t", "1e308", "--delta", "0.18"],
+    ["criterion", "--p", "0.1", "--t", "0.1", "--delta", "1e160"],
+    ["criterion", "--p", "1e155", "--t", "0.1", "--delta", "0.18"],
+    ["scan", "--delta", "1e200"],
+    ["scan", "--delta", "0.18", "--p-max", "1e200"],
+])
+def test_closed_form_overflow_exits_config(capsys, tmp_path, argv):
+    # eps(0) or eps(pi/2) past the double range: refused, never printed as nan.
+    out_path = tmp_path / "out.csv"
+    code, _ = run(capsys, *argv, "--output", str(out_path))
+    assert code == EXIT_CONFIG
+    assert not out_path.exists()
+
+
 class TestSpectrum:
     def test_empty_cavity_flat_s11(self, capsys, tmp_path):
         cfg = tmp_path / "empty.cfg"
@@ -337,6 +352,29 @@ class TestSimulate:
         vals = kv(out)
         assert code == EXIT_OK, out
         assert float(vals["phi_0_std_err"]) > 0
+
+    def test_physical_block_matches_dimensionless(self, capsys, tmp_path):
+        # The realized headline as a physical block, on branch 0, runs the
+        # same model and noise stream as the dimensionless block.
+        from optoepr import realize_dimensionless
+        params, _ = realize_dimensionless(HEADLINE)
+        sim = "trajectories = 2\nsegments = 8\ntau = 4e-4\nseed = 3\n"
+        phys, dimless = tmp_path / "phys.cfg", tmp_path / "dimless.cfg"
+        phys.write_text(
+            f"mass_kg = {params.mass!r}\n"
+            f"cavity_length_m = {params.cavity_length!r}\n"
+            f"omega_m_rad_s = {params.omega_m!r}\n"
+            f"gamma_m_hz = {params.gamma_m!r}\n"
+            f"omega_c_rad_s = {params.omega_c!r}\n"
+            f"omega_0_rad_s = {params.omega_0!r}\n"
+            f"gamma_c_hz = {params.gamma_c!r}\n"
+            f"temperature_k = {params.temperature!r}\n"
+            f"input_power_w = {params.input_power!r}\n" + sim)
+        dimless.write_text(DIMLESS + sim)
+        code_p, out_p = run(capsys, "simulate", "--config", str(phys), "--branch", "0")
+        code_d, out_d = run(capsys, "simulate", "--config", str(dimless))
+        assert code_p == code_d == EXIT_OK
+        assert out_p == out_d
 
     @pytest.mark.parametrize("key, value", [
         ("trajectories", "nan"), ("trajectories", "inf"), ("trajectories", "2.9"),

@@ -199,6 +199,27 @@ class TestScan:
             best_power(0.1, 1e-170)
 
 
+OVERFLOWING = [DimensionlessParams(0.1, 1e308, 0.18),
+               DimensionlessParams(0.1, 0.1, 1e160),
+               DimensionlessParams(1e155, 0.1, 0.18)]
+
+
+@pytest.mark.parametrize("dp", OVERFLOWING)
+@pytest.mark.parametrize("fn", [epr_lhs, optimal_gains, epsilon_zero, epsilon_half_pi])
+def test_point_refuses_overflowing_closed_form(fn, dp):
+    with pytest.raises(ParameterError, match="overflows"):
+        fn(dp)
+
+
+def test_scan_and_best_power_refuse_overflowing_closed_form():
+    with pytest.raises(ParameterError, match="overflows"):
+        scan((0.0, 1.0), (0.0, 1.0), 1e200, 10)
+    with pytest.raises(ParameterError, match="overflows"):
+        scan((0.0, 1e200), (0.0, 1.0), 0.18, 10)
+    with pytest.raises(ParameterError, match="no valid p_cal"):
+        best_power(1e308, 0.18)
+
+
 def reference_boundary(grid):
     """The edge-by-edge double loop that `paradox_boundary` vectorizes, kept
     as a test oracle."""
