@@ -19,7 +19,7 @@ from .model import (Couplings, DimensionlessParams, PhysicalParams,
                     steady_state, steady_state_residual, to_dimensionless)
 from .sde import (Estimate, SimConfig, SimulationRecords, default_sim_config,
                   epr_product_estimate, estimate_inference_variance,
-                  integrate, windowed_transform)
+                  integrate, sample_inference_variance, windowed_transform)
 from .spectra import (NoisePsd, SpectralMatrix, StateSpace, brownian_psd,
                       build_state_space, commutator_norm_check,
                       inferred_variance_at, noise_psd, output_response,
@@ -44,6 +44,6 @@ __all__ = [
     "realize_dimensionless", "require_stable", "state_space_matrices",
     "Estimate", "SimConfig", "SimulationRecords", "default_sim_config",
     "epr_product_estimate", "estimate_inference_variance", "integrate",
-    "windowed_transform",
+    "sample_inference_variance", "windowed_transform",
     "__version__",
 ]

@@ -78,6 +78,16 @@ def _epsilons(p, t, delta):
     denom = (d2 + p + 0.25) ** 2
     e0 = 0.5 * (t - 1.0) * p / denom
     eh = (d2 + p + 0.25 * t) / (2.0 * d2) * p / denom
+    # The first quotient overflows at t_cal far above delta^2 even where
+    # eps(pi/2) is a finite double; only there the product is reordered, so
+    # every finite value keeps its bits.  Where denom itself overflows the
+    # reordered product would read 0, so those points stay non-finite and
+    # refused.
+    alt = p / denom * (d2 + p + 0.25 * t) / (2.0 * d2)
+    if isinstance(eh, np.ndarray):
+        eh = np.where(np.isfinite(eh) | ~np.isfinite(denom), eh, alt)
+    elif not math.isfinite(eh) and math.isfinite(denom):
+        eh = alt
     return e0, eh
 
 

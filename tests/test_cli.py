@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -201,6 +202,16 @@ def test_closed_form_overflow_exits_config(capsys, tmp_path, argv):
     assert not out_path.exists()
 
 
+def test_eps_half_pi_past_first_quotient_range_exits_ok(capsys):
+    # (d2 + p + t/4) / (2 d2) overflows here, eps(pi/2) ~ 2e303 does not.
+    code, out = run(capsys, "criterion", "--p", "1e-9", "--t", "1e306",
+                    "--delta", "1e-3")
+    assert code == EXIT_OK
+    vals = kv(out)
+    for key in ("eps0", "eps_half_pi", "var_x", "var_y", "lhs"):
+        assert math.isfinite(float(vals[key])), (key, vals[key])
+
+
 class TestSpectrum:
     def test_empty_cavity_flat_s11(self, capsys, tmp_path):
         cfg = tmp_path / "empty.cfg"
@@ -375,6 +386,20 @@ class TestSimulate:
         code_d, out_d = run(capsys, "simulate", "--config", str(dimless))
         assert code_p == code_d == EXIT_OK
         assert out_p == out_d
+
+    def test_segment_budget_refused_before_work(self, capsys, tmp_path):
+        # 180 trajectories x 1e12 windows of draws: refused by the memory
+        # budget before any stream is spawned, so the run ends at once.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(DIMLESS + "segments = 1e12\n")
+        out_path = tmp_path / "sim.out"
+        start = time.perf_counter()
+        code = main(["simulate", "--config", str(cfg), "--output", str(out_path)])
+        elapsed = time.perf_counter() - start
+        assert code == EXIT_CONFIG
+        assert "budget" in capsys.readouterr().err
+        assert not out_path.exists()
+        assert elapsed < 1.0
 
     @pytest.mark.parametrize("key, value", [
         ("trajectories", "nan"), ("trajectories", "inf"), ("trajectories", "2.9"),

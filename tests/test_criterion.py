@@ -216,8 +216,39 @@ def test_scan_and_best_power_refuse_overflowing_closed_form():
         scan((0.0, 1.0), (0.0, 1.0), 1e200, 10)
     with pytest.raises(ParameterError, match="overflows"):
         scan((0.0, 1e200), (0.0, 1.0), 0.18, 10)
+    # eps(pi/2) overflows at every bracket point, p_cal = 1e-9 included.
+    # (At delta = 0.18 it overflows only for 0.052 < p_cal < 1.53, and a
+    # point is found.)
     with pytest.raises(ParameterError, match="no valid p_cal"):
-        best_power(1e308, 0.18)
+        best_power(1e308, 1e-5)
+
+
+def test_eps_half_pi_reordered_only_where_first_quotient_overflows():
+    # (d2 + p + t/4) / (2 d2) overflows at t = 1e306, delta = 1e-3 while
+    # eps(pi/2) ~ 2e303 is a finite double: the product is taken in the
+    # order p/denom * (...) / (2 d2) there, and a float stays a float.
+    dp = DimensionlessParams(1e-9, 1e306, 1e-3)
+    d2 = dp.delta * dp.delta
+    denom = (d2 + dp.p_cal + 0.25) ** 2
+    want = dp.p_cal / denom * (d2 + dp.p_cal + 0.25 * dp.t_cal) / (2.0 * d2)
+    assert math.isfinite(want)
+    eh = epsilon_half_pi(dp)
+    assert type(eh) is float and eh == want
+    # In range, the original order and its bits are kept.
+    dp = DimensionlessParams(0.17, 0.1, 0.18)
+    d2 = dp.delta * dp.delta
+    denom = (d2 + dp.p_cal + 0.25) ** 2
+    eh = epsilon_half_pi(dp)
+    assert type(eh) is float
+    assert eh == (d2 + dp.p_cal + 0.25 * dp.t_cal) / (2.0 * d2) * dp.p_cal / denom
+
+
+def test_best_power_valid_where_first_quotient_overflows():
+    p_star, lhs_star = best_power(1e306, 1e-3)
+    assert 0.0 < p_star <= 10.0
+    assert math.isfinite(lhs_star)
+    assert lhs_star == pytest.approx(
+        epr_lhs(DimensionlessParams(float(p_star), 1e306, 1e-3)).lhs, rel=1e-12)
 
 
 def reference_boundary(grid):

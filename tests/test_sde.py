@@ -11,7 +11,8 @@ from optoepr import (DimensionlessParams, NumericalError, ParameterError,
                      SimConfig, build_state_space, default_sim_config,
                      epr_lhs, epr_product_estimate, estimate_inference_variance,
                      inferred_variance_at, integrate, noise_psd,
-                     realize_dimensionless, windowed_transform)
+                     realize_dimensionless, sample_inference_variance,
+                     windowed_transform)
 from optoepr import sde
 from optoepr.constants import HBAR
 from optoepr.sde import (NOISE_BLOCK, RECORD_BUDGET_BYTES, _draw_block,
@@ -164,6 +165,164 @@ class TestBlockedKernel:
         monkeypatch.setattr(sde, "_streams", no_streams)
         with pytest.raises(ParameterError, match="budget"):
             estimate_inference_variance(model, noise, cfg, 0.0, 0.0)
+
+
+def window_one_step(model, noise, cfg, phi, gain):
+    """The 7-state one-step map (F_1, Q_1) of the chain and its window sum."""
+    step, b_sig, c_vec, q_vec = sde._window_step(model, noise, cfg.dt, phi, gain)
+    f_one = np.eye(7)
+    f_one[:6, :6] = step
+    f_one[6, :6] = c_vec
+    g_one = np.vstack([b_sig, q_vec])
+    return f_one, g_one @ g_one.T
+
+
+def reference_window_sums(model, noise, cfg, phi, gain):
+    """The window sampler one window at a time on its documented draws: per
+    trajectory, 6 normals for the burn-in from x = 0, then 7 per window.
+    Returns each trajectory's sum of squared window sums."""
+    burn_steps = math.ceil(cfg.burn_in / cfg.dt - 1e-9)
+    one = window_one_step(model, noise, cfg, phi, gain)
+    burn = sde._factor(sde._power(one, burn_steps)[1][:6, :6])
+    f_win, q_win = sde._power(one, round(cfg.tau / cfg.dt))
+    low = sde._factor(q_win)
+    out = []
+    for rng in _streams(cfg.seed, cfg.n_trajectories):
+        x = burn @ rng.standard_normal(6)
+        total = 0.0
+        for _ in range(cfg.n_segments):
+            y = f_win[:, :6] @ x + low @ rng.standard_normal(7)
+            x, total = y[:6], total + y[6] ** 2
+        out.append(total)
+    return np.array(out)
+
+
+class TestWindowSampler:
+    def test_matches_window_by_window_recursion(self, headline):
+        # Windows of 10 lifetimes stay correlated (the window map keeps
+        # ~0.1 of the state), and 70 windows span a full and a partial
+        # product, so the state carried between products is exercised.
+        params, model, noise = headline
+        cfg = small_cfg(model, n_traj=3, n_seg=70, tau_lifetimes=10.0, seed=23)
+        phi, gain = 0.7, -0.3
+        est = sample_inference_variance(model, noise, cfg, phi, gain)
+        per_traj = reference_window_sums(model, noise, cfg, phi, gain) / (
+            cfg.n_segments * round(cfg.tau / cfg.dt) * cfg.dt * params.gamma_c)
+        assert est.mean == pytest.approx(per_traj.mean(), rel=1e-12)
+        assert est.std_err == pytest.approx(
+            per_traj.std(ddof=1) / math.sqrt(cfg.n_trajectories), rel=1e-12)
+
+    def test_doubling_matches_step_by_step_composition(self, headline):
+        # 37 = 100101b: a ragged count takes both the square and the multiply.
+        _, model, noise = headline
+        one = window_one_step(model, noise, small_cfg(model), 0.7, -0.3)
+        f, q = np.eye(7), np.zeros((7, 7))
+        for _ in range(37):
+            f, q = sde._compose((f, q), one)
+        f_pow, q_pow = sde._power(one, 37)
+        assert max_rel_diff(f_pow, f) < 1e-12
+        assert max_rel_diff(q_pow, q) < 1e-12
+
+    def test_window_map_is_the_step_chain_piece_map(self, headline):
+        # The step chain's piece over one whole window, from the same
+        # `_window_step`: its start-state map is the window map's mean part,
+        # and its noise map's Gram matrix the window covariance.
+        _, model, noise = headline
+        cfg = small_cfg(model, tau_lifetimes=150.0)
+        window_steps = round(cfg.tau / cfg.dt)
+        phi, gain = 0.7, -0.3
+        f_win, q_win = sde._power(window_one_step(model, noise, cfg, phi, gain),
+                                  window_steps)
+        x_maps, z_map = sde._piece_maps(
+            *sde._window_step(model, noise, cfg.dt, phi, gain), window_steps)
+        assert max_rel_diff(f_win[:, :6].T, x_maps[window_steps]) < 1e-12
+        assert max_rel_diff(q_win, z_map.T @ z_map) < 1e-12
+
+    def test_agrees_with_step_chain_on_short_windows(self, headline):
+        # At tau = 30/gamma_c the leakage bias moves both estimators far from
+        # the carrier reference, so they are checked against each other: the
+        # same chain, different draws, within 3 sigma at both angles.
+        _, model, noise = headline
+        cfg = small_cfg(model, n_traj=400, n_seg=20, tau_lifetimes=30.0, seed=31)
+        for phi in (0.0, math.pi / 2):
+            _, gain = inferred_variance_at(model, noise, 0.0, phi)
+            window = sample_inference_variance(model, noise, cfg, phi, gain)
+            steps = estimate_inference_variance(model, noise, replace(cfg, seed=32),
+                                                phi, gain)
+            assert window.n_samples == steps.n_samples == 400 * 20
+            assert abs(window.mean - steps.mean) < 3.0 * math.hypot(
+                window.std_err, steps.std_err)
+
+    def test_identical_seed_bit_identical(self, headline):
+        _, model, noise = headline
+        cfg = small_cfg(model, n_traj=8, n_seg=70, seed=9)
+        a = sample_inference_variance(model, noise, cfg, 0.0, -0.5)
+        b = sample_inference_variance(model, noise, cfg, 0.0, -0.5)
+        assert a == b
+
+    def test_trajectory_independent_of_batching(self, headline, monkeypatch):
+        # Trajectory j's draws depend only on (seed, j); 70 windows span a
+        # full and a partial product.
+        _, model, noise = headline
+        seen = []
+
+        def keep(sum_sq, *args):
+            seen.append(sum_sq.copy())
+            return estimate(sum_sq, *args)
+
+        estimate = sde._estimate
+        monkeypatch.setattr(sde, "_estimate", keep)
+        wide = small_cfg(model, n_traj=24, n_seg=70, seed=4)
+        sample_inference_variance(model, noise, wide, 0.0, -0.5)
+        sample_inference_variance(model, noise, replace(wide, n_trajectories=3),
+                                  0.0, -0.5)
+        assert max_rel_diff(seen[0][:3], seen[1]) < 1e-12
+
+    def test_draw_budget_refused_before_streams(self, headline, monkeypatch):
+        # One window more than the budget holds at 2 trajectories
+        # (6 + 7 x segments doubles each).
+        _, model, noise = headline
+        n_seg = (RECORD_BUDGET_BYTES // (2 * 8) - 6) // 7 + 1
+        cfg = small_cfg(model, n_traj=2, n_seg=n_seg)
+
+        def no_streams(*args):
+            raise AssertionError("streams spawned before the budget check")
+
+        monkeypatch.setattr(sde, "_streams", no_streams)
+        with pytest.raises(ParameterError, match="budget"):
+            sample_inference_variance(model, noise, cfg, 0.0, 0.0)
+
+    def test_factor_resolves_every_scale(self, headline):
+        # The headline window covariance spans 38 decades on its diagonal
+        # (mirror position in metres against the window sum); its factor
+        # must reproduce every correlation, the smallest components included.
+        _, model, noise = headline
+        cfg = small_cfg(model)
+        q_win = sde._power(window_one_step(model, noise, cfg, 0.0, -0.3),
+                           round(cfg.tau / cfg.dt))[1]
+        low = sde._factor(q_win)
+        scale = np.sqrt(np.outer(np.diag(q_win), np.diag(q_win)))
+        assert np.max(np.abs(low @ low.T - q_win) / scale) < 1e-12
+
+    def test_factor_clips_rounding_and_refuses_negative(self):
+        # Rank one up to rounding, entries far below 1: the unit-diagonal
+        # matrix has an eigenvalue of -5e-16, which is clipped.
+        cov = np.array([[4.0, 2.0], [2.0, 1.0 - 1e-15]]) * 1e-18
+        low = sde._factor(cov)
+        assert np.allclose(low @ low.T, cov, rtol=1e-12, atol=0.0)
+        with pytest.raises(NumericalError):
+            sde._factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    def test_product_estimate_runs_the_window_sampler(self, headline, monkeypatch):
+        _, model, noise = headline
+
+        def no_steps(*args):
+            raise AssertionError("step chain called")
+
+        monkeypatch.setattr(sde, "estimate_inference_variance", no_steps)
+        cfg = small_cfg(model, n_traj=4, n_seg=2)
+        est_x, est_y, _ = epr_product_estimate(model, noise, cfg)
+        assert est_x.n_samples == est_y.n_samples == 8
 
 
 class TestIntegrate:
