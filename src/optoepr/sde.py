@@ -20,23 +20,27 @@ relative at phi = 0 at the headline point, and the dt discretization, whose
 phi = 0 bias is first order in dt.
 
 Two estimators sample that same chain, with the same dt and burn-in, and so
-the same distribution of window sums:
+the same distribution of window sums.  Both start from `_window_step`, the
+one-step map y' = F y + G z of the augmented state y = (x, s), the state
+and its carrier window sum, with F = [[S, 0], [c^T, 1]], S = I + dt A, and
+G = [B sig; q^T], driven by unit normals z; and both run through `_chain`,
+the one loop that draws each trajectory's stream in blocks and chains one
+matrix product per piece.
 
 - `sample_inference_variance`, the production path behind
-  `epr_product_estimate`.  The step x' = S x + B dW with S = I + dt A,
-  together with the window sum s' = s + c.x + q.dW, is a 7-state linear
-  Gaussian recursion (F, Q).  Binary powering composes the burn-in and one
-  window exactly (the discrete form of C. F. Van Loan, "Computing integrals
-  involving the matrix exponential", IEEE TAC 23, 1978), so a trajectory
-  draws 6 normals for its burn-in and 7 per window, whatever the step count.
-- `estimate_inference_variance`, the step-level reference.  One impulse
-  response, the powers S^m and the noise responses S^m B, gives any piece
-  of steps as one matrix product of its start state and its Wiener
-  increments; `_chain` draws the noise blocks, cuts them into pieces ending
-  at the burn-in and window edges and chains the products.  `integrate`
-  runs the same chain in pieces of SUB_BLOCK steps whose products hold
-  every step's outputs.  The draws are those of the per-step recursion, and
-  the results equal it up to rounding.
+  `epr_product_estimate`.  Binary powering of the Gaussian map (F, G G^T)
+  composes the burn-in and one window exactly (the discrete form of C. F.
+  Van Loan, "Computing integrals involving the matrix exponential", IEEE
+  TAC 23, 1978), so a trajectory draws 6 normals for its burn-in and 7 per
+  window, whatever the step count, and `_chain` runs the windows as steps.
+- `estimate_inference_variance`, the step-level reference.  The impulse
+  response of (F, G), the powers F^m and the noise responses F^m G, gives
+  any piece of steps as one matrix product of its start state and its
+  Wiener increments; `_chain` cuts the pieces at the burn-in and window
+  edges.  `integrate` runs the 6-state step through the same loop in pieces
+  of SUB_BLOCK steps whose products hold every step's outputs.  The draws
+  are those of the per-step recursion, and the results equal it up to
+  rounding.
 
 Every trajectory derives its own random stream from (seed, trajectory
 index), so reruns are bit-reproducible and a trajectory's draws do not
@@ -66,8 +70,10 @@ DT_SAFETY = 0.08
 # Hard step-size guard from the integrate() contract.
 DT_LIMIT = 0.1
 
-# integrate() refuses output records, the step-level estimator noise blocks
-# and the window sampler's draws larger than this many bytes.
+# integrate() refuses output records larger than this many bytes, and both
+# estimators refuse plans whose draws, as doubles, exceed it.  The estimators
+# stream their draws in blocks, so for them it bounds the run time, not an
+# allocation.
 RECORD_BUDGET_BYTES = 2**30
 
 # Steps per block-Toeplitz product in integrate(), where it divides
@@ -207,8 +213,12 @@ def _check_step(model: StateSpace, cfg: SimConfig) -> tuple[int, int]:
 
 
 def _check_plan(model: StateSpace, cfg: SimConfig) -> tuple[int, int]:
-    """`_check_step` plus the estimators' stationarity floor and coverage."""
+    """`_check_step` plus the estimators' stationarity floor, coverage and
+    the two trajectories their jackknife error needs."""
     burn_steps, window_steps = _check_step(model, cfg)
+    if cfg.n_trajectories < 2:
+        raise ParameterError(
+            f"the estimators need n_trajectories >= 2, got {cfg.n_trajectories!r}")
     # Stationarity floor; raw `integrate` runs (transient studies) are exempt.
     gamma_m = -0.5 * model.drift[1, 1]
     if gamma_m > 0.0 and cfg.burn_in < 5.0 / gamma_m:
@@ -235,8 +245,9 @@ def _streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-def _draw_block(rngs: list[np.random.Generator], nb: int) -> np.ndarray:
-    z = np.empty((len(rngs), nb, spectra.N_NOISES))
+def _draw_block(rngs: list[np.random.Generator], nb: int,
+                width: int = spectra.N_NOISES) -> np.ndarray:
+    z = np.empty((len(rngs), nb, width))
     for rng, row in zip(rngs, z):
         rng.standard_normal(out=row)
     return z
@@ -254,32 +265,35 @@ def _step(model: StateSpace, noise: NoisePsd | None,
 
 
 def _window_step(model: StateSpace, noise: NoisePsd | None, dt: float, phi: float,
-                 gain: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One step of the chain and of its carrier window sum s' = s + c.x + q.z.
+                 gain: float) -> tuple[np.ndarray, np.ndarray]:
+    """One step y' = F y + G z of the chain and its carrier window sum.
 
-    The window sum accumulates the step's integrated outputs weighted by
-    (cos phi, sin phi, -gain cos phi, -gain sin phi).  Returns (S, B sig, c,
-    q); both estimators build their maps from these, so they sum the same
-    quadrature.
+    y = (x, s) is the state and the window sum s' = s + c.x + q.z, which
+    accumulates the step's integrated outputs weighted by (cos phi, sin phi,
+    -gain cos phi, -gain sin phi).  Returns F = [[S, 0], [c^T, 1]] and
+    G = [B sig; q^T]; both estimators build their maps from these, so they
+    sum the same quadrature.
     """
     step, b_sig, sig = _step(model, noise, dt)
     c, s = math.cos(phi), math.sin(phi)
     weights = np.array([c, s, -gain * c, -gain * s])
-    return (step, b_sig, (model.output_map.T * dt) @ weights,
-            (model.feedthrough * sig).T @ weights)
+    n = spectra.N_STATES
+    f_one = np.eye(n + 1)
+    f_one[:n, :n] = step
+    f_one[n, :n] = (model.output_map.T * dt) @ weights
+    return f_one, np.vstack([b_sig, (model.feedthrough * sig).T @ weights])
 
 
 def _impulse_response(step: np.ndarray, b_sig: np.ndarray,
                       length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Impulse response of the chain x' = S x + (B sig) z.
+    """Impulse response of a chain x' = S x + (B sig) z of n states, k noises.
 
-    Returns the powers S^m for m <= length (shape (length+1, 6, 6)) and the
-    noise responses P_m = S^m B sig for m < length (shape (length, 6, k) for
-    k noises).
-    The powers are built by doubling: log2(length) batched 6x6 products.
+    Returns the powers S^m for m <= length (shape (length+1, n, n)) and the
+    noise responses P_m = S^m B sig for m < length (shape (length, n, k)).
+    The powers are built by doubling: log2(length) batched n x n products.
     """
-    powers = np.empty((length + 1, spectra.N_STATES, spectra.N_STATES))
-    powers[0] = np.eye(spectra.N_STATES)
+    powers = np.empty((length + 1, *step.shape))
+    powers[0] = np.eye(len(step))
     filled = 1
     while filled <= length:
         k = min(filled, length + 1 - filled)
@@ -288,22 +302,22 @@ def _impulse_response(step: np.ndarray, b_sig: np.ndarray,
     return powers, powers[:length] @ b_sig
 
 
-def _chain(seed: int, x: np.ndarray, n_steps: int,
+def _chain(rngs: list[np.random.Generator], x: np.ndarray, n_steps: int,
            maps: Callable[[int], tuple[np.ndarray, np.ndarray]], offset: int,
-           period: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Run the chain over n_steps from the start states x (n, 6), piece by piece.
+           period: int, width: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Run a chain over n_steps from the start states x (n, 6), piece by piece.
 
-    Draws the trajectories' noise streams in NOISE_BLOCK blocks, freeing each
-    block before the next draw, and cuts every block at its edges, at step
-    ``offset`` and every ``period`` steps after it.  ``maps(L)`` gives the
-    (x_map, z_map) of an L-step piece, which takes the start states and the
-    piece's unit normals flattened step-major to z (n, 5L) to the product
+    Draws ``width`` unit normals per step from each trajectory's stream in
+    ``rngs``, in NOISE_BLOCK blocks, freeing each block before the next
+    draw, and cuts every block at its edges, at step ``offset`` and every
+    ``period`` steps after it.  ``maps(L)`` gives the (x_map, z_map) of an
+    L-step piece, which takes the start states and the piece's normals
+    flattened step-major to z (n, width L) to the product
     ``x @ x_map + z @ z_map``, whose first 6 columns are the end states.
     Yields (first step, end step, product) per piece.
     """
-    rngs = _streams(seed, len(x))
     for start in range(0, n_steps, NOISE_BLOCK):
-        z = _draw_block(rngs, min(NOISE_BLOCK, n_steps - start))
+        z = _draw_block(rngs, min(NOISE_BLOCK, n_steps - start), width)
         a, end = start, start + z.shape[1]
         while a < end:
             b = min(end, offset if a < offset else a + period - (a - offset) % period)
@@ -365,7 +379,8 @@ def integrate(model: StateSpace, noise: NoisePsd | None, cfg: SimConfig,
     if initial_state is not None:
         x[:] = np.asarray(initial_state, dtype=float)
     out = np.empty((n_traj, n_steps, spectra.N_OUTPUTS))
-    for a, b, res in _chain(cfg.seed, x, n_steps, maps, 0, SUB_BLOCK):
+    for a, b, res in _chain(_streams(cfg.seed, n_traj), x, n_steps, maps, 0,
+                            SUB_BLOCK, spectra.N_NOISES):
         out[:, a:b] = res[:, spectra.N_STATES:].reshape(n_traj, b - a, -1)
         x = res[:, :spectra.N_STATES]
     return SimulationRecords(increments=out, final_states=x)
@@ -401,37 +416,14 @@ def windowed_transform(increments: np.ndarray, dt: float, tau: float,
     return np.einsum("k,wkm->wm", phase, quad) * scale
 
 
-def _piece_maps(step: np.ndarray, b_sig: np.ndarray, c_vec: np.ndarray,
-                q_vec: np.ndarray, block: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x_maps, z_map) of the step-level estimator's pieces of up to block steps.
-
-    A piece of L steps maps its start states x (n, 6) and unit normals z
-    (n, 5L) to (end state, window sum) as x @ x_maps[L] + z @ z_map[-5L:].
-    """
-    powers, responses = _impulse_response(step, b_sig, block)
-    # sums[L] = sum_{l<L} (S^l)^T c: a start state's share of an L-step sum.
-    sums = np.zeros((block + 1, spectra.N_STATES))
-    np.cumsum(powers[:-1].transpose(0, 2, 1) @ c_vec, axis=0, out=sums[1:])
-    # Rows of z_map run over the lag m = L-1 ... 0 of each step from the
-    # piece's end, holding P_m^T and q + (B sig)^T sums[m].
-    x_maps = np.concatenate([powers.transpose(0, 2, 1), sums[:, :, None]], axis=2)
-    lag_q = q_vec + sums[:block] @ b_sig
-    z_map = np.concatenate([responses.transpose(0, 2, 1), lag_q[:, :, None]], axis=2)
-    return x_maps, np.ascontiguousarray(z_map[::-1]).reshape(block * spectra.N_NOISES, -1)
-
-
 def _estimate(sum_sq: np.ndarray, cfg: SimConfig, window_steps: int,
               gamma_c: float) -> Estimate:
     """Mean and jackknife standard error of the per-trajectory window-sum
     second moments, in gamma_c units."""
     n_traj = len(sum_sq)
     per_traj = sum_sq / (cfg.n_segments * window_steps * cfg.dt * gamma_c)
-    mean = float(per_traj.mean())
-    if n_traj > 1:
-        std_err = float(per_traj.std(ddof=1) / math.sqrt(n_traj))
-    else:
-        std_err = float("nan")
-    return Estimate(mean=mean, std_err=std_err,
+    return Estimate(mean=float(per_traj.mean()),
+                    std_err=float(per_traj.std(ddof=1) / math.sqrt(n_traj)),
                     n_samples=n_traj * cfg.n_segments)
 
 
@@ -442,19 +434,29 @@ def estimate_inference_variance(model: StateSpace, noise: NoisePsd | None,
 
     The step-level reference: runs every Euler-Maruyama step through `_chain`
     and streams the window sums instead of materializing records, so memory
-    is O(n_trajectories) and time O(n_trajectories * steps).  The transform
-    has zero mean by construction and the uncentred second moment over all
-    windows is the variance estimator; the standard error is the jackknife
-    (equivalently the standard error of the per-trajectory means), which is
-    robust to any residual correlation between windows of one trajectory.
+    is O(n_trajectories) and time O(n_trajectories * steps); plans whose
+    draws exceed RECORD_BUDGET_BYTES are refused before any stream is
+    spawned.  The transform has zero mean by construction and the uncentred
+    second moment over all windows is the variance estimator; the standard
+    error is the jackknife (equivalently the standard error of the
+    per-trajectory means), which is robust to any residual correlation
+    between windows of one trajectory.
     """
     burn_steps, window_steps = _check_plan(model, cfg)
     n_traj = cfg.n_trajectories
     n_steps = burn_steps + cfg.n_segments * window_steps
+    _check_budget("step draws", n_traj, n_steps * spectra.N_NOISES,
+                  "use fewer trajectories or segments")
     block = min(NOISE_BLOCK, n_steps)
-    _check_budget("noise block", n_traj, block * spectra.N_NOISES,
-                  "use fewer trajectories")
-    x_maps, z_map = _piece_maps(*_window_step(model, noise, cfg.dt, phi, gain), block)
+    powers, responses = _impulse_response(
+        *_window_step(model, noise, cfg.dt, phi, gain), block)
+    # A piece of L steps takes its start states x and normals z to the end
+    # state and the piece's window sum as x @ x_maps[L] + z @ z_map[-5L:];
+    # the rows of z_map run over the lag m = block-1 ... 0 of a step from
+    # the piece's end, holding (F^m G)^T.
+    x_maps = np.ascontiguousarray(powers[:, :, :spectra.N_STATES].transpose(0, 2, 1))
+    z_map = np.ascontiguousarray(responses[::-1].transpose(0, 2, 1)).reshape(
+        block * spectra.N_NOISES, -1)
 
     def maps(length):
         return x_maps[length], z_map[(block - length) * spectra.N_NOISES:]
@@ -462,7 +464,8 @@ def estimate_inference_variance(model: StateSpace, noise: NoisePsd | None,
     wsum = np.zeros(n_traj)
     sum_sq = np.zeros(n_traj)
     x = np.zeros((n_traj, spectra.N_STATES))
-    for a, b, res in _chain(cfg.seed, x, n_steps, maps, burn_steps, window_steps):
+    for a, b, res in _chain(_streams(cfg.seed, n_traj), x, n_steps, maps,
+                            burn_steps, window_steps, spectra.N_NOISES):
         if a >= burn_steps:
             wsum += res[:, spectra.N_STATES]
             if (b - burn_steps) % window_steps == 0:
@@ -514,13 +517,12 @@ def sample_inference_variance(model: StateSpace, noise: NoisePsd | None,
     """Monte Carlo estimate of Var[X1(phi,0) - gain * X2(phi,0)], gamma_c units.
 
     Samples the step-level chain of `estimate_inference_variance` window by
-    window, exactly: the augmented state y = (x, s), the state and the window
-    sum, moves one step as y' = F y + G z with F = [[S, 0], [c^T, 1]] and
-    G = [B sig; q^T], and binary powering of that (F, G G^T) gives the
-    burn-in and window maps.  Each trajectory's own stream gives 6 normals
-    for the burn-in from x = 0, then 7 per window; the windows run in
-    `_toeplitz` pieces of SUB_BLOCK windows.  Time and memory are
-    O(n_trajectories * n_segments) whatever the step count, and draws above
+    window, exactly: binary powering of `_window_step`'s one-step map
+    (F, G G^T) gives the burn-in and window maps.  Each trajectory's own
+    stream gives 6 normals for the burn-in from x = 0, then 7 per window;
+    the windows run through `_chain` in `_toeplitz` pieces of SUB_BLOCK
+    windows.  Time is O(n_trajectories * n_segments) whatever the step
+    count, memory O(n_trajectories), and plans whose draws exceed
     RECORD_BUDGET_BYTES are refused before any stream is spawned.  The
     distribution is the step chain's (same dt, same burn-in), the draws are
     not, and the estimate and its jackknife error are formed the same way.
@@ -529,11 +531,7 @@ def sample_inference_variance(model: StateSpace, noise: NoisePsd | None,
     n_traj, n_seg, n = cfg.n_trajectories, cfg.n_segments, spectra.N_STATES
     _check_budget("window draws", n_traj, n + (n + 1) * n_seg,
                   "use fewer trajectories or segments")
-    step, b_sig, c_vec, q_vec = _window_step(model, noise, cfg.dt, phi, gain)
-    f_one = np.eye(n + 1)
-    f_one[:n, :n] = step
-    f_one[n, :n] = c_vec
-    g_one = np.vstack([b_sig, q_vec])
+    f_one, g_one = _window_step(model, noise, cfg.dt, phi, gain)
     one = (f_one, g_one @ g_one.T)
     burn = _factor(_power(one, burn_steps)[1][:n, :n])
     # From window to window the chain is again x' = A x + B xi with output
@@ -544,17 +542,10 @@ def sample_inference_variance(model: StateSpace, noise: NoisePsd | None,
     powers, responses = _impulse_response(f_win[:n, :n], l_win[:n], SUB_BLOCK)
     maps = functools.cache(functools.partial(_toeplitz, powers, responses,
                                              f_win[n:, :n], l_win[n:]))
-
-    z = np.empty((n_traj, n + (n + 1) * n_seg))
-    for rng, row in zip(_streams(cfg.seed, n_traj), z):
-        rng.standard_normal(out=row)
-    x = z[:, :n] @ burn.T
+    rngs = _streams(cfg.seed, n_traj)
+    x = _draw_block(rngs, 1, n)[:, 0] @ burn.T
     sum_sq = np.zeros(n_traj)
-    for a in range(0, n_seg, SUB_BLOCK):
-        b = min(n_seg, a + SUB_BLOCK)
-        x_map, z_map = maps(b - a)
-        res = x @ x_map + z[:, n + (n + 1) * a:n + (n + 1) * b] @ z_map
-        x = res[:, :n]
+    for _, _, res in _chain(rngs, x, n_seg, maps, 0, SUB_BLOCK, n + 1):
         sum_sq += np.einsum("ij,ij->i", res[:, n:], res[:, n:])
     return _estimate(sum_sq, cfg, window_steps, model.gamma_c)
 

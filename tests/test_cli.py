@@ -388,7 +388,7 @@ class TestSimulate:
         assert out_p == out_d
 
     def test_segment_budget_refused_before_work(self, capsys, tmp_path):
-        # 180 trajectories x 1e12 windows of draws: refused by the memory
+        # 180 trajectories x 1e12 windows of draws: refused by the draw
         # budget before any stream is spawned, so the run ends at once.
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(DIMLESS + "segments = 1e12\n")
@@ -406,7 +406,7 @@ class TestSimulate:
         ("segments", "nan"), ("seed", "-1"), ("seed", "nan"),
         ("dt", "nan"), ("dt", "inf"), ("dt", "0"), ("tau", "nan"), ("tau", "inf"),
         ("burn_in", "nan"), ("burn_in", "inf"), ("duration", "nan"),
-        ("duration", "inf"),
+        ("duration", "inf"), ("trajectories", "1"),
     ])
     def test_refused_sim_key_exits_config(self, capsys, tmp_path, key, value):
         keys = {"trajectories": "2", "segments": "1", key: value}

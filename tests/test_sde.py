@@ -1,6 +1,7 @@
 """Tests for the Euler-Maruyama oracle: integrator, windows, and estimators."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -166,14 +167,25 @@ class TestBlockedKernel:
         with pytest.raises(ParameterError, match="budget"):
             estimate_inference_variance(model, noise, cfg, 0.0, 0.0)
 
+    def test_step_draw_budget_refused_before_streams(self, headline, monkeypatch):
+        # Two trajectories whose noise blocks are small, but whose draws over
+        # the whole run (n_steps x 5 doubles each) exceed the budget.
+        _, model, noise = headline
+        cfg = default_sim_config(model, n_trajectories=2, n_segments=1700)
+        n_steps = round(cfg.duration / cfg.dt)
+        assert 2 * n_steps * N_NOISES * 8 > RECORD_BUDGET_BYTES
+
+        def no_streams(*args):
+            raise AssertionError("streams spawned before the budget check")
+
+        monkeypatch.setattr(sde, "_streams", no_streams)
+        with pytest.raises(ParameterError, match="budget"):
+            estimate_inference_variance(model, noise, cfg, 0.0, 0.0)
+
 
 def window_one_step(model, noise, cfg, phi, gain):
     """The 7-state one-step map (F_1, Q_1) of the chain and its window sum."""
-    step, b_sig, c_vec, q_vec = sde._window_step(model, noise, cfg.dt, phi, gain)
-    f_one = np.eye(7)
-    f_one[:6, :6] = step
-    f_one[6, :6] = c_vec
-    g_one = np.vstack([b_sig, q_vec])
+    f_one, g_one = sde._window_step(model, noise, cfg.dt, phi, gain)
     return f_one, g_one @ g_one.T
 
 
@@ -224,19 +236,21 @@ class TestWindowSampler:
         assert max_rel_diff(q_pow, q) < 1e-12
 
     def test_window_map_is_the_step_chain_piece_map(self, headline):
-        # The step chain's piece over one whole window, from the same
-        # `_window_step`: its start-state map is the window map's mean part,
-        # and its noise map's Gram matrix the window covariance.
+        # The step chain's piece over one whole window, the impulse response
+        # of the same `_window_step`: its start-state map is the window map's
+        # mean part, and its noise responses' Gram matrix the window
+        # covariance.
         _, model, noise = headline
         cfg = small_cfg(model, tau_lifetimes=150.0)
         window_steps = round(cfg.tau / cfg.dt)
         phi, gain = 0.7, -0.3
         f_win, q_win = sde._power(window_one_step(model, noise, cfg, phi, gain),
                                   window_steps)
-        x_maps, z_map = sde._piece_maps(
+        powers, responses = sde._impulse_response(
             *sde._window_step(model, noise, cfg.dt, phi, gain), window_steps)
-        assert max_rel_diff(f_win[:, :6].T, x_maps[window_steps]) < 1e-12
-        assert max_rel_diff(q_win, z_map.T @ z_map) < 1e-12
+        assert max_rel_diff(f_win[:, :6], powers[window_steps][:, :6]) < 1e-12
+        gram = np.einsum("mik,mjk->ij", responses, responses)
+        assert max_rel_diff(q_win, gram) < 1e-12
 
     def test_agrees_with_step_chain_on_short_windows(self, headline):
         # At tau = 30/gamma_c the leakage bias moves both estimators far from
@@ -252,6 +266,29 @@ class TestWindowSampler:
             assert window.n_samples == steps.n_samples == 400 * 20
             assert abs(window.mean - steps.mean) < 3.0 * math.hypot(
                 window.std_err, steps.std_err)
+
+    def test_draws_pinned(self, headline):
+        # 9000 windows span three noise blocks of `_chain`; any change in the
+        # draws or their order moves these values, BLAS rounding does not.
+        _, model, noise = headline
+        cfg = small_cfg(model, n_traj=5, n_seg=9000, tau_lifetimes=10.0, seed=2)
+        est = sample_inference_variance(model, noise, cfg, 0.7, -0.3)
+        assert est.mean == pytest.approx(3.0412971099367234, rel=1e-12)
+        assert est.std_err == pytest.approx(0.008675011971614658, rel=1e-12)
+        assert est.n_samples == 5 * 9000
+
+    def test_memory_independent_of_segments(self, headline):
+        # The windows' draws stream through `_chain` one noise block at a
+        # time; 200 000 windows held at once would take 21 MiB.
+        _, model, noise = headline
+        cfg = small_cfg(model, n_traj=2, n_seg=200_000, tau_lifetimes=10.0)
+        tracemalloc.start()
+        try:
+            sample_inference_variance(model, noise, cfg, 0.0, -0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_identical_seed_bit_identical(self, headline):
         _, model, noise = headline
@@ -376,6 +413,14 @@ class TestIntegrate:
                         n_trajectories=1, seed=0, burn_in=0.0)
         with pytest.raises(NumericalError):
             integrate(model, noise, cfg)
+
+    def test_estimators_refuse_one_trajectory(self, headline):
+        # The jackknife error of one trajectory is undefined.
+        _, model, noise = headline
+        cfg = small_cfg(model, n_traj=1, n_seg=2)
+        for estimator in (estimate_inference_variance, sample_inference_variance):
+            with pytest.raises(ParameterError, match="n_trajectories"):
+                estimator(model, noise, cfg, 0.0, 0.0)
 
     def test_estimator_requires_burn_in(self, headline):
         _, model, noise = headline
