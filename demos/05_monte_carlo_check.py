@@ -24,7 +24,7 @@ noise = noise_psd(params)
 
 cfg = default_sim_config(model, n_trajectories=48, n_segments=24, seed=7,
                          tau=5e-4)
-steps = round(cfg.duration / cfg.dt)
+steps = round((cfg.burn_in + cfg.n_segments * cfg.tau) / cfg.dt)
 print(f"sampling {cfg.n_trajectories} trajectories x {cfg.n_segments} windows "
       f"of a {steps}-step chain (dt = {cfg.dt:.2e} s, window = "
       f"{cfg.tau * params.gamma_c:.0f} cavity lifetimes)")

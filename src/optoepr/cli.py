@@ -14,7 +14,7 @@ blocks must be present:
                   omega_c_rad_s, omega_0_rad_s (or detuning0), gamma_c_hz,
                   temperature_k, input_power_w
     dimensionless p_cal, t_cal, delta
-    sim           dt, duration, tau, segments, trajectories, seed, burn_in
+    sim           dt, tau, segments, trajectories, seed, burn_in
 
 Exit codes: 0 ok, 1 config error, 2 numerical failure, 3 I/O error,
 4 validation failure.
@@ -23,7 +23,6 @@ Exit codes: 0 ok, 1 config error, 2 numerical failure, 3 I/O error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
 
@@ -44,7 +43,7 @@ PHYSICAL_KEYS = {
     "temperature_k", "input_power_w",
 }
 DIMENSIONLESS_KEYS = {"p_cal", "t_cal", "delta"}
-SIM_KEYS = {"dt", "duration", "tau", "segments", "trajectories", "seed", "burn_in"}
+SIM_KEYS = {"dt", "tau", "segments", "trajectories", "seed", "burn_in"}
 
 
 def _fmt(value) -> str:
@@ -237,10 +236,7 @@ def _sim_config_from(values, sm) -> sde.SimConfig:
     for key in ("dt", "tau", "burn_in"):
         if key in values:
             kwargs[key] = values[key]
-    cfg = sde.default_sim_config(sm, **kwargs)
-    if "duration" in values:
-        cfg = dataclasses.replace(cfg, duration=values["duration"])
-    return cfg
+    return sde.default_sim_config(sm, **kwargs)
 
 
 def cmd_simulate(args) -> int:

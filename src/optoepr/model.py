@@ -16,7 +16,7 @@ satisfies the real cubic
     (delta - delta0) (1/4 + delta^2) = kappa,
 
 with ``delta0`` the bare drive-cavity detuning in cavity linewidths and
-``kappa`` the dimensionless drive strength (see `Couplings`).  The cubic has
+``kappa`` the dimensionless drive strength (see `drive_kappa`).  The cubic has
 one or three real roots; on the bistable branch structure the middle root is
 flagged unstable by the sign of the cubic's derivative.
 
@@ -154,13 +154,10 @@ class Couplings:
     hbar omega_c |alpha| / L  [N].
     ``g_phase``: displacement-to-phase-quadrature rate, 2 omega_c |alpha| / L
     [rad/(s m)].
-    ``kappa``: dimensionless cubic drive coefficient,
-    2 hbar omega_c^2 |alpha_in|^2 / (m omega_m^2 L^2 gamma_c^2).
     """
 
     g_force: float
     g_phase: float
-    kappa: float
 
 
 def input_amplitude_sq(params: PhysicalParams) -> float:
@@ -169,7 +166,8 @@ def input_amplitude_sq(params: PhysicalParams) -> float:
 
 
 def drive_kappa(params: PhysicalParams) -> float:
-    """Dimensionless cubic coefficient kappa of the steady-state equation."""
+    """Dimensionless cubic coefficient kappa of the steady-state equation,
+    2 hbar omega_c^2 |alpha_in|^2 / (m omega_m^2 L^2 gamma_c^2)."""
     return (2.0 * HBAR * params.omega_c ** 2 * input_amplitude_sq(params)
             / (params.mass * params.omega_m ** 2
                * params.cavity_length ** 2 * params.gamma_c ** 2))
@@ -335,7 +333,6 @@ def couplings(params: PhysicalParams, ss: SteadyState) -> Couplings:
     return Couplings(
         g_force=HBAR * params.omega_c * amp / params.cavity_length,
         g_phase=2.0 * params.omega_c * amp / params.cavity_length,
-        kappa=drive_kappa(params),
     )
 
 

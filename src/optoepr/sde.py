@@ -92,15 +92,14 @@ TAU_LIFETIMES = 1500.0
 class SimConfig:
     """Integration and estimation plan for one Monte Carlo run.
 
-    ``tau`` is the measurement window of the finite-time transform,
-    ``n_segments`` the number of non-overlapping windows per trajectory and
-    ``burn_in`` the discarded transient.  ``duration`` must be finite and
-    cover burn_in + n_segments * tau, so every time is finite; ``seed`` must
-    be >= 0.
+    Every trajectory runs ``burn_in``, the discarded transient, then
+    ``n_segments`` non-overlapping windows of length ``tau``, the
+    measurement window of the finite-time transform; that is the whole run.
+    dt, tau and burn_in must be finite, dt > 0, tau >= 100 dt, burn_in >= 0
+    and seed >= 0.
     """
 
     dt: float
-    duration: float
     tau: float
     n_segments: int
     n_trajectories: int
@@ -108,10 +107,12 @@ class SimConfig:
     burn_in: float
 
     def __post_init__(self) -> None:
+        for name, value in (("dt", self.dt), ("tau", self.tau),
+                            ("burn_in", self.burn_in)):
+            if not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value!r}")
         if not (self.dt > 0.0):
             raise ParameterError(f"dt must be positive, got {self.dt!r}")
-        if not math.isfinite(self.duration):
-            raise ParameterError(f"duration must be finite, got {self.duration!r}")
         if self.tau < 100.0 * self.dt:
             raise ParameterError(
                 f"tau = {self.tau!r} must be at least 100*dt = {100 * self.dt!r}")
@@ -121,11 +122,6 @@ class SimConfig:
             raise ParameterError(f"seed must be >= 0, got {self.seed!r}")
         if self.burn_in < 0.0:
             raise ParameterError(f"burn_in must be >= 0, got {self.burn_in!r}")
-        need = self.n_segments * self.tau + self.burn_in
-        if not (need <= self.duration * (1.0 + 1e-12)):   # NaN fails too
-            raise ParameterError(
-                f"duration {self.duration!r} shorter than burn_in + "
-                f"n_segments*tau = {need!r}")
 
 
 @dataclass(frozen=True)
@@ -160,8 +156,9 @@ def default_sim_config(model: StateSpace, *, n_trajectories: int = 180,
     dt is set a factor DT_SAFETY below the stability guard, tau to
     TAU_LIFETIMES cavity lifetimes (rounded to a whole number of steps) and
     burn_in to 30 relaxation times of the slowest mode (never below the
-    5/gamma_m floor demanded by the estimators).  A given dt must be finite
-    and positive, and a given tau or burn_in finite.
+    5/gamma_m floor demanded by the estimators; rounded up to a whole number
+    of steps).  The run is that burn-in plus n_segments windows.  A given dt
+    must be finite and positive, and a given tau or burn_in finite.
     """
     for name, value in (("dt", dt), ("tau", tau), ("burn_in", burn_in)):
         if value is not None and not math.isfinite(value):
@@ -181,11 +178,9 @@ def default_sim_config(model: StateSpace, *, n_trajectories: int = 180,
     gamma_m = -0.5 * model.drift[1, 1]
     if burn_in is None:
         burn_in = max(30.0 / margin, 5.0 / gamma_m)
-    burn_steps = math.ceil(burn_in / dt)
-    duration = (burn_steps + n_segments * round(tau / dt)) * dt
-    return SimConfig(dt=dt, duration=duration, tau=tau, n_segments=n_segments,
+    return SimConfig(dt=dt, tau=tau, n_segments=n_segments,
                      n_trajectories=n_trajectories, seed=seed,
-                     burn_in=burn_steps * dt)
+                     burn_in=math.ceil(burn_in / dt) * dt)
 
 
 def _noise_levels(model: StateSpace, noise: NoisePsd | None) -> np.ndarray:
@@ -199,7 +194,10 @@ def _noise_levels(model: StateSpace, noise: NoisePsd | None) -> np.ndarray:
     return levels
 
 
-def _check_step(model: StateSpace, cfg: SimConfig) -> tuple[int, int]:
+def _check_step(model: StateSpace, cfg: SimConfig) -> tuple[int, int, int]:
+    """Check dt against DT_LIMIT and tau against the step grid; return the
+    run's burn-in, window and total step counts, the total being the burn-in
+    plus n_segments whole windows."""
     rho = float(np.max(np.abs(np.linalg.eigvals(model.drift))))
     if cfg.dt * rho > DT_LIMIT:
         raise NumericalError(
@@ -209,13 +207,13 @@ def _check_step(model: StateSpace, cfg: SimConfig) -> tuple[int, int]:
     window_steps = round(cfg.tau / cfg.dt)
     if abs(window_steps * cfg.dt - cfg.tau) > 1e-9 * cfg.tau:
         raise ParameterError("tau must be a whole number of steps")
-    return burn_steps, window_steps
+    return burn_steps, window_steps, burn_steps + cfg.n_segments * window_steps
 
 
-def _check_plan(model: StateSpace, cfg: SimConfig) -> tuple[int, int]:
-    """`_check_step` plus the estimators' stationarity floor, coverage and
-    the two trajectories their jackknife error needs."""
-    burn_steps, window_steps = _check_step(model, cfg)
+def _check_plan(model: StateSpace, cfg: SimConfig) -> tuple[int, int, int]:
+    """`_check_step` plus the estimators' stationarity floor and the two
+    trajectories their jackknife error needs."""
+    steps = _check_step(model, cfg)
     if cfg.n_trajectories < 2:
         raise ParameterError(
             f"the estimators need n_trajectories >= 2, got {cfg.n_trajectories!r}")
@@ -225,10 +223,7 @@ def _check_plan(model: StateSpace, cfg: SimConfig) -> tuple[int, int]:
         raise ParameterError(
             f"burn_in = {cfg.burn_in!r} shorter than 5 mechanical "
             f"relaxation times = {5.0 / gamma_m!r}")
-    n_steps = burn_steps + cfg.n_segments * window_steps
-    if n_steps * cfg.dt > cfg.duration * (1.0 + 1e-12):
-        raise ParameterError("duration does not cover burn_in + n_segments*tau")
-    return burn_steps, window_steps
+    return steps
 
 
 def _check_budget(what: str, n_traj: int, per_traj: int, advice: str) -> None:
@@ -354,19 +349,19 @@ def integrate(model: StateSpace, noise: NoisePsd | None, cfg: SimConfig,
               initial_state: np.ndarray | None = None) -> SimulationRecords:
     """Euler-Maruyama trajectories with pathwise output records.
 
-    Simulates ``round(cfg.duration/cfg.dt)`` steps for every trajectory and
-    returns the integrated output increments (burn-in included; the
-    estimators skip it).  Memory is O(n_trajectories * n_steps), and a
-    record above RECORD_BUDGET_BYTES is refused before anything is
-    allocated; use the streaming estimators for production window counts.
+    Simulates the plan's steps, the burn-in plus n_segments whole windows,
+    for every trajectory and returns the integrated output increments
+    (burn-in included; the estimators skip it).  Memory is
+    O(n_trajectories * n_steps), and a record above RECORD_BUDGET_BYTES is
+    refused before anything is allocated; use the streaming estimators for
+    production window counts.
 
     The chain runs through `_chain` in pieces of SUB_BLOCK steps: one
     block-Toeplitz product per piece maps its start states and Wiener
     increments to its end states and every step's outputs.  The result
     equals the per-step recursion up to rounding.
     """
-    _check_step(model, cfg)
-    n_steps = round(cfg.duration / cfg.dt)
+    _, _, n_steps = _check_step(model, cfg)
     n_traj = cfg.n_trajectories
     _check_budget("record", n_traj, n_steps * spectra.N_OUTPUTS,
                   "use the streaming estimators")
@@ -442,9 +437,8 @@ def estimate_inference_variance(model: StateSpace, noise: NoisePsd | None,
     per-trajectory means), which is robust to any residual correlation
     between windows of one trajectory.
     """
-    burn_steps, window_steps = _check_plan(model, cfg)
+    burn_steps, window_steps, n_steps = _check_plan(model, cfg)
     n_traj = cfg.n_trajectories
-    n_steps = burn_steps + cfg.n_segments * window_steps
     _check_budget("step draws", n_traj, n_steps * spectra.N_NOISES,
                   "use fewer trajectories or segments")
     block = min(NOISE_BLOCK, n_steps)
@@ -527,7 +521,7 @@ def sample_inference_variance(model: StateSpace, noise: NoisePsd | None,
     distribution is the step chain's (same dt, same burn-in), the draws are
     not, and the estimate and its jackknife error are formed the same way.
     """
-    burn_steps, window_steps = _check_plan(model, cfg)
+    burn_steps, window_steps, _ = _check_plan(model, cfg)
     n_traj, n_seg, n = cfg.n_trajectories, cfg.n_segments, spectra.N_STATES
     _check_budget("window draws", n_traj, n + (n + 1) * n_seg,
                   "use fewer trajectories or segments")

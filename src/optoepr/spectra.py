@@ -292,6 +292,10 @@ def realize_dimensionless(dp: DimensionlessParams) -> tuple[PhysicalParams, Stea
                 gamma_c=gamma_c, temperature=temperature, input_power=p_in)
             delta0 = delta - drive_kappa(params) / (0.25 + delta * delta)
             omega_0 = omega_c + gamma_c * delta0
+            if not omega_0 > 0.0:
+                raise NumericalError(
+                    f"realizing {dp!r} needs a drive frequency omega_0 = "
+                    f"{omega_0!r} rad/s <= 0 (bare detuning {delta0!r})")
         params = replace(params, omega_0=omega_0)
         roots = steady_state(params)
         ss = min(roots, key=lambda r: abs(r.delta - delta))
@@ -302,9 +306,11 @@ def realize_dimensionless(dp: DimensionlessParams) -> tuple[PhysicalParams, Stea
         if eigs.real.max() < -0.02 * gamma_c:
             # omega_0 is stored as an SI float near omega_c, whose ULP bounds
             # how precisely the bare detuning (and hence the root) can be hit.
-            if abs(ss.delta - delta) > 1e-7 * max(1.0, abs(delta)):
+            # The bound is relative, so a root at delta <= 0 fails it too.
+            if not abs(ss.delta - delta) <= 1e-3 * delta:
                 raise NumericalError(
-                    f"steady state landed at delta={ss.delta!r}, wanted {delta!r}")
+                    f"steady state landed at delta={ss.delta!r}, wanted {delta!r}; "
+                    "the bare detuning is resolved only to the ULP of omega_0")
             return params, ss
         gamma_m *= 2.0
     raise InstabilityError(

@@ -401,12 +401,28 @@ class TestSimulate:
         assert not out_path.exists()
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("p_cal, delta, message", [
+        ("0.003", "2e-8", "landed at"), ("1", "1e-10", "omega_0"),
+    ])
+    def test_unrealizable_triple_exits_numerical(self, capsys, tmp_path, p_cal, delta,
+                                                 message):
+        # A detuning below the ULP of omega_0, and one whose realization
+        # needs a drive frequency <= 0: both are numerical failures.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"p_cal = {p_cal}\nt_cal = 0.1\ndelta = {delta}\n"
+                       "trajectories = 2\nsegments = 1\n")
+        out_path = tmp_path / "sim.out"
+        code = main(["simulate", "--config", str(cfg), "--output", str(out_path)])
+        assert code == EXIT_NUMERICAL
+        assert message in capsys.readouterr().err
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("trajectories", "nan"), ("trajectories", "inf"), ("trajectories", "2.9"),
         ("segments", "nan"), ("seed", "-1"), ("seed", "nan"),
         ("dt", "nan"), ("dt", "inf"), ("dt", "0"), ("tau", "nan"), ("tau", "inf"),
         ("burn_in", "nan"), ("burn_in", "inf"), ("duration", "nan"),
-        ("duration", "inf"), ("trajectories", "1"),
+        ("duration", "inf"), ("duration", "0.12"), ("trajectories", "1"),
     ])
     def test_refused_sim_key_exits_config(self, capsys, tmp_path, key, value):
         keys = {"trajectories": "2", "segments": "1", key: value}

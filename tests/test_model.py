@@ -233,8 +233,7 @@ class TestCouplings:
                                 omega_0=textbook_lab_params.omega_c
                                 + delta0 * textbook_lab_params.gamma_c)
         ss = min(steady_state(params), key=lambda r: abs(r.delta - 0.18))
-        g = couplings(params, ss)
-        p_from_kappa = 2.0 * g.kappa * ss.delta / (0.25 + ss.delta ** 2)
+        p_from_kappa = 2.0 * drive_kappa(params) * ss.delta / (0.25 + ss.delta ** 2)
         dp = to_dimensionless(params, ss.delta)
         assert dp.p_cal == pytest.approx(p_from_kappa, rel=1e-6)
 

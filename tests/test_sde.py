@@ -47,7 +47,7 @@ def reference_records(model, noise, cfg, x0=None):
     """The Euler-Maruyama recursion one step at a time, on the oracle's noise
     stream: the plain loop that the blocked kernel evaluates, kept as a test
     oracle.  Returns (increments, final states)."""
-    n_steps = round(cfg.duration / cfg.dt)
+    n_steps = sde._check_step(model, cfg)[2]
     sig = np.sqrt(_noise_levels(model, noise) * cfg.dt)
     step_mat = (np.eye(6) + cfg.dt * model.drift).T
     x = np.zeros((cfg.n_trajectories, 6)) + (0.0 if x0 is None else x0)
@@ -72,7 +72,7 @@ def ragged_cfg(headline):
     # not divide NOISE_BLOCK, so every cut of the blocked kernels is taken.
     _, model, _ = headline
     cfg = small_cfg(model, n_traj=3, n_seg=5, tau_lifetimes=150.0, seed=17)
-    n_steps = round(cfg.duration / cfg.dt)
+    n_steps = sde._check_step(model, cfg)[2]
     window_steps = round(cfg.tau / cfg.dt)
     assert n_steps > 2 * NOISE_BLOCK and n_steps % NOISE_BLOCK
     assert NOISE_BLOCK % window_steps
@@ -85,7 +85,7 @@ def edge_cfg(headline):
     # edge, so a one-step piece closes nothing and must not square the sum.
     _, model, _ = headline
     cfg = small_cfg(model, n_traj=3, n_seg=6, tau_lifetimes=107.0, seed=17)
-    n_steps = round(cfg.duration / cfg.dt)
+    n_steps = sde._check_step(model, cfg)[2]
     burn_steps = math.ceil(cfg.burn_in / cfg.dt - 1e-9)
     window_steps = round(cfg.tau / cfg.dt)
     assert n_steps > 2 * NOISE_BLOCK and n_steps % NOISE_BLOCK
@@ -147,8 +147,8 @@ class TestBlockedKernel:
             integrate(model, noise, default_sim_config(model))
         cfg = small_cfg(model, n_traj=1, n_seg=1)
         steps = RECORD_BUDGET_BYTES // (4 * 8) + 1   # 4 doubles per step
-        long_run = SimConfig(dt=cfg.dt, duration=steps * cfg.dt, tau=cfg.tau,
-                             n_segments=1, n_trajectories=1, seed=0, burn_in=0.0)
+        long_run = SimConfig(dt=cfg.dt, tau=steps * cfg.dt, n_segments=1,
+                             n_trajectories=1, seed=0, burn_in=0.0)
         with pytest.raises(ParameterError, match="budget"):
             integrate(model, noise, long_run)
 
@@ -158,7 +158,7 @@ class TestBlockedKernel:
         _, model, noise = headline
         n_traj = RECORD_BUDGET_BYTES // (NOISE_BLOCK * N_NOISES * 8) + 1
         cfg = small_cfg(model, n_traj=n_traj, n_seg=1)
-        assert cfg.duration / cfg.dt > NOISE_BLOCK
+        assert sde._check_step(model, cfg)[2] > NOISE_BLOCK
 
         def no_streams(*args):
             raise AssertionError("streams spawned before the budget check")
@@ -172,7 +172,7 @@ class TestBlockedKernel:
         # the whole run (n_steps x 5 doubles each) exceed the budget.
         _, model, noise = headline
         cfg = default_sim_config(model, n_trajectories=2, n_segments=1700)
-        n_steps = round(cfg.duration / cfg.dt)
+        n_steps = sde._check_step(model, cfg)[2]
         assert 2 * n_steps * N_NOISES * 8 > RECORD_BUDGET_BYTES
 
         def no_streams(*args):
@@ -371,8 +371,8 @@ class TestIntegrate:
         duration = 5.0 / gc
         n_steps = 4_000_000
         dt = duration / n_steps
-        cfg = SimConfig(dt=dt, duration=duration, tau=duration, n_segments=1,
-                        n_trajectories=1, seed=1, burn_in=0.0)
+        cfg = SimConfig(dt=dt, tau=duration, n_segments=1, n_trajectories=1,
+                        seed=1, burn_in=0.0)
         x0 = np.array([0.0, 0.0, 1.0, -0.5, 0.25, 0.8])
         res = integrate(model, None, cfg, initial_state=x0)
         exact = expm(model.drift * (n_steps * dt)) @ x0
@@ -386,7 +386,7 @@ class TestIntegrate:
         burn = 80.0 / params.gamma_c
         n_traj = 800
         # run to stationarity, then take one x1 sample per trajectory
-        cfg = SimConfig(dt=dt, duration=burn, tau=dt * 128, n_segments=1,
+        cfg = SimConfig(dt=dt, tau=round(burn / dt) * dt, n_segments=1,
                         n_trajectories=n_traj, seed=7, burn_in=0.0)
         res = integrate(model, noise, cfg)
         x1 = res.final_states[:, 2]
@@ -409,8 +409,8 @@ class TestIntegrate:
         _, model, noise = headline
         rho = np.max(np.abs(np.linalg.eigvals(model.drift)))
         dt = 0.5 / rho
-        cfg = SimConfig(dt=dt, duration=1000 * dt, tau=150 * dt, n_segments=1,
-                        n_trajectories=1, seed=0, burn_in=0.0)
+        cfg = SimConfig(dt=dt, tau=150 * dt, n_segments=1, n_trajectories=1,
+                        seed=0, burn_in=0.0)
         with pytest.raises(NumericalError):
             integrate(model, noise, cfg)
 
@@ -425,9 +425,8 @@ class TestIntegrate:
     def test_estimator_requires_burn_in(self, headline):
         _, model, noise = headline
         cfg = small_cfg(model, n_traj=2, n_seg=2)
-        bad = SimConfig(dt=cfg.dt, duration=cfg.duration, tau=cfg.tau,
-                        n_segments=cfg.n_segments, n_trajectories=2,
-                        seed=0, burn_in=0.0)
+        bad = SimConfig(dt=cfg.dt, tau=cfg.tau, n_segments=cfg.n_segments,
+                        n_trajectories=2, seed=0, burn_in=0.0)
         with pytest.raises(ParameterError):
             estimate_inference_variance(model, noise, bad, 0.0, 0.0)
 
@@ -435,18 +434,21 @@ class TestIntegrate:
 class TestSimConfig:
     def test_rejects_short_window(self):
         with pytest.raises(ParameterError):
-            SimConfig(dt=1.0, duration=1000.0, tau=50.0, n_segments=1,
-                      n_trajectories=1, seed=0, burn_in=0.0)
+            SimConfig(dt=1.0, tau=50.0, n_segments=1, n_trajectories=1,
+                      seed=0, burn_in=0.0)
 
-    def test_rejects_short_duration(self):
-        with pytest.raises(ParameterError):
-            SimConfig(dt=1e-3, duration=1.0, tau=0.5, n_segments=4,
-                      n_trajectories=1, seed=0, burn_in=0.0)
+    @pytest.mark.parametrize("field", ["tau", "burn_in"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_times(self, field, value):
+        times = {"tau": 0.5, "burn_in": 0.0, field: value}
+        with pytest.raises(ParameterError, match=f"{field} must be finite"):
+            SimConfig(dt=1e-3, n_segments=4, n_trajectories=1, seed=0, **times)
 
     def test_default_config_is_consistent(self, headline):
         _, model, _ = headline
         cfg = default_sim_config(model)
-        assert cfg.n_segments * cfg.tau + cfg.burn_in <= cfg.duration * (1 + 1e-12)
+        burn_steps, _, _ = sde._check_step(model, cfg)
+        assert burn_steps * cfg.dt == pytest.approx(cfg.burn_in, rel=1e-12)
         assert cfg.tau >= 100 * cfg.dt
         gamma_m = -0.5 * model.drift[1, 1]
         assert cfg.burn_in >= 5.0 / gamma_m

@@ -9,9 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
-from optoepr import (DimensionlessParams, InstabilityError, K_B,
+from optoepr import (DimensionlessParams, InstabilityError, K_B, NumericalError,
                      build_state_space, commutator_norm_check, epr_lhs,
                      inferred_variance_at, noise_psd, output_spectral_matrix,
                      realize_dimensionless, require_stable,
@@ -21,6 +22,9 @@ from optoepr.constants import HBAR
 from optoepr.spectra import closed_form_check
 
 from conftest import HEADLINE, random_dimensionless
+
+# 0, or 10^U(-12, 6): the reduced power and temperature of the property test.
+ZERO_OR_LOG = st.one_of(st.just(0.0), st.floats(-12.0, 6.0).map(lambda e: 10.0 ** e))
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +143,34 @@ class TestRealizationDomain:
                     assert np.all(require_stable(
                         build_state_space(params, ss).drift).real < 0.0)
                     assert abs(ss.delta - dp.delta) <= 1e-7 * max(1.0, dp.delta)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(p_cal=ZERO_OR_LOG, t_cal=ZERO_OR_LOG,
+           delta=st.floats(-12.0, 3.0).map(lambda e: 10.0 ** e))
+    def test_valid_triple_realized_or_refused(self, p_cal, t_cal, delta):
+        # Any valid triple is realized at its own detuning with a strictly
+        # stable drift, or refused as a numerical failure; never a wrong
+        # detuning and never a config error about a value it did not set.
+        dp = DimensionlessParams(p_cal, t_cal, delta)
+        try:
+            params, ss = realize_dimensionless(dp)
+        except NumericalError:   # InstabilityError included
+            return
+        assert abs(ss.delta - delta) <= 1e-3 * delta
+        assert np.max(np.linalg.eigvals(
+            build_state_space(params, ss).drift).real) < 0.0
+
+    @pytest.mark.parametrize("delta", [1e-8, 8.376776400682925e-09])
+    def test_unresolvable_detuning_refused(self, delta):
+        # Below the ULP of omega_0 the root lands elsewhere: at 7.0e-8 and
+        # at -4.6e-8 for these two detunings.
+        with pytest.raises(NumericalError, match="landed at"):
+            realize_dimensionless(DimensionlessParams(0.003, 0.1, delta))
+
+    def test_non_positive_drive_frequency_refused(self):
+        # The bare detuning -5e9 linewidths puts omega_0 below zero.
+        with pytest.raises(NumericalError, match="omega_0"):
+            realize_dimensionless(DimensionlessParams(1.0, 0.1, 1e-10))
 
     def test_small_detuning_high_power_matches_closed_form(self):
         params, ss = realize_dimensionless(DimensionlessParams(3.2485, 0.0, 1e-3))
