@@ -45,6 +45,11 @@ PHYSICAL_KEYS = {
 DIMENSIONLESS_KEYS = {"p_cal", "t_cal", "delta"}
 SIM_KEYS = {"dt", "tau", "segments", "trajectories", "seed", "burn_in"}
 
+# Frequencies per stacked spectral solve in `spectrum`.  The solve and its
+# formatting hold about 1.7 KB per frequency at their peak (7 MB a block),
+# so blocks keep that bounded whatever --points is.
+SPECTRUM_BLOCK = 4096
+
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -177,12 +182,16 @@ def cmd_criterion(args) -> int:
 def cmd_scan(args) -> int:
     grid = criterion.scan((args.p_min, args.p_max), (args.t_min, args.t_max),
                           args.delta, (args.p_res, args.t_res))
+    values = grid.lhs_values
+    paradox = np.isfinite(values) & (values < 1.0)
+    p_text = [_fmt(p) for p in grid.p_axis.tolist()]
+    flag_text = (_fmt(False), _fmt(True))
     lines = ["p_cal,t_cal,lhs,paradox"]
-    for i, t in enumerate(grid.t_axis):
-        for j, p in enumerate(grid.p_axis):
-            v = grid.lhs_values[i, j]
-            paradox = bool(np.isfinite(v) and v < 1.0)
-            lines.append(f"{_fmt(p)},{_fmt(t)},{_fmt(float(v))},{_fmt(paradox)}")
+    # One string per grid row; f"{v:.12g}" is _fmt's float format.
+    for t, row, flags in zip(grid.t_axis.tolist(), values, paradox):
+        t_text = _fmt(t)
+        lines.append("\n".join(f"{p},{t_text},{v:.12g},{flag_text[f]}"
+                                for p, v, f in zip(p_text, row.tolist(), flags.tolist())))
     _write_lines(args.output, lines)
     if args.contour is not None:
         pts = criterion.paradox_boundary(grid)
@@ -202,6 +211,16 @@ def _model_from_physical(values, branch: int):
     return params, ss, spectra.build_state_space(params, ss)
 
 
+def _spectrum_block(sm, noise, omegas: np.ndarray, phi: float) -> str:
+    """`spectrum` CSV rows at ``omegas`` as one string, from one stacked solve."""
+    spec = spectra.output_spectral_matrix(sm, noise, omegas, phi)
+    var, gain = spec.inference()
+    s = spec.s
+    rows = np.column_stack((omegas, s[:, 0, 0], s[:, 0, 1], s[:, 1, 1],
+                            var / sm.gamma_c, gain))
+    return "\n".join(",".join(map(_fmt, row)) for row in rows.tolist())
+
+
 def cmd_spectrum(args) -> int:
     lo, hi, n = args.omega_min, args.omega_max, args.points
     if not (math.isfinite(lo) and math.isfinite(hi)
@@ -216,11 +235,9 @@ def cmd_spectrum(args) -> int:
     noise = spectra.noise_psd(params)
     omegas = np.linspace(lo, hi, n)
     lines = ["omega,s11,s12,s22,inferred_variance,gain"]
-    for w in omegas:
-        spec = spectra.output_spectral_matrix(sm, noise, float(w), args.phi)
-        var, gain = spec.inference()
-        row = (w, spec.s[0, 0], spec.s[0, 1], spec.s[1, 1], var / sm.gamma_c, gain)
-        lines.append(",".join(_fmt(v) for v in row))
+    for start in range(0, n, SPECTRUM_BLOCK):
+        lines.append(_spectrum_block(sm, noise, omegas[start:start + SPECTRUM_BLOCK],
+                                     args.phi))
     _write_lines(args.output, lines)
     return EXIT_OK
 

@@ -153,20 +153,26 @@ def optimal_gains(dp: DimensionlessParams) -> GainPair:
     return GainPair(g_x=e0 / (1.0 + e0), g_y=eh / (1.0 + eh))
 
 
-def optimal_gain(s11: float, s12: float, s22: float) -> float:
+def optimal_gain(s11, s12, s22):
     """Minimizer g* = s12/s22 of the inference quadratic s11 - 2 g s12 + g^2 s22.
 
     The minimized value is s11 - s12^2/s22.  The triple must be a valid
     symmetrized spectral matrix: s22 > 0 and s11*s22 >= s12^2 within a
-    relative tolerance of 1e-9.
+    relative tolerance of 1e-9.  Floats or broadcasting arrays (one triple
+    per element); an array is refused if any of its triples is, and the
+    error names the first offending value.
     """
-    if not (s22 > 0.0):
-        raise ParameterError(f"s22 must be positive, got {s22!r}")
+    positive = np.asarray(s22 > 0.0)
+    if not positive.all():
+        bad = np.asarray(s22)[~positive].flat[0]
+        raise ParameterError(f"s22 must be positive, got {float(bad)!r}")
     violation = s12 * s12 - s11 * s22
-    scale = max(abs(s11 * s22), s12 * s12)
-    if violation > PSD_TOL * scale:
+    scale = np.maximum(abs(s11 * s22), s12 * s12)
+    refused = np.asarray(violation > PSD_TOL * scale)
+    if refused.any():
+        bad = np.asarray(violation)[refused].flat[0]
         raise ParameterError(
-            f"spectral matrix not positive semidefinite: s12^2 - s11*s22 = {violation!r}")
+            f"spectral matrix not positive semidefinite: s12^2 - s11*s22 = {float(bad)!r}")
     return s12 / s22
 
 

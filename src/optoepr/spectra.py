@@ -87,23 +87,40 @@ class NoisePsd:
             raise ParameterError(
                 f"vacuum_level must be positive, got {self.vacuum_level!r}")
 
-    def levels(self, omega: float) -> np.ndarray:
-        """Diagonal of the 5x5 noise spectral matrix at ``omega``."""
-        v = self.vacuum_level
-        return np.array([self.brownian(omega), v, v, v, v])
+    def levels(self, omega) -> np.ndarray:
+        """Diagonal of the 5x5 noise spectral matrix at each ``omega``.
+
+        ``omega`` is a float or an array; the result has shape
+        ``(*np.shape(omega), 5)``.  ``brownian`` is called once per omega,
+        with a Python float.
+        """
+        w = np.asarray(omega, dtype=float)
+        out = np.full(w.shape + (N_NOISES,), self.vacuum_level)
+        out[..., 0] = np.fromiter((self.brownian(float(x)) for x in w.flat),
+                                  float, w.size).reshape(w.shape)
+        return out
 
 
 @dataclass(frozen=True)
 class SpectralMatrix:
-    """Symmetrized 2x2 mode-indexed output spectrum at one (omega, phi)."""
+    """Symmetrized 2x2 mode-indexed output spectra at one phi.
+
+    ``s`` has shape ``(..., 2, 2)``: one matrix per omega of the solve, or
+    ``(2, 2)`` for a scalar omega.
+    """
 
     s: np.ndarray
 
-    def inference(self) -> tuple[float, float]:
-        """(s11 - 2 g s12 + g^2 s22, g) at the optimal gain g, in units of ``s``."""
+    def inference(self):
+        """(s11 - 2 g s12 + g^2 s22, g) at the optimal gain g, in units of ``s``.
+
+        Elementwise over the leading axes of ``s``; scalars for one matrix.
+        """
         s = self.s
-        gain = criterion.optimal_gain(s[0, 0], s[0, 1], s[1, 1])
-        return s[0, 0] - 2.0 * gain * s[0, 1] + gain * gain * s[1, 1], gain
+        # [()] makes the entries of a single matrix numpy scalars, not 0-d arrays.
+        s11, s12, s22 = s[..., 0, 0][()], s[..., 0, 1][()], s[..., 1, 1][()]
+        gain = criterion.optimal_gain(s11, s12, s22)
+        return s11 - 2.0 * gain * s12 + gain * gain * s22, gain
 
 
 def brownian_psd(omega: float, params: PhysicalParams) -> float:
@@ -185,11 +202,16 @@ def build_state_space(params: PhysicalParams, ss: SteadyState) -> StateSpace:
                       gamma_c=params.gamma_c)
 
 
-def output_response(model: StateSpace, omega: float) -> np.ndarray:
-    """Complex 4x5 response R(omega) = C (-i omega I - A)^{-1} B + D."""
-    m = -1j * omega * np.eye(N_STATES) - model.drift
+def output_response(model: StateSpace, omega) -> np.ndarray:
+    """Complex response R(omega) = C (-i omega I - A)^{-1} B + D.
+
+    ``omega`` is a float or an array of sideband frequencies; the result has
+    shape ``(*np.shape(omega), 4, 5)``, from one stacked solve.
+    """
+    w = np.asarray(omega, dtype=float)
+    m = -1j * w[..., None, None] * np.eye(N_STATES) - model.drift
     try:
-        h = np.linalg.solve(m, model.input_map)
+        h = np.linalg.solve(m, model.input_map)   # B broadcasts over the stack
     except np.linalg.LinAlgError as exc:   # cannot occur for stable A, real omega
         raise NumericalError(f"singular response matrix at omega={omega!r}") from exc
     return model.output_map @ h + model.feedthrough
@@ -202,18 +224,26 @@ def _projector(phi: float) -> np.ndarray:
     return p
 
 
-def output_spectral_matrix(model: StateSpace, noise: NoisePsd, omega: float,
+def output_spectral_matrix(model: StateSpace, noise: NoisePsd, omega,
                            phi: float) -> SpectralMatrix:
-    """Symmetrized 2x2 output spectrum of the phi-quadratures at ``omega``."""
-    r = output_response(model, omega)
-    s4 = ((r * noise.levels(omega)) @ r.conj().T).real
+    """Symmetrized 2x2 output spectra of the phi-quadratures at each ``omega``.
+
+    ``omega`` is a float or an array; the returned ``s`` has shape
+    ``(*np.shape(omega), 2, 2)``.  Each matrix is held to the same PSD
+    tolerance, and the first omega that fails it is named in the error.
+    """
+    w = np.asarray(omega, dtype=float)
+    r = output_response(model, w)
+    s4 = ((r * noise.levels(w)[..., None, :]) @ r.conj().swapaxes(-1, -2)).real
     p = _projector(phi)
     s = p @ s4 @ p.T
-    s = 0.5 * (s + s.T)
-    trace = s[0, 0] + s[1, 1]
-    if np.min(np.linalg.eigvalsh(s)) < -SPECTRAL_PSD_TOL * abs(trace):
+    s = 0.5 * (s + s.swapaxes(-1, -2))
+    trace = s[..., 0, 0] + s[..., 1, 1]
+    bad = np.min(np.linalg.eigvalsh(s), axis=-1) < -SPECTRAL_PSD_TOL * abs(trace)
+    if np.any(bad):
         raise NumericalError(
-            f"output spectral matrix not positive semidefinite at omega={omega!r}")
+            "output spectral matrix not positive semidefinite at "
+            f"omega={float(w[bad].flat[0])!r}")
     return SpectralMatrix(s=s)
 
 
@@ -286,10 +316,14 @@ def realize_dimensionless(dp: DimensionlessParams) -> tuple[PhysicalParams, Stea
         for _ in range(4):
             p_in = (dp.p_cal * mass * cavity_length ** 2 * omega_m ** 2
                     * gamma_c ** 2 * u4 / (8.0 * omega_0 * delta))
-            params = PhysicalParams(
-                mass=mass, cavity_length=cavity_length, omega_m=omega_m,
-                gamma_m=gamma_m, omega_c=omega_c, omega_0=omega_0,
-                gamma_c=gamma_c, temperature=temperature, input_power=p_in)
+            try:
+                params = PhysicalParams(
+                    mass=mass, cavity_length=cavity_length, omega_m=omega_m,
+                    gamma_m=gamma_m, omega_c=omega_c, omega_0=omega_0,
+                    gamma_c=gamma_c, temperature=temperature, input_power=p_in)
+            except ParameterError as exc:   # dp is valid: the recipe overflowed
+                raise NumericalError(
+                    f"realizing {dp!r} leaves the double range: {exc}") from exc
             delta0 = delta - drive_kappa(params) / (0.25 + delta * delta)
             omega_0 = omega_c + gamma_c * delta0
             if not omega_0 > 0.0:

@@ -2,11 +2,12 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from optoepr import epr_lhs, spectra
+from optoepr import cli, criterion, epr_lhs, spectra
 from optoepr.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main,
                          parse_config)
 
@@ -30,6 +31,24 @@ p_cal = 0.17
 t_cal = 0.1
 delta = 0.18
 """
+
+
+@pytest.fixture
+def realized_headline_config(tmp_path, headline_realization):
+    """Physical config file of the stable realization of the headline point."""
+    params, _ = headline_realization
+    cfg = tmp_path / "real.cfg"
+    cfg.write_text(
+        f"mass_kg = {params.mass!r}\n"
+        f"cavity_length_m = {params.cavity_length!r}\n"
+        f"omega_m_rad_s = {params.omega_m!r}\n"
+        f"gamma_m_hz = {params.gamma_m!r}\n"
+        f"omega_c_rad_s = {params.omega_c!r}\n"
+        f"omega_0_rad_s = {params.omega_0!r}\n"
+        f"gamma_c_hz = {params.gamma_c!r}\n"
+        f"temperature_k = {params.temperature!r}\n"
+        f"input_power_w = {params.input_power!r}\n")
+    return cfg
 
 
 def run(capsys, *argv):
@@ -101,6 +120,22 @@ class TestCriterion:
         assert code == EXIT_IO
 
 
+def per_cell_scan_csv(grid) -> str:
+    """Reference `scan` CSV of ``grid``, formatted one cell at a time."""
+    def fmt(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return f"{value:.12g}"
+
+    lines = ["p_cal,t_cal,lhs,paradox"]
+    for i, t in enumerate(grid.t_axis):
+        for j, p in enumerate(grid.p_axis):
+            v = grid.lhs_values[i, j]
+            paradox = bool(np.isfinite(v) and v < 1.0)
+            lines.append(f"{fmt(p)},{fmt(t)},{fmt(float(v))},{fmt(paradox)}")
+    return "\n".join(lines) + "\n"
+
+
 class TestScan:
     def test_grid_file_shape_and_rows(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
@@ -140,6 +175,31 @@ class TestScan:
         p, t, lhs, paradox = row.split(",")
         assert float(lhs) == pytest.approx(epr_lhs(HEADLINE).lhs, rel=1e-12)
         assert paradox == "true"
+
+    @pytest.mark.parametrize("flags, feature", [
+        (["--delta", "1e-9", "--p-res", "201", "--t-res", "50"], ",nan,false"),
+        (["--delta", "0.18", "--p-res", "1", "--p-min", "0.17", "--p-max", "0.17",
+          "--t-res", "1", "--t-min", "0.1", "--t-max", "0.1"], ",true"),
+        (["--delta", "0.3", "--p-res", "1", "--p-min", "0.4", "--p-max", "0.4",
+          "--t-res", "23"], ",true"),
+        (["--delta", "0.05", "--p-res", "97", "--t-res", "1", "--t-min", "0.2",
+          "--t-max", "0.2"], ",1,false"),
+        (["--delta", "0.18", "--p-max", "3", "--t-max", "2", "--p-res", "41",
+          "--t-res", "37"], ",1,false"),
+    ])
+    def test_matches_per_cell_formatter(self, capsys, tmp_path, flags, feature):
+        # The CSV bytes equal a per-cell reference formatter: NaN
+        # (invalid-regime) cells, 1-point axes, and the p_cal = 0 column
+        # whose lhs is exactly 1 and not a paradox.
+        out_path = tmp_path / "grid.csv"
+        code, _ = run(capsys, "scan", *flags, "--output", str(out_path))
+        assert code == EXIT_OK
+        args = cli.build_parser().parse_args(["scan", *flags])
+        grid = criterion.scan((args.p_min, args.p_max), (args.t_min, args.t_max),
+                              args.delta, (args.p_res, args.t_res))
+        want = per_cell_scan_csv(grid)
+        assert feature + "\n" in want
+        assert out_path.read_bytes() == want.encode()
 
     def test_contour_output(self, capsys, tmp_path):
         grid, contour = tmp_path / "g.csv", tmp_path / "c.csv"
@@ -243,18 +303,54 @@ class TestSpectrum:
             assert row[1] == pytest.approx(mirrored[1], rel=1e-9)
 
     def test_one_solve_per_frequency(self, capsys, tmp_path, monkeypatch):
+        # Every omega of the axis is solved exactly once: the frequencies
+        # passed to the solver, over all its stacked calls, are the axis.
         cfg = tmp_path / "empty.cfg"
         cfg.write_text(TEXTBOOK_PHYSICAL.replace("input_power_w  = 0.03",
                                               "input_power_w  = 0"))
-        solves = []
+        solved = []
         solve = spectra.output_response
         monkeypatch.setattr(spectra, "output_response",
-                            lambda *a: solves.append(a) or solve(*a))
+                            lambda model, omega: solved.append(np.atleast_1d(omega))
+                            or solve(model, omega))
+        monkeypatch.setattr(cli, "SPECTRUM_BLOCK", 4)
         code, _ = run(capsys, "spectrum", "--config", str(cfg),
                       "--omega-min", "0", "--omega-max", "4e6",
                       "--points", "9", "--output", str(tmp_path / "s.csv"))
         assert code == EXIT_OK
-        assert len(solves) == 9
+        assert len(solved) == 3
+        assert np.array_equal(np.concatenate(solved), np.linspace(0.0, 4e6, 9))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_blocked_output_matches_one_block(self, capsys, tmp_path, monkeypatch,
+                                              realized_headline_config, block):
+        args = ["spectrum", "--config", str(realized_headline_config),
+                "--omega-min=-1.6e7", "--omega-max=1.6e7", "--points", "501",
+                "--phi", "0.7"]
+        whole, blocked = tmp_path / "whole.csv", tmp_path / "blocked.csv"
+        monkeypatch.setattr(cli, "SPECTRUM_BLOCK", 501)
+        assert main(args + ["--output", str(whole)]) == EXIT_OK
+        monkeypatch.setattr(cli, "SPECTRUM_BLOCK", block)
+        assert main(args + ["--output", str(blocked)]) == EXIT_OK
+        assert blocked.read_bytes() == whole.read_bytes()
+
+    def test_large_axis_memory_within_per_line_cost(self, tmp_path,
+                                                    realized_headline_config):
+        # The per-omega loop this command replaced peaked at 310 bytes of
+        # traced memory per output line at 1e5 and 2e5 points; the blocked
+        # solve must stay within that, however many points are asked for.
+        points = 100_001
+        out_path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            code = main(["spectrum", "--config", str(realized_headline_config),
+                         "--omega-min=-1.6e7", "--omega-max=1.6e7",
+                         "--points", str(points), "--output", str(out_path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak <= 310 * points
 
     @pytest.mark.parametrize("axis", [
         ["--omega-min", "0", "--omega-max", "4e6", "--points", "-1"],
@@ -364,23 +460,13 @@ class TestSimulate:
         assert code == EXIT_OK, out
         assert float(vals["phi_0_std_err"]) > 0
 
-    def test_physical_block_matches_dimensionless(self, capsys, tmp_path):
+    def test_physical_block_matches_dimensionless(self, capsys, tmp_path,
+                                                  realized_headline_config):
         # The realized headline as a physical block, on branch 0, runs the
         # same model and noise stream as the dimensionless block.
-        from optoepr import realize_dimensionless
-        params, _ = realize_dimensionless(HEADLINE)
         sim = "trajectories = 2\nsegments = 8\ntau = 4e-4\nseed = 3\n"
-        phys, dimless = tmp_path / "phys.cfg", tmp_path / "dimless.cfg"
-        phys.write_text(
-            f"mass_kg = {params.mass!r}\n"
-            f"cavity_length_m = {params.cavity_length!r}\n"
-            f"omega_m_rad_s = {params.omega_m!r}\n"
-            f"gamma_m_hz = {params.gamma_m!r}\n"
-            f"omega_c_rad_s = {params.omega_c!r}\n"
-            f"omega_0_rad_s = {params.omega_0!r}\n"
-            f"gamma_c_hz = {params.gamma_c!r}\n"
-            f"temperature_k = {params.temperature!r}\n"
-            f"input_power_w = {params.input_power!r}\n" + sim)
+        phys, dimless = realized_headline_config, tmp_path / "dimless.cfg"
+        phys.write_text(phys.read_text() + sim)
         dimless.write_text(DIMLESS + sim)
         code_p, out_p = run(capsys, "simulate", "--config", str(phys), "--branch", "0")
         code_d, out_d = run(capsys, "simulate", "--config", str(dimless))
@@ -403,11 +489,14 @@ class TestSimulate:
 
     @pytest.mark.parametrize("p_cal, delta, message", [
         ("0.003", "2e-8", "landed at"), ("1", "1e-10", "omega_0"),
+        ("0.17", "1e200", "double range"), ("0", "1e200", "double range"),
+        ("1e300", "0.18", "double range"),
     ])
     def test_unrealizable_triple_exits_numerical(self, capsys, tmp_path, p_cal, delta,
                                                  message):
-        # A detuning below the ULP of omega_0, and one whose realization
-        # needs a drive frequency <= 0: both are numerical failures.
+        # A detuning below the ULP of omega_0, one whose realization needs a
+        # drive frequency <= 0, and recipes whose input power overflows: all
+        # are numerical failures, not errors in a config that set no power.
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(f"p_cal = {p_cal}\nt_cal = 0.1\ndelta = {delta}\n"
                        "trajectories = 2\nsegments = 1\n")
@@ -435,24 +524,12 @@ class TestSimulate:
 
 
 class TestSpectrumCriterionConsistency:
-    def test_zero_sideband_row_matches_criterion(self, capsys, tmp_path):
+    def test_zero_sideband_row_matches_criterion(self, capsys, tmp_path,
+                                                 realized_headline_config):
         # A stable laboratory realization of the headline point: the omega = 0
         # spectrum row must reproduce the criterion's inference variance.
-        from optoepr import realize_dimensionless
-        params, _ = realize_dimensionless(HEADLINE)
-        cfg = tmp_path / "real.cfg"
-        cfg.write_text(
-            f"mass_kg = {params.mass!r}\n"
-            f"cavity_length_m = {params.cavity_length!r}\n"
-            f"omega_m_rad_s = {params.omega_m!r}\n"
-            f"gamma_m_hz = {params.gamma_m!r}\n"
-            f"omega_c_rad_s = {params.omega_c!r}\n"
-            f"omega_0_rad_s = {params.omega_0!r}\n"
-            f"gamma_c_hz = {params.gamma_c!r}\n"
-            f"temperature_k = {params.temperature!r}\n"
-            f"input_power_w = {params.input_power!r}\n")
         out_path = tmp_path / "spec.csv"
-        code, _ = run(capsys, "spectrum", "--config", str(cfg),
+        code, _ = run(capsys, "spectrum", "--config", str(realized_headline_config),
                       "--omega-min=-1e6", "--omega-max=1e6", "--points", "3",
                       "--output", str(out_path))
         assert code == EXIT_OK

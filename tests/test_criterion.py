@@ -113,6 +113,25 @@ class TestOptimalGain:
         with pytest.raises(ParameterError):
             optimal_gain(1.0, 1.1, 1.0)   # s12^2 > s11 s22
 
+    def test_arrays_match_scalar_calls_and_refuse_any_bad_triple(self):
+        rng = np.random.default_rng(29)
+        s11 = rng.uniform(0.05, 5.0, 50)
+        s22 = rng.uniform(0.05, 5.0, 50)
+        s12 = rng.uniform(-1.0, 1.0, 50) * np.sqrt(s11 * s22)
+        gains = optimal_gain(s11, s12, s22)
+        assert gains.tobytes() == np.array(
+            [optimal_gain(*t) for t in zip(s11.tolist(), s12.tolist(),
+                                           s22.tolist())]).tobytes()
+        for value in (0.0, -1.0):
+            bad = s22.copy()
+            bad[17] = value
+            with pytest.raises(ParameterError, match="s22 must be positive"):
+                optimal_gain(s11, s12, bad)
+        bad = s12.copy()
+        bad[31] = 1.1 * np.sqrt(s11[31] * s22[31])
+        with pytest.raises(ParameterError, match="not positive semidefinite"):
+            optimal_gain(s11, bad, s22)
+
     def test_beats_brute_force_grid(self):
         rng = np.random.default_rng(17)
         grid = np.linspace(-10.0, 10.0, 201)

@@ -6,14 +6,15 @@ the closed-form reduced-parameter expression for both quadrature angles.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
-from optoepr import (DimensionlessParams, InstabilityError, K_B, NumericalError,
-                     build_state_space, commutator_norm_check, epr_lhs,
+from optoepr import (DimensionlessParams, InstabilityError, K_B, NoisePsd,
+                     NumericalError, build_state_space, commutator_norm_check, epr_lhs,
                      inferred_variance_at, noise_psd, output_spectral_matrix,
                      realize_dimensionless, require_stable,
                      state_space_matrices, steady_state,
@@ -233,6 +234,45 @@ class TestOutputSpectra:
                 var, gain = output_spectral_matrix(model, noise, w, phi).inference()
                 assert (var / model.gamma_c, gain) == inferred_variance_at(
                     model, noise, w, phi)
+
+    @pytest.mark.parametrize("draw", [None, 0, 1])
+    def test_stack_equals_scalar_calls(self, headline_model, draw):
+        # A stacked solve returns, bit for bit, the matrices and inference of
+        # one call per omega: at the headline and at two drawn realizations.
+        if draw is None:
+            _, _, model, noise = headline_model
+        else:
+            rng = np.random.default_rng(4100 + draw)
+            dp = DimensionlessParams(p_cal=float(rng.uniform(0.05, 1.5)),
+                                     t_cal=float(rng.uniform(0.0, 0.8)),
+                                     delta=float(rng.uniform(0.1, 1.0)))
+            params, ss = realize_dimensionless(dp)
+            model, noise = build_state_space(params, ss), noise_psd(params)
+        omegas = np.linspace(-8.0, 8.0, 33) * model.gamma_c
+        for phi in (0.0, math.pi / 2, 0.7):
+            stack = output_spectral_matrix(model, noise, omegas, phi)
+            var, gain = stack.inference()
+            assert stack.s.shape == (33, 2, 2)
+            for k, w in enumerate(omegas.tolist()):
+                one = output_spectral_matrix(model, noise, w, phi)
+                one_var, one_gain = one.inference()
+                assert stack.s[k].tobytes() == one.s.tobytes()
+                assert var[k].tobytes() == np.float64(one_var).tobytes()
+                assert gain[k].tobytes() == np.float64(one_gain).tobytes()
+
+    def test_stack_names_the_first_non_psd_omega(self, headline_model):
+        # A mirror noise PSD that is negative at two frequencies of the
+        # stack: the refusal names the first of them.
+        params, _, model, noise = headline_model
+        omegas = np.linspace(-2.0, 2.0, 9) * params.gamma_c
+        bad = {omegas[5], omegas[7]}
+        broken = NoisePsd(vacuum_level=noise.vacuum_level,
+                          brownian=lambda w: -1e6 * noise.brownian(w) if w in bad
+                          else noise.brownian(w))
+        with pytest.raises(NumericalError,
+                           match=re.escape(f"omega={float(omegas[5])!r}")):
+            output_spectral_matrix(model, broken, omegas, 0.0)
+        output_spectral_matrix(model, broken, omegas[:5], 0.0)
 
     def test_empty_cavity_inference_is_trivial(self, empty_cavity_model):
         _, _, model, noise = empty_cavity_model
