@@ -51,10 +51,21 @@ SIM_KEYS = {"dt", "tau", "segments", "trajectories", "seed", "burn_in"}
 SPECTRUM_BLOCK = 4096
 
 
+# The one float format of every report and CSV; the CSV row templates are
+# built from it, so a block of rows is formatted by one `%` call.
+FLOAT_FORMAT = "%.12g"
+
+
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    return f"{value:.12g}"
+    return FLOAT_FORMAT % value
+
+
+def _csv_rows(values: np.ndarray) -> str:
+    """Rows of a 2-D float array as ``FLOAT_FORMAT`` CSV lines, one string."""
+    row = ",".join([FLOAT_FORMAT] * values.shape[1])
+    return "\n".join([row] * len(values)) % tuple(values.ravel().tolist())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -186,17 +197,22 @@ def cmd_scan(args) -> int:
     paradox = np.isfinite(values) & (values < 1.0)
     p_text = [_fmt(p) for p in grid.p_axis.tolist()]
     flag_text = (_fmt(False), _fmt(True))
+    # A grid row's template is the p column joined by the row's t text; one
+    # `%` fills in the row's (lhs, paradox) pairs.
+    cell = f",{FLOAT_FORMAT},%s"
+    pieces = [p_text[0] + ","] + [f"{cell}\n{p}," for p in p_text[1:]] + [cell]
+    pairs = [None] * (2 * len(p_text))
     lines = ["p_cal,t_cal,lhs,paradox"]
-    # One string per grid row; f"{v:.12g}" is _fmt's float format.
     for t, row, flags in zip(grid.t_axis.tolist(), values, paradox):
-        t_text = _fmt(t)
-        lines.append("\n".join(f"{p},{t_text},{v:.12g},{flag_text[f]}"
-                                for p, v, f in zip(p_text, row.tolist(), flags.tolist())))
+        pairs[0::2] = row.tolist()
+        pairs[1::2] = [flag_text[f] for f in flags.tolist()]
+        lines.append(_fmt(t).join(pieces) % tuple(pairs))
     _write_lines(args.output, lines)
     if args.contour is not None:
         pts = criterion.paradox_boundary(grid)
         clines = ["p_cal,t_cal"]
-        clines += [f"{_fmt(p)},{_fmt(t)}" for p, t in pts]
+        if len(pts):
+            clines.append(_csv_rows(pts))
         _write_lines(args.contour, clines)
     return EXIT_OK
 
@@ -216,9 +232,8 @@ def _spectrum_block(sm, noise, omegas: np.ndarray, phi: float) -> str:
     spec = spectra.output_spectral_matrix(sm, noise, omegas, phi)
     var, gain = spec.inference()
     s = spec.s
-    rows = np.column_stack((omegas, s[:, 0, 0], s[:, 0, 1], s[:, 1, 1],
-                            var / sm.gamma_c, gain))
-    return "\n".join(",".join(map(_fmt, row)) for row in rows.tolist())
+    return _csv_rows(np.column_stack((omegas, s[:, 0, 0], s[:, 0, 1], s[:, 1, 1],
+                                      var / sm.gamma_c, gain)))
 
 
 def cmd_spectrum(args) -> int:

@@ -295,7 +295,8 @@ def steady_state(params: PhysicalParams) -> list[SteadyState]:
     ConvergenceError
         If root polishing cannot reach relative residual 1e-12.
     NumericalError
-        On a degenerate double root (fold boundary).
+        On a degenerate double root (fold boundary), or when a root, its
+        intracavity field or its displacement leaves the double range.
     """
     delta0 = params.detuning0
     kappa = drive_kappa(params)
@@ -305,6 +306,12 @@ def steady_state(params: PhysicalParams) -> list[SteadyState]:
         alpha = ain / (math.sqrt(params.gamma_c) * complex(0.5, -root))
         x = (2.0 * HBAR * params.omega_c * abs(alpha) ** 2
              / (params.mass * params.omega_m ** 2 * params.cavity_length))
+        for name, value in (("detuning", root), ("intracavity field |alpha|", abs(alpha)),
+                            ("mirror displacement", x)):
+            if not math.isfinite(value):
+                raise NumericalError(
+                    f"steady-state {name} is {value!r}, outside the double range "
+                    f"(detuning0={delta0!r}, kappa={kappa!r})")
         states.append(SteadyState(
             x=x, y=0.0, alpha=alpha, alpha_in=complex(ain, 0.0),
             delta=root, stable=_cubic_deriv(root, delta0) > 0.0))

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from optoepr import cli, criterion, epr_lhs, spectra
+from optoepr import cli, criterion, epr_lhs, model, spectra
 from optoepr.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main,
                          parse_config)
 
@@ -136,6 +136,14 @@ def per_cell_scan_csv(grid) -> str:
     return "\n".join(lines) + "\n"
 
 
+def per_point_contour_csv(grid) -> str:
+    """Reference `scan --contour` CSV of ``grid``, formatted one value at a time."""
+    lines = ["p_cal,t_cal"]
+    for p, t in criterion.paradox_boundary(grid).tolist():
+        lines.append(f"{p:.12g},{t:.12g}")
+    return "\n".join(lines) + "\n"
+
+
 class TestScan:
     def test_grid_file_shape_and_rows(self, capsys, tmp_path):
         out_path = tmp_path / "grid.csv"
@@ -211,6 +219,29 @@ class TestScan:
         assert lines[0] == "p_cal,t_cal"
         assert len(lines) > 2
 
+    @pytest.mark.parametrize("flags, rows", [
+        (["--delta", "0.18", "--t-max", "0.9", "--p-res", "60", "--t-res", "40"], "many"),
+        (["--delta", "1e-9", "--p-res", "201", "--t-res", "50"], "many"),
+        (["--delta", "0.3", "--p-res", "1", "--p-min", "0.4", "--p-max", "0.4",
+          "--t-res", "23"], "one"),
+        (["--delta", "0.18", "--p-min", "0.1", "--t-min", "2", "--t-max", "3",
+          "--p-res", "20", "--t-res", "20"], "none"),
+    ])
+    def test_contour_matches_per_point_formatter(self, capsys, tmp_path, flags, rows):
+        # The contour bytes equal a per-point reference formatter, including
+        # a 1-point p axis and a grid that never crosses the bound (header only).
+        grid_path, contour = tmp_path / "g.csv", tmp_path / "c.csv"
+        code, _ = run(capsys, "scan", *flags, "--output", str(grid_path),
+                      "--contour", str(contour))
+        assert code == EXIT_OK
+        args = cli.build_parser().parse_args(["scan", *flags])
+        grid = criterion.scan((args.p_min, args.p_max), (args.t_min, args.t_max),
+                              args.delta, (args.p_res, args.t_res))
+        want = per_point_contour_csv(grid)
+        n_points = want.count("\n") - 1
+        assert {"none": n_points == 0, "one": n_points == 1, "many": n_points > 1}[rows]
+        assert contour.read_bytes() == want.encode()
+
     def test_unwritable_output_exits_io(self, capsys, tmp_path):
         code, _ = run(capsys, "scan", "--delta", "0.18",
                       "--output", str(tmp_path / "no/such/dir/x.csv"))
@@ -270,6 +301,21 @@ def test_eps_half_pi_past_first_quotient_range_exits_ok(capsys):
     vals = kv(out)
     for key in ("eps0", "eps_half_pi", "var_x", "var_y", "lhs"):
         assert math.isfinite(float(vals[key])), (key, vals[key])
+
+
+def per_value_spectrum_csv(config, omegas, phi) -> str:
+    """Reference `spectrum` CSV (branch 0), from one stacked solve formatted one
+    value at a time."""
+    params = cli.physical_from_config(parse_config(str(config)))
+    sm = spectra.build_state_space(params, model.steady_state(params)[0])
+    spec = spectra.output_spectral_matrix(sm, spectra.noise_psd(params), omegas, phi)
+    var, gain = spec.inference()
+    lines = ["omega,s11,s12,s22,inferred_variance,gain"]
+    for i, omega in enumerate(omegas.tolist()):
+        s = spec.s[i]
+        row = (omega, s[0, 0], s[0, 1], s[1, 1], var[i] / sm.gamma_c, gain[i])
+        lines.append(",".join(f"{float(v):.12g}" for v in row))
+    return "\n".join(lines) + "\n"
 
 
 class TestSpectrum:
@@ -334,6 +380,25 @@ class TestSpectrum:
         assert main(args + ["--output", str(blocked)]) == EXIT_OK
         assert blocked.read_bytes() == whole.read_bytes()
 
+    @pytest.mark.parametrize("lo, hi, points, block", [
+        (-1.6e7, 1.6e7, 41, 4096),   # negative and positive omega, one block
+        (-1.6e7, -2e6, 9, 4096),     # negative omega only
+        (-3e6, -3e6, 1, 4096),       # a 1-point axis
+        (-1.6e7, 1.6e7, 11, 4),      # three blocks: 4 + 4 + 3 rows
+    ])
+    def test_matches_per_value_formatter(self, capsys, tmp_path, monkeypatch,
+                                         realized_headline_config, lo, hi, points, block):
+        monkeypatch.setattr(cli, "SPECTRUM_BLOCK", block)
+        out_path = tmp_path / "spec.csv"
+        code, _ = run(capsys, "spectrum", "--config", str(realized_headline_config),
+                      f"--omega-min={lo!r}", f"--omega-max={hi!r}",
+                      "--points", str(points), "--phi", "0.7", "--output", str(out_path))
+        assert code == EXIT_OK
+        want = per_value_spectrum_csv(realized_headline_config,
+                                      np.linspace(lo, hi, points), 0.7)
+        assert want.count("\n") == points + 1
+        assert out_path.read_bytes() == want.encode()
+
     def test_large_axis_memory_within_per_line_cost(self, tmp_path,
                                                     realized_headline_config):
         # The per-omega loop this command replaced peaked at 310 bytes of
@@ -384,6 +449,43 @@ class TestSpectrum:
                       "--omega-min", "0", "--omega-max", "1e6",
                       "--points", "3", "--output", str(tmp_path / "s.csv"))
         assert code == EXIT_NUMERICAL
+
+
+# A stable laboratory set given by its bare detuning; the test below pushes
+# one key of it past what the steady-state cubic can hold in doubles.
+DETUNED_PHYSICAL = """\
+mass_kg = 3e-5
+cavity_length_m = 1e-3
+omega_m_rad_s = 1.1e6
+gamma_m_hz = 1e6
+omega_c_rad_s = 2e15
+detuning0 = 0.1
+gamma_c_hz = 2e6
+temperature_k = 6.4e-7
+input_power_w = 1e-3
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["steady-state"],
+    ["spectrum", "--omega-min", "0", "--omega-max", "1e6", "--points", "3"],
+    ["simulate"],
+], ids=["steady-state", "spectrum", "simulate"])
+@pytest.mark.parametrize("old, new", [
+    ("input_power_w = 1e-3", "input_power_w = 1e308"),
+    ("detuning0 = 0.1", "detuning0 = 1e300"),
+], ids=["power-1e308", "detuning0-1e300"])
+def test_overflowing_steady_state_exits_numerical(capsys, tmp_path, argv, old, new):
+    # The cubic's root is nan here (kappa overflows, or the bracket does):
+    # every command that solves it fails cleanly and prints no nan.
+    cfg = tmp_path / "over.cfg"
+    cfg.write_text(DETUNED_PHYSICAL.replace(old, new))
+    code = main([*argv, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    assert captured.out == ""
+    assert "steady-state detuning is nan" in captured.err
+    assert "Traceback" not in captured.err
 
 
 class TestSteadyState:

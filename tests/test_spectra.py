@@ -347,11 +347,14 @@ class TestParseval:
 
 
 def spectral_rows(model, levels, omegas):
-    """State PSD diagonals on a frequency grid (vectorized over omega)."""
+    """State PSD diagonals on a frequency grid, one stacked solve per block of
+    a few thousand omega (written out here, independent of `spectra`)."""
     rows = np.empty((len(omegas), 6))
     eye = np.eye(6)
-    for i, w in enumerate(omegas):
+    block = 4096
+    for start in range(0, len(omegas), block):
+        w = omegas[start:start + block, None, None]
         h = np.linalg.solve(-1j * w * eye - model.drift, model.input_map)
-        rows[i] = np.einsum("ij,j,ij->i", h, levels, h.conj()).real
+        rows[start:start + block] = np.einsum("nij,j,nij->ni", h, levels, h.conj()).real
     return rows
 
