@@ -29,7 +29,8 @@ from .model import DimensionlessParams
 # such a point is flagged as an invalid regime rather than clamped.
 EPS_FLOOR = -0.5
 
-# Relative tolerance on positive semidefiniteness of a spectral triple.
+# Relative tolerance on positive semidefiniteness of a spectral triple, here
+# and of every output spectral matrix in `spectra`.
 PSD_TOL = 1e-9
 
 

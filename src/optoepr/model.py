@@ -167,10 +167,18 @@ def input_amplitude_sq(params: PhysicalParams) -> float:
 
 def drive_kappa(params: PhysicalParams) -> float:
     """Dimensionless cubic coefficient kappa of the steady-state equation,
-    2 hbar omega_c^2 |alpha_in|^2 / (m omega_m^2 L^2 gamma_c^2)."""
-    return (2.0 * HBAR * params.omega_c ** 2 * input_amplitude_sq(params)
-            / (params.mass * params.omega_m ** 2
-               * params.cavity_length ** 2 * params.gamma_c ** 2))
+    2 hbar omega_c^2 |alpha_in|^2 / (m omega_m^2 L^2 gamma_c^2).
+
+    Raises NumericalError where a square overflows (OverflowError) or the
+    denominator underflows to 0, as gamma_c ** 2 does below ~1e-162 s^-2.
+    """
+    try:
+        return (2.0 * HBAR * params.omega_c ** 2 * input_amplitude_sq(params)
+                / (params.mass * params.omega_m ** 2
+                   * params.cavity_length ** 2 * params.gamma_c ** 2))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalError(f"drive strength kappa is outside the double range "
+                             f"({exc}) for {params}") from None
 
 
 def to_dimensionless(params: PhysicalParams, delta: float) -> DimensionlessParams:
@@ -181,10 +189,16 @@ def to_dimensionless(params: PhysicalParams, delta: float) -> DimensionlessParam
     ParameterError
         If ``delta`` breaks the detuning rule of `DimensionlessParams` (the
         reduced description is only defined for positive detuning).
+    NumericalError
+        Where a square in p_cal overflows or its denominator underflows to 0.
     """
-    p_cal = (8.0 * params.omega_0 * delta * params.input_power
-             / (params.mass * params.cavity_length ** 2 * params.omega_m ** 2
-                * params.gamma_c ** 2 * (1.0 + 4.0 * delta * delta)))
+    try:
+        p_cal = (8.0 * params.omega_0 * delta * params.input_power
+                 / (params.mass * params.cavity_length ** 2 * params.omega_m ** 2
+                    * params.gamma_c ** 2 * (1.0 + 4.0 * delta * delta)))
+    except (OverflowError, ZeroDivisionError) as exc:
+        raise NumericalError(f"p_cal is outside the double range ({exc}) "
+                             f"for {params}") from None
     t_cal = (8.0 * K_B * params.temperature * params.gamma_m * delta
              / (HBAR * params.omega_m ** 2))
     return DimensionlessParams(p_cal=p_cal, t_cal=t_cal, delta=delta)

@@ -49,9 +49,6 @@ N_STATES = 6
 N_NOISES = 5
 N_OUTPUTS = 4
 
-# Relative PSD tolerance of a returned spectral matrix.
-SPECTRAL_PSD_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -239,7 +236,7 @@ def output_spectral_matrix(model: StateSpace, noise: NoisePsd, omega,
     s = p @ s4 @ p.T
     s = 0.5 * (s + s.swapaxes(-1, -2))
     trace = s[..., 0, 0] + s[..., 1, 1]
-    bad = np.min(np.linalg.eigvalsh(s), axis=-1) < -SPECTRAL_PSD_TOL * abs(trace)
+    bad = np.min(np.linalg.eigvalsh(s), axis=-1) < -criterion.PSD_TOL * abs(trace)
     if np.any(bad):
         raise NumericalError(
             "output spectral matrix not positive semidefinite at "

@@ -1,8 +1,12 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -488,6 +492,27 @@ def test_overflowing_steady_state_exits_numerical(capsys, tmp_path, argv, old, n
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["steady-state"],
+    ["criterion", "--delta", "0.18"],
+    ["spectrum", "--omega-min", "0", "--omega-max", "1e6", "--points", "3"],
+    ["simulate"],
+], ids=["steady-state", "criterion", "spectrum", "simulate"])
+@pytest.mark.parametrize("gamma_c", ["1e-200", "1e200"])
+def test_gamma_c_square_out_of_range_exits_numerical(capsys, tmp_path, argv, gamma_c):
+    # gamma_c ** 2 underflows to 0 (a float division by zero in kappa and
+    # p_cal) or overflows (OverflowError from the square): a clean exit 2.
+    cfg = tmp_path / "gamma_c.cfg"
+    cfg.write_text(DETUNED_PHYSICAL.replace("gamma_c_hz = 2e6",
+                                            f"gamma_c_hz = {gamma_c}"))
+    code = main([*argv, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    assert captured.out == ""
+    assert "outside the double range" in captured.err
+    assert "Traceback" not in captured.err
+
+
 class TestSteadyState:
     def test_zero_power_single_root(self, capsys, tmp_path):
         cfg = tmp_path / "ss.cfg"
@@ -681,3 +706,14 @@ def test_subcommand_help_enumerates_flags(capsys):
     for flag in ("--delta", "--p-min", "--p-max", "--t-min", "--t-max",
                  "--p-res", "--t-res", "--contour", "--output", "--config"):
         assert flag in out
+
+
+def test_python_m_runs_the_cli():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-m", "optoepr", "scan", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "--delta" in proc.stdout

@@ -1,5 +1,6 @@
 """Tests for the Euler-Maruyama oracle: integrator, windows, and estimators."""
 
+import cmath
 import math
 import tracemalloc
 from dataclasses import replace
@@ -128,6 +129,27 @@ class TestBlockedKernel:
         b = integrate(model, noise, replace(wide, n_trajectories=3))
         assert max_rel_diff(a.increments[:3], b.increments) < 1e-12
         assert max_rel_diff(a.final_states[:3], b.final_states) < 1e-12
+
+    @pytest.mark.parametrize("n_traj", [1, 5])
+    @pytest.mark.parametrize("tail", ["partial", "one-step", "no-whole-piece"])
+    def test_integrate_last_piece_matches_per_step_recursion(self, headline,
+                                                             n_traj, tail):
+        # One full noise block, then a last block that ends in a shorter
+        # piece: whole pieces and 5 steps, whole pieces and one step, or
+        # 5 steps alone.
+        _, model, noise = headline
+        piece = sde._RECORD_PIECE
+        n_steps = NOISE_BLOCK + {"partial": 2 * piece + 5, "one-step": piece + 1,
+                                 "no-whole-piece": 5}[tail]
+        dt = small_cfg(model).dt
+        cfg = SimConfig(dt=dt, tau=n_steps * dt, n_segments=1,
+                        n_trajectories=n_traj, seed=29, burn_in=0.0)
+        assert sde._check_step(model, cfg)[2] == n_steps
+        x0 = np.array([0.3, -0.2, 1.0, -0.5, 0.25, 0.8])
+        res = integrate(model, noise, cfg, initial_state=x0)
+        out, x = reference_records(model, noise, cfg, x0)
+        assert max_rel_diff(res.increments, out) < 1e-12
+        assert max_rel_diff(res.final_states, x) < 1e-12
 
     def test_draw_block_is_the_per_stream_sequence(self):
         # The noise stream every kernel and reference_records rest on: block k
@@ -503,6 +525,56 @@ class TestWindowedTransform:
         inc = np.zeros((50, 4))
         with pytest.raises(ParameterError):
             windowed_transform(inc, 1e-3, 0.1)
+
+
+def reference_transform(increments, dt, tau, omega, phi):
+    """The finite-time transform one step at a time: per window,
+    (1/sqrt(tau)) sum_k exp(i omega t_k) X(phi)_k with t_k = (k + 1/2) dt."""
+    k_per = round(tau / dt)
+    c, s = math.cos(phi), math.sin(phi)
+    out = []
+    for w in range(len(increments) // k_per):
+        total = np.zeros(2, dtype=complex)
+        for k in range(k_per):
+            x1, y1, x2, y2 = increments[w * k_per + k]
+            total += cmath.exp(1j * omega * (k + 0.5) * dt) * np.array(
+                [c * x1 + s * y1, c * x2 + s * y2])
+        out.append(total / math.sqrt(k_per * dt))
+    return np.array(out)
+
+
+class TestWindowedTransformKernel:
+    @pytest.mark.parametrize("omega", [0.0, 37.0, -9.5])
+    @pytest.mark.parametrize("phi", [0.0, 0.7, math.pi / 2])
+    def test_matches_per_step_sum(self, omega, phi):
+        # Three windows of 701 steps and a ragged tail of 250, which is dropped;
+        # at omega = 37 the last step's phase is 26 rad.
+        rng = np.random.default_rng(5)
+        dt, k_per = 1e-3, 701
+        inc = rng.standard_normal((3 * k_per + 250, 4))
+        out = windowed_transform(inc, dt, k_per * dt, omega=omega, phi=phi)
+        want = reference_transform(inc, dt, k_per * dt, omega, phi)
+        assert out.shape == (3, 2)
+        if omega == 0.0:
+            assert out.dtype == np.float64
+            want = want.real
+        assert max_rel_diff(out, want) < 1e-12
+
+    @pytest.mark.parametrize("name, value", [
+        ("dt", 0.0), ("dt", -1e-3), ("dt", math.nan), ("dt", math.inf),
+        ("tau", 0.0), ("tau", -0.1), ("tau", math.nan), ("tau", math.inf),
+        ("omega", math.nan), ("omega", math.inf), ("omega", -math.inf),
+        ("phi", math.nan), ("phi", math.inf),
+    ])
+    def test_refuses_bad_inputs(self, name, value):
+        args = {"dt": 1e-3, "tau": 0.1, "omega": 5.0, "phi": 0.3, name: value}
+        with pytest.raises(ParameterError, match=name):
+            windowed_transform(np.zeros((400, 4)), **args)
+
+    def test_refuses_overflowing_window(self):
+        # tau / dt overflows to inf: no record holds such a window.
+        with pytest.raises(ParameterError, match="shorter than one window"):
+            windowed_transform(np.zeros((400, 4)), 1e-300, 1e10)
 
 
 class TestEstimators:
