@@ -41,21 +41,27 @@ matrix product per piece.
 
 `integrate`, the record of every step's outputs, draws the same stream in
 the same NOISE_BLOCK blocks and cuts each block into `_toeplitz` pieces.
-Per block, one product of the normals gives every piece's noise term on its
-end state, a short loop chains only the 6-state end states, and two products
-with the output columns, of the normals and of the pieces' start states,
-write the block's record in place.  The draws of both step-level paths are
-those of the per-step recursion, and their results equal it up to rounding.
+Per block, one product of the normals gives every piece's noise term u_p on
+its end state.  The chain x_{p+1} = x_p F^T + u_p of the 6-state end states
+is a chain of linear maps, so an inclusive doubling scan (W. D. Hillis and
+G. L. Steele, "Data parallel algorithms", CACM 29, 1986) runs it in
+log2(pieces) stacked products.  Two products with the output columns, of
+the normals and of the pieces' start states, then write the block's record
+in place.  The draws of both step-level paths are those of the per-step
+recursion, and their results equal it up to rounding.
 
-Every trajectory derives its own random stream from (seed, trajectory
-index), so reruns are bit-reproducible and a trajectory's draws do not
-depend on how trajectories are batched.
+Trajectory i of a run seeded with ``seed`` draws from child i of numpy's
+``SeedSequence(seed)``, bit for bit; `_seed_words` runs numpy's seeding
+hash for every child in one vectorized pass.  So reruns are
+bit-reproducible and a trajectory's draws do not depend on how trajectories
+are batched.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
@@ -84,12 +90,21 @@ RECORD_BUDGET_BYTES = 2**30
 # Windows per block-Toeplitz product in the window sampler.
 SUB_BLOCK = 64
 
-# Steps per piece in integrate(); divides NOISE_BLOCK.  A piece's output
-# product costs O(length) per step, the end-state chain one Python iteration
-# per piece.  At 4 trajectories x 51 626 headline steps (one BLAS thread,
-# 2-core x86, median of 30, normals ~21 ms of it) integrate() takes ~54 ms
-# at 32 steps against ~60 ms at 16 and at 64.
-_RECORD_PIECE = 32
+# Steps per piece in integrate(); divides NOISE_BLOCK.  A piece's products
+# cost O(length) per step, the end-state scan O(log2(pieces)) per piece.
+# At 4 trajectories x 51 626 headline steps (one BLAS thread, 2-core x86,
+# median of 40 interleaved runs, normals ~23 ms of it) integrate() takes
+# ~36 ms at 8 steps against ~38 ms at 4 and at 16, ~43 ms at 32 and ~52 ms
+# at 64.
+_RECORD_PIECE = 8
+
+# numpy's SeedSequence pool size and hash constants
+# (numpy/random/bit_generator.pyx), which `_seed_words` reproduces.
+_POOL_SIZE = 4
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 # Default measurement window in cavity lifetimes.  The naive choice of a few
 # tens of lifetimes leaves a 1/(Gamma tau) spectral-leakage bias on the
@@ -247,8 +262,74 @@ def _check_budget(what: str, n_traj: int, per_traj: int, advice: str) -> None:
             f"{RECORD_BUDGET_BYTES / 2**30:.0f} GiB budget; {advice}")
 
 
+def _hasher(const: int, mult: int) -> Callable:
+    """numpy's `SeedSequence` hash with its running constant: each call xors
+    a 32-bit word with the constant, advances the constant by ``mult``,
+    multiplies by it and folds the high half in.  A word is a Python int or
+    a uint32 array; every product is masked to 32 bits before it meets an
+    array, and array arithmetic wraps silently."""
+    def hash_word(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+    return hash_word
+
+
+def _mix(x, y):
+    """numpy's `SeedSequence` mix of two 32-bit words, as `_hasher`."""
+    value = ((_MIX_L * x & _MASK32) - (_MIX_R * y & _MASK32)) & _MASK32
+    return value ^ value >> 16
+
+
+def _seed_words(seed: int, n: int) -> np.ndarray:
+    """State words of the children of ``np.random.SeedSequence(seed)``.
+
+    Row i, shape (n, 4) uint64, is ``SeedSequence(seed).spawn(n)[i]
+    .generate_state(4, np.uint64)``, what PCG64 seeds itself from, computed
+    for every child in one pass of numpy's algorithm.  A child's entropy is
+    the seed's little-endian 32-bit words, zero-padded to the pool, then its
+    spawn key i, one word since n < 2**32.  Only the key differs between
+    children, so the pool is mixed on Python ints until the key enters as
+    an (n,) uint32 array.
+    """
+    seed = operator.index(seed)
+    words = [seed >> s & _MASK32 for s in range(0, seed.bit_length(), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    hash_word = _hasher(_INIT_A, _MULT_A)
+    pool = [hash_word(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hash_word(pool[src]))
+    for w in [*words[_POOL_SIZE:], np.arange(n, dtype=np.uint32)]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hash_word(w))
+    # generate_state: 8 words off the cycled pool, paired little-endian.
+    out_hash = _hasher(_INIT_B, _MULT_B)
+    state = [out_hash(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    return np.stack([lo | hi << 32 for lo, hi in zip(state[::2], state[1::2])], axis=1)
+
+
+@functools.cache
+def _given_seed() -> type:
+    """An `ISeedSequence` that hands a bit generator fixed state words.
+    Built on first use: importing the package does not load numpy.random."""
+    class GivenSeed(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words   # PCG64 asks for its 4 uint64 words
+    return GivenSeed
+
+
 def _streams(seed: int, n: int) -> list[np.random.Generator]:
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+    """The generators of ``np.random.SeedSequence(seed).spawn(n)``, one per
+    trajectory, bit for bit, without a `SeedSequence` object per child."""
+    given = _given_seed()
+    return [np.random.Generator(np.random.PCG64(given(w))) for w in _seed_words(seed, n)]
 
 
 def _draw_block(rngs: list[np.random.Generator], nb: int,
@@ -371,11 +452,14 @@ def integrate(model: StateSpace, noise: NoisePsd | None, cfg: SimConfig,
     _RECORD_PIECE steps, whose `_toeplitz` map takes a piece's start state
     and normals to its end state and every step's outputs.  Per block, one
     product with the map's end-state columns gives every piece's noise
-    term u_p, the loop x <- x F^T + u_p chains the 6-state end states, and
-    the products of the normals and of the pieces' start states with the
-    output columns are summed into the record in place.  A shorter last
-    piece takes its own single product.  The result equals the per-step
-    recursion up to rounding.
+    term u_p.  The states after 0, 1, ..., P pieces are the inclusive scan
+    of (x, u_0, ..., u_{P-1}) under x_{p+1} = x_p F^T + u_p: for
+    k = 1, 2, 4, ... < P + 1, every entry from the k-th on adds the entry k
+    before it times (F^T)^k, whose squarings are built once per call.  The
+    products of the normals and of the pieces' start states with the
+    output columns are then summed into the record in place.  A shorter
+    last piece takes its own single product.  The result equals the
+    per-step recursion up to rounding.
     """
     _, _, n_steps = _check_step(model, cfg)
     n_traj, n = cfg.n_trajectories, spectra.N_STATES
@@ -386,8 +470,11 @@ def integrate(model: StateSpace, noise: NoisePsd | None, cfg: SimConfig,
     maps = functools.partial(_toeplitz, powers, responses,
                              model.output_map * cfg.dt, model.feedthrough * sig)
     x_map, z_map = maps(_RECORD_PIECE)
-    f_t, x_out = x_map[:, :n], x_map[:, n:]
-    z_end, z_out = z_map[:, :n], z_map[:, n:]
+    x_out, z_end, z_out = x_map[:, n:], z_map[:, :n], z_map[:, n:]
+    # hops[j] = (F^T)^(2^j), the map over 2^j pieces, up to a block's count.
+    hops = [x_map[:, :n]]
+    while 2 ** len(hops) <= NOISE_BLOCK // _RECORD_PIECE:
+        hops.append(hops[-1] @ hops[-1])
     x = np.zeros((n_traj, n))
     if initial_state is not None:
         x[:] = np.asarray(initial_state, dtype=float)
@@ -398,15 +485,19 @@ def integrate(model: StateSpace, noise: NoisePsd | None, cfg: SimConfig,
         pieces, rest = divmod(z.shape[1], _RECORD_PIECE)
         full = z.shape[1] - rest
         zp = z[:, :full].reshape(n_traj, pieces, len(z_out))
-        u = zp @ z_end
-        starts = np.empty((n_traj, pieces, n))
-        for p in range(pieces):
-            starts[:, p] = x
-            x = x @ f_t + u[:, p]
+        # states[:, p] starts as piece p-1's noise term (x for p = 0); after
+        # the scan's step k it sums the last 2k of these terms carried
+        # forward, and at the end it is the state after p pieces.
+        states = np.empty((n_traj, pieces + 1, n))
+        states[:, 0] = x
+        np.matmul(zp, z_end, out=states[:, 1:])
+        for j, hop in enumerate(hops[:pieces.bit_length()]):
+            states[:, 1 << j:] += states[:, :-(1 << j)] @ hop
+        x = states[:, pieces]
         # The pieces' records, a view of out written in place.
         record = out[:, start:start + full].reshape(n_traj, pieces, x_out.shape[1])
         np.matmul(zp, z_out, out=record)
-        record += starts @ x_out
+        record += states[:, :pieces] @ x_out
         if rest:
             last_x, last_z = maps(rest)
             res = x @ last_x + z[:, full:].reshape(n_traj, -1) @ last_z
@@ -600,8 +691,8 @@ def sample_inference_variance(model: StateSpace, noise: NoisePsd | None,
 
 
 def _derived_seed(seed: int, index: int) -> int:
-    children = np.random.SeedSequence(seed).spawn(2)
-    return int(children[index].generate_state(1, dtype=np.uint64)[0])
+    """The first state word of ``SeedSequence(seed).spawn(2)[index]``."""
+    return int(_seed_words(seed, 2)[index, 0])
 
 
 def epr_product_estimate(model: StateSpace, noise: NoisePsd | None,

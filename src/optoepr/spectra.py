@@ -171,7 +171,15 @@ def state_space_matrices(mass: float, omega_m: float, gamma_m: float,
 
 
 def require_stable(drift: np.ndarray) -> np.ndarray:
-    """Eigenvalues of ``drift``; raises if any real part is non-negative."""
+    """Eigenvalues of ``drift``; raises if any real part is non-negative.
+
+    A drift with an inf or nan entry, from a parameter product outside the
+    double range, is refused with `NumericalError` before the eigensolver.
+    """
+    if not np.isfinite(drift).all():
+        raise NumericalError(
+            "drift matrix has a non-finite entry: a parameter product is "
+            "outside the double range")
     eigs = np.linalg.eigvals(drift)
     worst = eigs[np.argmax(eigs.real)]
     if worst.real >= 0.0:

@@ -513,6 +513,23 @@ def test_gamma_c_square_out_of_range_exits_numerical(capsys, tmp_path, argv, gam
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--omega-min", "0", "--omega-max", "1e6", "--points", "3"],
+    ["simulate"],
+], ids=["spectrum", "simulate"])
+def test_non_finite_drift_exits_numerical(capsys, tmp_path, argv):
+    # m omega_m^2 overflows to inf in the drift matrix: refused before the
+    # eigensolver, which would raise LinAlgError.
+    cfg = tmp_path / "heavy.cfg"
+    cfg.write_text(DETUNED_PHYSICAL.replace("mass_kg = 3e-5", "mass_kg = 1e300"))
+    code = main([*argv, "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    assert captured.out == ""
+    assert "drift matrix has a non-finite entry" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 class TestSteadyState:
     def test_zero_power_single_root(self, capsys, tmp_path):
         cfg = tmp_path / "ss.cfg"

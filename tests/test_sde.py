@@ -2,8 +2,12 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +155,34 @@ class TestBlockedKernel:
         assert max_rel_diff(res.increments, out) < 1e-12
         assert max_rel_diff(res.final_states, x) < 1e-12
 
+    @pytest.mark.parametrize("pieces", [1, 2, 3, 4])
+    def test_integrate_scan_edges_match_per_step_recursion(self, headline, pieces):
+        # A full noise block, a power-of-two piece count, then a last block
+        # of 1, 2, 3 or 4 whole pieces: the end-state doubling scan at and
+        # around its edges.  A last block with no whole piece is covered by
+        # test_integrate_last_piece_matches_per_step_recursion.
+        _, model, noise = headline
+        piece = sde._RECORD_PIECE
+        assert (NOISE_BLOCK // piece) & (NOISE_BLOCK // piece - 1) == 0
+        n_steps = NOISE_BLOCK + pieces * piece
+        dt = small_cfg(model).dt
+        cfg = SimConfig(dt=dt, tau=n_steps * dt, n_segments=1,
+                        n_trajectories=3, seed=31, burn_in=0.0)
+        x0 = np.array([0.3, -0.2, 1.0, -0.5, 0.25, 0.8])
+        res = integrate(model, noise, cfg, initial_state=x0)
+        out, x = reference_records(model, noise, cfg, x0)
+        assert max_rel_diff(res.increments, out) < 1e-12
+        assert max_rel_diff(res.final_states, x) < 1e-12
+
+    def test_integrate_final_state_bit_equal_across_batching(self, headline):
+        # The README's claim: a trajectory's final state does not depend, to
+        # the bit, on how many trajectories share its products.
+        _, model, noise = headline
+        wide = small_cfg(model, n_traj=24, n_seg=2, tau_lifetimes=120.0, seed=4)
+        a = integrate(model, noise, wide)
+        b = integrate(model, noise, replace(wide, n_trajectories=3))
+        assert a.final_states[:3].tobytes() == b.final_states.tobytes()
+
     def test_draw_block_is_the_per_stream_sequence(self):
         # The noise stream every kernel and reference_records rest on: block k
         # of trajectory n is the next standard_normal((nb, N_NOISES)) draw of
@@ -203,6 +235,50 @@ class TestBlockedKernel:
         monkeypatch.setattr(sde, "_streams", no_streams)
         with pytest.raises(ParameterError, match="budget"):
             estimate_inference_variance(model, noise, cfg, 0.0, 0.0)
+
+
+def numpy_derived_seed(seed, index):
+    """`_derived_seed` through numpy's own SeedSequence."""
+    child = np.random.SeedSequence(seed).spawn(2)[index]
+    return int(child.generate_state(1, dtype=np.uint64)[0])
+
+
+# Word-count edges of the seed (one word for 0, two from 2**32, the 64-bit
+# per-angle seeds of simulate's default seed 0, and more words than the pool).
+STREAM_SEEDS = [0, 1, 5, 2**32 - 1, 2**32, 2**64 - 1, numpy_derived_seed(0, 0),
+                numpy_derived_seed(0, 1), 2**200 + 12345]
+
+
+class TestStreams:
+    @pytest.mark.parametrize("n", [1, 2, 180, 1000])
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_streams_are_numpys(self, seed, n):
+        # Bit for bit the generators of SeedSequence(seed).spawn(n): every
+        # state, and a draw of the last stream.
+        ours = _streams(seed, n)
+        want = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+        assert len(ours) == n
+        assert [r.bit_generator.state for r in ours] == [
+            r.bit_generator.state for r in want]
+        assert ours[-1].standard_normal(7).tobytes() == want[-1].standard_normal(7).tobytes()
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_derived_seed_is_numpys(self, seed):
+        assert [sde._derived_seed(seed, i) for i in (0, 1)] == [
+            numpy_derived_seed(seed, i) for i in (0, 1)]
+
+    def test_import_does_not_load_numpy_random(self):
+        # numpy.random costs every scan and spectrum start ~5 MB; only the
+        # oracle's first stream loads it.
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        code = "import sys, optoepr; print('numpy.random' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 def window_one_step(model, noise, cfg, phi, gain):
