@@ -55,6 +55,19 @@ SPECTRUM_BLOCK = 4096
 # built from it, so a block of rows is formatted by one `%` call.
 FLOAT_FORMAT = "%.12g"
 
+# `scan` and `spectrum` build their whole CSV in memory.  A grid whose CSV
+# could pass this many bytes, at 20 per field (the widest FLOAT_FORMAT text,
+# -1.23456789012e-308, and its separator), is refused before anything is
+# allocated.
+CSV_BUDGET_BYTES = 2**30
+
+
+def _check_csv_budget(rows: int, fields: int) -> None:
+    if rows * fields * 20 > CSV_BUDGET_BYTES:
+        raise ParameterError(
+            f"{rows} rows of {fields} fields could need more than the "
+            f"{CSV_BUDGET_BYTES / 2**30:.0f} GiB CSV budget")
+
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -191,6 +204,7 @@ def cmd_criterion(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    _check_csv_budget(max(args.p_res, 0) * max(args.t_res, 0), 4)
     grid = criterion.scan((args.p_min, args.p_max), (args.t_min, args.t_max),
                           args.delta, (args.p_res, args.t_res))
     values = grid.lhs_values
@@ -243,6 +257,7 @@ def cmd_spectrum(args) -> int:
         raise ParameterError(
             f"frequency axis ({lo!r}, {hi!r}) at {n!r} points: need finite ends "
             "with omega-min < omega-max at >= 2 points, or equal ends at 1 point")
+    _check_csv_budget(n, 6)
     values = _load_config(args)
     if not values.keys() & PHYSICAL_KEYS:
         raise ParameterError("spectrum requires a physical config block")

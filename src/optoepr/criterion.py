@@ -11,8 +11,8 @@ Both inferred variances are reported in units of gamma_c, so the Heisenberg
 bound on their product is exactly 1 and a paradox is ``lhs < 1``.
 
 The module also carries the generic quadratic-gain minimizer used by the
-frequency-domain solver, dense (p_cal, t_cal) grid scans, extraction of the
-``lhs = 1`` boundary contour, and a 1-D power optimizer.
+frequency-domain solver, dense (p_cal, t_cal) grid scans and extraction of
+the ``lhs = 1`` boundary contour.
 """
 
 from __future__ import annotations
@@ -177,17 +177,6 @@ def optimal_gain(s11, s12, s22):
     return s12 / s22
 
 
-def _lhs_arrays(p: np.ndarray, t: np.ndarray,
-                delta: float) -> tuple[np.ndarray, bool]:
-    """Vectorized criterion with NaN sentinels for invalid-regime cells and
-    cells whose eps overflows, and whether every eps is finite."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        e0, eh = _epsilons(p, t, delta)
-        lhs = (1.0 + e0 / (1.0 + e0)) * (1.0 + eh / (1.0 + eh))
-    finite = bool(np.isfinite(e0).all() and np.isfinite(eh).all())
-    return np.where(e0 <= EPS_FLOOR, np.nan, lhs), finite
-
-
 def _axis(lo: float, hi: float, res: int) -> np.ndarray:
     if not (0.0 <= lo < math.inf and math.isfinite(hi)):
         raise ParameterError(f"scan range ({lo!r}, {hi!r}) must be finite, lo >= 0")
@@ -215,11 +204,14 @@ def scan(p_range: tuple[float, float], t_range: tuple[float, float],
     DimensionlessParams(0.0, 0.0, delta)   # the detuning rule
     p_axis = _axis(*map(float, p_range), res_p)
     t_axis = _axis(*map(float, t_range), res_t)
-    lhs, finite = _lhs_arrays(p_axis[np.newaxis, :], t_axis[:, np.newaxis], delta)
-    if not finite:
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        e0, eh = _epsilons(p_axis[np.newaxis, :], t_axis[:, np.newaxis], delta)
+        lhs = (1.0 + e0 / (1.0 + e0)) * (1.0 + eh / (1.0 + eh))
+    if not (np.isfinite(e0).all() and np.isfinite(eh).all()):
         raise ParameterError(
             f"closed form overflows on the scan grid at delta = {delta!r}")
-    return ScanGrid(p_axis=p_axis, t_axis=t_axis, delta=delta, lhs_values=lhs)
+    return ScanGrid(p_axis=p_axis, t_axis=t_axis, delta=delta,
+                    lhs_values=np.where(e0 <= EPS_FLOOR, np.nan, lhs))
 
 
 def _row_crossings(f: np.ndarray, x: np.ndarray, touch: bool):
@@ -248,49 +240,3 @@ def paradox_boundary(grid: ScanGrid) -> np.ndarray:
     cols, t = _row_crossings(f.T, grid.t_axis, touch=False)
     return np.concatenate([np.column_stack([p, grid.t_axis[rows]]),
                            np.column_stack([grid.p_axis[cols], t])])
-
-
-def best_power(t_cal: float, delta: float) -> tuple[float, float]:
-    """Minimize lhs over p_cal in (0, 10] at fixed (t_cal, delta).
-
-    A coarse grid brackets the global minimum, then golden-section search
-    refines it to absolute tolerance 1e-6 in p_cal.  Returns
-    (p_star, lhs_star).  Bracket points where the closed form overflows
-    count as invalid, and a bracket with no valid point is refused.
-    """
-    DimensionlessParams(0.0, t_cal, delta)   # validates t_cal and delta
-    p_max, tol = 10.0, 1e-6
-
-    def lhs_at(p: float) -> float:
-        return float(_lhs_arrays(np.array(p), np.array(t_cal), delta)[0])
-
-    # Bracket the global minimum on a linear grid plus a geometric tail: with
-    # no paradox window the infimum sits at the p -> 0 edge, where the
-    # landscape varies on scales far below p_max.
-    n = 512
-    lin = np.linspace(p_max / n, p_max, n)
-    geo = np.geomspace(p_max * 1e-10, p_max / n, 65)[:-1]
-    ps = np.concatenate([geo, lin])
-    vals, _ = _lhs_arrays(ps, np.full_like(ps, t_cal), delta)
-    if np.isnan(vals).all():
-        raise ParameterError(f"no valid p_cal at t_cal = {t_cal!r}, delta = {delta!r}")
-    k = int(np.nanargmin(vals))
-    lo = ps[k - 1] if k > 0 else 0.5 * ps[0]
-    hi = ps[k + 1] if k < len(ps) - 1 else p_max
-
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = lhs_at(c), lhs_at(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = lhs_at(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = lhs_at(d)
-    p_star = 0.5 * (a + b)
-    return p_star, lhs_at(p_star)

@@ -19,36 +19,31 @@ two systematics: the spectral-leakage edge term, about 11/(gamma_c tau)
 relative at phi = 0 at the headline point, and the dt discretization, whose
 phi = 0 bias is first order in dt.
 
-Two estimators sample that same chain, with the same dt and burn-in, and so
-the same distribution of window sums.  Both start from `_window_step`, the
-one-step map y' = F y + G z of the augmented state y = (x, s), the state
-and its carrier window sum, with F = [[S, 0], [c^T, 1]], S = I + dt A, and
-G = [B sig; q^T], driven by unit normals z; and both run through `_chain`,
-the one loop that draws each trajectory's stream in blocks and chains one
-matrix product per piece.
+One kernel, `_propagate`, runs every chain here: a linear chain
+x' = S x + B z driven by unit normals z, with outputs C x + D z.  It works
+in blocks of matrix products over pieces of a few steps and chains the
+pieces' end states by a doubling scan (W. D. Hillis and G. L. Steele, "Data
+parallel algorithms", CACM 29, 1986); its results equal the per-step
+recursion on the same draws up to rounding.  Three paths drive it:
 
+- `integrate`, the record of every step's outputs: the Euler-Maruyama step
+  (S, B) = (I + dt A, B sig) with outputs (C dt, D sig).
+- `estimate_inference_variance`, the step-level reference.  `_window_step`
+  gives the one-step map y' = F y + G z of the augmented state y = (x, s),
+  the state and its carrier window sum, with F = [[S, 0], [c^T, 1]] and
+  G = [B sig; q^T].  Its state rows are the chain and its window-sum row
+  the output, so each step's output is its term of the window sum.
 - `sample_inference_variance`, the production path behind
   `epr_product_estimate`.  Binary powering of the Gaussian map (F, G G^T)
   composes the burn-in and one window exactly (the discrete form of C. F.
   Van Loan, "Computing integrals involving the matrix exponential", IEEE
-  TAC 23, 1978), so a trajectory draws 6 normals for its burn-in and 7 per
-  window, whatever the step count, and `_chain` runs the windows as steps.
-- `estimate_inference_variance`, the step-level reference.  The impulse
-  response of (F, G), the powers F^m and the noise responses F^m G, gives
-  any piece of steps as one matrix product of its start state and its
-  Wiener increments; `_chain` cuts the pieces at the burn-in and window
-  edges.
+  TAC 23, 1978).  From window to window the chain is again linear, with the
+  window map as its step and the window sum as its output, so a trajectory
+  draws 6 normals for its burn-in and 7 per window, whatever the step
+  count.
 
-`integrate`, the record of every step's outputs, draws the same stream in
-the same NOISE_BLOCK blocks and cuts each block into `_toeplitz` pieces.
-Per block, one product of the normals gives every piece's noise term u_p on
-its end state.  The chain x_{p+1} = x_p F^T + u_p of the 6-state end states
-is a chain of linear maps, so an inclusive doubling scan (W. D. Hillis and
-G. L. Steele, "Data parallel algorithms", CACM 29, 1986) runs it in
-log2(pieces) stacked products.  Two products with the output columns, of
-the normals and of the pieces' start states, then write the block's record
-in place.  The draws of both step-level paths are those of the per-step
-recursion, and their results equal it up to rounding.
+Both estimators sample the same chain, with the same dt and burn-in, and so
+the same distribution of window sums.
 
 Trajectory i of a run seeded with ``seed`` draws from child i of numpy's
 ``SeedSequence(seed)``, bit for bit; `_seed_words` runs numpy's seeding
@@ -87,10 +82,7 @@ DT_LIMIT = 0.1
 # allocation.
 RECORD_BUDGET_BYTES = 2**30
 
-# Windows per block-Toeplitz product in the window sampler.
-SUB_BLOCK = 64
-
-# Steps per piece in integrate(); divides NOISE_BLOCK.  A piece's products
+# Steps per piece in `_propagate`; divides NOISE_BLOCK.  A piece's products
 # cost O(length) per step, the end-state scan O(log2(pieces)) per piece.
 # At 4 trajectories x 51 626 headline steps (one BLAS thread, 2-core x86,
 # median of 40 interleaved runs, normals ~23 ms of it) integrate() takes
@@ -389,33 +381,6 @@ def _impulse_response(step: np.ndarray, b_sig: np.ndarray,
     return powers, powers[:length] @ b_sig
 
 
-def _chain(rngs: list[np.random.Generator], x: np.ndarray, n_steps: int,
-           maps: Callable[[int], tuple[np.ndarray, np.ndarray]], offset: int,
-           period: int, width: int) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Run a chain over n_steps from the start states x (n, 6), piece by piece.
-
-    Draws ``width`` unit normals per step from each trajectory's stream in
-    ``rngs``, in NOISE_BLOCK blocks, freeing each block before the next
-    draw, and cuts every block at its edges, at step ``offset`` and every
-    ``period`` steps after it.  ``maps(L)`` gives the (x_map, z_map) of an
-    L-step piece, which takes the start states and the piece's normals
-    flattened step-major to z (n, width L) to the product
-    ``x @ x_map + z @ z_map``, whose first 6 columns are the end states.
-    Yields (first step, end step, product) per piece.
-    """
-    for start in range(0, n_steps, NOISE_BLOCK):
-        z = _draw_block(rngs, min(NOISE_BLOCK, n_steps - start), width)
-        a, end = start, start + z.shape[1]
-        while a < end:
-            b = min(end, offset if a < offset else a + period - (a - offset) % period)
-            x_map, z_map = maps(b - a)
-            res = x @ x_map + z[:, a - start:b - start].reshape(len(x), -1) @ z_map
-            x = res[:, :spectra.N_STATES]
-            yield a, b, res
-            a = b
-        del z   # free the block before the next draw, the memory peak
-
-
 def _toeplitz(powers: np.ndarray, responses: np.ndarray, out_map: np.ndarray,
               feed: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
     """(x_map, z_map) of a piece of ``length`` steps of a chain with outputs
@@ -437,6 +402,73 @@ def _toeplitz(powers: np.ndarray, responses: np.ndarray, out_map: np.ndarray,
             np.concatenate([z_end, z_out], axis=1))
 
 
+def _propagate(rngs: list[np.random.Generator], x: np.ndarray, n_steps: int,
+               step: np.ndarray, b: np.ndarray, out_map: np.ndarray,
+               feed: np.ndarray, record: np.ndarray | None = None
+               ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Run the chain x' = S x + B z with outputs C x + D z over n_steps steps
+    from the start states x (n_traj, n); ``step`` is S, ``b`` B, ``out_map``
+    C and ``feed`` D.
+
+    Draws B.shape[1] unit normals per step from each trajectory's stream in
+    ``rngs``, in NOISE_BLOCK blocks, freeing each block before the next
+    draw.  Each block is cut into _RECORD_PIECE-step pieces, whose
+    `_toeplitz` map takes a piece's start state and normals to its end
+    state and every step's outputs.  Per block, one product with the map's
+    end-state columns gives every piece's noise term u_p.  The states after
+    0, 1, ..., P pieces are the inclusive scan of (x, u_0, ..., u_{P-1})
+    under x_{p+1} = x_p (S^T)^L + u_p, for L-step pieces: for
+    k = 1, 2, 4, ... < P + 1, every entry from the k-th on adds the entry k
+    before it times (S^T)^(kL), whose squarings are built once, when a
+    block's piece count first needs them.  The products of the normals and
+    of the pieces' start states with the output columns are then summed
+    into the block's outputs in place.  A shorter last piece takes its own
+    single product.
+
+    The outputs are written into ``record`` (n_traj, n_steps, n_out) when
+    given, else into a one-block buffer that the next block overwrites.
+    Yields (first step, the block's outputs, the end states) per block.
+    """
+    n_traj, n = x.shape
+    maps = functools.cache(functools.partial(
+        _toeplitz, *_impulse_response(step, b, _RECORD_PIECE), out_map, feed))
+    hops = []   # hops[j] = (S^T)^(L 2^j), the map over 2^j pieces
+    if record is None:
+        buffer = np.empty((n_traj, min(NOISE_BLOCK, n_steps), len(feed)))
+    for start in range(0, n_steps, NOISE_BLOCK):
+        z = _draw_block(rngs, min(NOISE_BLOCK, n_steps - start), b.shape[1])
+        nb = z.shape[1]
+        out = buffer[:, :nb] if record is None else record[:, start:start + nb]
+        pieces, rest = divmod(nb, _RECORD_PIECE)
+        full = nb - rest
+        if pieces:
+            x_map, z_map = maps(_RECORD_PIECE)
+            while len(hops) < pieces.bit_length():
+                hops.append(hops[-1] @ hops[-1] if hops else x_map[:, :n])
+            zp = z[:, :full].reshape(n_traj, pieces, -1)
+            # states[:, p] starts as piece p-1's noise term (x for p = 0);
+            # after the scan's step k it sums the last 2k of these terms
+            # carried forward, and at the end it is the state after p pieces.
+            states = np.empty((n_traj, pieces + 1, n))
+            states[:, 0] = x
+            np.matmul(zp, z_map[:, :n], out=states[:, 1:])
+            for j, hop in enumerate(hops[:pieces.bit_length()]):
+                states[:, 1 << j:] += states[:, :-(1 << j)] @ hop
+            x = states[:, pieces]
+            # The pieces' outputs, a view of out written in place.
+            piece_out = out[:, :full].reshape(n_traj, pieces, -1)
+            np.matmul(zp, z_map[:, n:], out=piece_out)
+            piece_out += states[:, :pieces] @ x_map[:, n:]
+            del zp
+        if rest:
+            last_x, last_z = maps(rest)
+            res = x @ last_x + z[:, full:].reshape(n_traj, -1) @ last_z
+            out[:, full:] = res[:, n:].reshape(n_traj, rest, -1)
+            x = res[:, :n]
+        del z   # free the block before the next draw, the memory peak
+        yield start, out, x
+
+
 def integrate(model: StateSpace, noise: NoisePsd | None, cfg: SimConfig,
               initial_state: np.ndarray | None = None) -> SimulationRecords:
     """Euler-Maruyama trajectories with pathwise output records.
@@ -448,62 +480,23 @@ def integrate(model: StateSpace, noise: NoisePsd | None, cfg: SimConfig,
     refused before anything is allocated; use the streaming estimators for
     production window counts.
 
-    Each NOISE_BLOCK block of Wiener increments is cut into pieces of
-    _RECORD_PIECE steps, whose `_toeplitz` map takes a piece's start state
-    and normals to its end state and every step's outputs.  Per block, one
-    product with the map's end-state columns gives every piece's noise
-    term u_p.  The states after 0, 1, ..., P pieces are the inclusive scan
-    of (x, u_0, ..., u_{P-1}) under x_{p+1} = x_p F^T + u_p: for
-    k = 1, 2, 4, ... < P + 1, every entry from the k-th on adds the entry k
-    before it times (F^T)^k, whose squarings are built once per call.  The
-    products of the normals and of the pieces' start states with the
-    output columns are then summed into the record in place.  A shorter
-    last piece takes its own single product.  The result equals the
-    per-step recursion up to rounding.
+    `_propagate` runs the step chain x' = S x + (B sig) z with outputs
+    (C dt) x + (D sig) z and writes every block's outputs into the record
+    in place.  The result equals the per-step recursion up to rounding.
     """
     _, _, n_steps = _check_step(model, cfg)
-    n_traj, n = cfg.n_trajectories, spectra.N_STATES
+    n_traj = cfg.n_trajectories
     _check_budget("record", n_traj, n_steps * spectra.N_OUTPUTS,
                   "use the streaming estimators")
     step, b_sig, sig = _step(model, noise, cfg.dt)
-    powers, responses = _impulse_response(step, b_sig, _RECORD_PIECE)
-    maps = functools.partial(_toeplitz, powers, responses,
-                             model.output_map * cfg.dt, model.feedthrough * sig)
-    x_map, z_map = maps(_RECORD_PIECE)
-    x_out, z_end, z_out = x_map[:, n:], z_map[:, :n], z_map[:, n:]
-    # hops[j] = (F^T)^(2^j), the map over 2^j pieces, up to a block's count.
-    hops = [x_map[:, :n]]
-    while 2 ** len(hops) <= NOISE_BLOCK // _RECORD_PIECE:
-        hops.append(hops[-1] @ hops[-1])
-    x = np.zeros((n_traj, n))
+    x = np.zeros((n_traj, spectra.N_STATES))
     if initial_state is not None:
         x[:] = np.asarray(initial_state, dtype=float)
     out = np.empty((n_traj, n_steps, spectra.N_OUTPUTS))
-    rngs = _streams(cfg.seed, n_traj)
-    for start in range(0, n_steps, NOISE_BLOCK):
-        z = _draw_block(rngs, min(NOISE_BLOCK, n_steps - start))
-        pieces, rest = divmod(z.shape[1], _RECORD_PIECE)
-        full = z.shape[1] - rest
-        zp = z[:, :full].reshape(n_traj, pieces, len(z_out))
-        # states[:, p] starts as piece p-1's noise term (x for p = 0); after
-        # the scan's step k it sums the last 2k of these terms carried
-        # forward, and at the end it is the state after p pieces.
-        states = np.empty((n_traj, pieces + 1, n))
-        states[:, 0] = x
-        np.matmul(zp, z_end, out=states[:, 1:])
-        for j, hop in enumerate(hops[:pieces.bit_length()]):
-            states[:, 1 << j:] += states[:, :-(1 << j)] @ hop
-        x = states[:, pieces]
-        # The pieces' records, a view of out written in place.
-        record = out[:, start:start + full].reshape(n_traj, pieces, x_out.shape[1])
-        np.matmul(zp, z_out, out=record)
-        record += states[:, :pieces] @ x_out
-        if rest:
-            last_x, last_z = maps(rest)
-            res = x @ last_x + z[:, full:].reshape(n_traj, -1) @ last_z
-            out[:, start + full:start + z.shape[1]] = res[:, n:].reshape(n_traj, rest, -1)
-            x = res[:, :n]
-        del z, zp   # free the block before the next draw, the memory peak
+    for _, _, x in _propagate(_streams(cfg.seed, n_traj), x, n_steps, step, b_sig,
+                              model.output_map * cfg.dt, model.feedthrough * sig,
+                              out):
+        pass
     return SimulationRecords(increments=out, final_states=x)
 
 
@@ -573,10 +566,11 @@ def estimate_inference_variance(model: StateSpace, noise: NoisePsd | None,
                                 gain: float) -> Estimate:
     """Monte Carlo estimate of Var[X1(phi,0) - gain * X2(phi,0)], gamma_c units.
 
-    The step-level reference: runs every Euler-Maruyama step through `_chain`
-    and streams the window sums instead of materializing records, so memory
-    is O(n_trajectories) and time O(n_trajectories * steps); plans whose
-    draws exceed RECORD_BUDGET_BYTES are refused before any stream is
+    The step-level reference: runs every Euler-Maruyama step through
+    `_propagate`, whose per-step output is the step's term of the window
+    sum, and streams the window sums instead of materializing records, so
+    memory is O(n_trajectories) and time O(n_trajectories * steps); plans
+    whose draws exceed RECORD_BUDGET_BYTES are refused before any stream is
     spawned.  The transform has zero mean by construction and the uncentred
     second moment over all windows is the variance estimator; the standard
     error is the jackknife (equivalently the standard error of the
@@ -587,30 +581,23 @@ def estimate_inference_variance(model: StateSpace, noise: NoisePsd | None,
     n_traj = cfg.n_trajectories
     _check_budget("step draws", n_traj, n_steps * spectra.N_NOISES,
                   "use fewer trajectories or segments")
-    block = min(NOISE_BLOCK, n_steps)
-    powers, responses = _impulse_response(
-        *_window_step(model, noise, cfg.dt, phi, gain), block)
-    # A piece of L steps takes its start states x and normals z to the end
-    # state and the piece's window sum as x @ x_maps[L] + z @ z_map[-5L:];
-    # the rows of z_map run over the lag m = block-1 ... 0 of a step from
-    # the piece's end, holding (F^m G)^T.
-    x_maps = np.ascontiguousarray(powers[:, :, :spectra.N_STATES].transpose(0, 2, 1))
-    z_map = np.ascontiguousarray(responses[::-1].transpose(0, 2, 1)).reshape(
-        block * spectra.N_NOISES, -1)
-
-    def maps(length):
-        return x_maps[length], z_map[(block - length) * spectra.N_NOISES:]
-
+    f_one, g_one = _window_step(model, noise, cfg.dt, phi, gain)
+    n = spectra.N_STATES
     wsum = np.zeros(n_traj)
     sum_sq = np.zeros(n_traj)
-    x = np.zeros((n_traj, spectra.N_STATES))
-    for a, b, res in _chain(_streams(cfg.seed, n_traj), x, n_steps, maps,
-                            burn_steps, window_steps, spectra.N_NOISES):
-        if a >= burn_steps:
-            wsum += res[:, spectra.N_STATES]
+    # Each step's output is its contribution to the window sum; a block's
+    # outputs are summed window by window from the end of the burn-in.
+    for start, out, _ in _propagate(_streams(cfg.seed, n_traj), np.zeros((n_traj, n)),
+                                    n_steps, f_one[:n, :n], g_one[:n], f_one[n:, :n],
+                                    g_one[n:]):
+        a, end = max(start, burn_steps), start + out.shape[1]
+        while a < end:
+            b = min(end, a + window_steps - (a - burn_steps) % window_steps)
+            wsum += out[:, a - start:b - start, 0].sum(axis=1)
             if (b - burn_steps) % window_steps == 0:
                 sum_sq += wsum * wsum
                 wsum[:] = 0.0
+            a = b
     return _estimate(sum_sq, cfg, window_steps, model.gamma_c)
 
 
@@ -660,11 +647,11 @@ def sample_inference_variance(model: StateSpace, noise: NoisePsd | None,
     window, exactly: binary powering of `_window_step`'s one-step map
     (F, G G^T) gives the burn-in and window maps.  Each trajectory's own
     stream gives 6 normals for the burn-in from x = 0, then 7 per window;
-    the windows run through `_chain` in `_toeplitz` pieces of SUB_BLOCK
-    windows.  Time is O(n_trajectories * n_segments) whatever the step
-    count, memory O(n_trajectories), and plans whose draws exceed
-    RECORD_BUDGET_BYTES are refused before any stream is spawned.  The
-    distribution is the step chain's (same dt, same burn-in), the draws are
+    the windows run through `_propagate` as the steps of the window chain,
+    whose output is the window sum.  Time is O(n_trajectories * n_segments)
+    whatever the step count, memory O(n_trajectories), and plans whose
+    draws exceed RECORD_BUDGET_BYTES are refused before any stream is
+    spawned.  The distribution is the step chain's (same dt, same burn-in), the draws are
     not, and the estimate and its jackknife error are formed the same way.
     """
     burn_steps, window_steps, _ = _check_plan(model, cfg)
@@ -679,14 +666,12 @@ def sample_inference_variance(model: StateSpace, noise: NoisePsd | None,
     # s = 0) and [B; D] the factor of its covariance.
     f_win, q_win = _power(one, window_steps)
     l_win = _factor(q_win)
-    powers, responses = _impulse_response(f_win[:n, :n], l_win[:n], SUB_BLOCK)
-    maps = functools.cache(functools.partial(_toeplitz, powers, responses,
-                                             f_win[n:, :n], l_win[n:]))
     rngs = _streams(cfg.seed, n_traj)
     x = _draw_block(rngs, 1, n)[:, 0] @ burn.T
     sum_sq = np.zeros(n_traj)
-    for _, _, res in _chain(rngs, x, n_seg, maps, 0, SUB_BLOCK, n + 1):
-        sum_sq += np.einsum("ij,ij->i", res[:, n:], res[:, n:])
+    for _, out, _ in _propagate(rngs, x, n_seg, f_win[:n, :n], l_win[:n],
+                                f_win[n:, :n], l_win[n:]):
+        sum_sq += np.einsum("ij,ij->i", out[..., 0], out[..., 0])
     return _estimate(sum_sq, cfg, window_steps, model.gamma_c)
 
 

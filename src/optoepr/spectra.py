@@ -43,7 +43,7 @@ from . import criterion
 from .constants import HBAR, K_B
 from .errors import InstabilityError, NumericalError, ParameterError
 from .model import (DimensionlessParams, PhysicalParams, SteadyState,
-                    couplings, drive_kappa, steady_state, to_dimensionless)
+                    couplings, drive_kappa, steady_state)
 
 N_STATES = 6
 N_NOISES = 5
@@ -354,22 +354,3 @@ def realize_dimensionless(dp: DimensionlessParams) -> tuple[PhysicalParams, Stea
         gamma_m *= 2.0
     raise InstabilityError(
         f"could not stabilize a realization of {dp!r} by raising gamma_m")
-
-
-def closed_form_check(params: PhysicalParams, ss: SteadyState,
-                      phi: float) -> tuple[float, float]:
-    """(state-space variance, closed-form variance) at omega = 0, gamma_c units.
-
-    Convenience pairing of the two independent routes used throughout the
-    test-suite: the full spectral solve and the reduced-parameter formula.
-    """
-    model = build_state_space(params, ss)
-    noise = noise_psd(params)
-    var_ss, _ = inferred_variance_at(model, noise, 0.0, phi)
-    dp = to_dimensionless(params, ss.delta)
-    eps = (criterion.epsilon_zero(dp) if phi == 0.0
-           else criterion.epsilon_half_pi(dp) if phi == math.pi / 2
-           else None)
-    if eps is None:
-        raise ParameterError("closed form is only available at phi = 0 or pi/2")
-    return var_ss, criterion.inferred_variance(eps)

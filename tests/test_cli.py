@@ -274,6 +274,30 @@ class TestScan:
         assert not grid.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--omega-min", "0", "--omega-max", "4e6", "--points", "100000000000000"],
+    ["scan", "--delta", "0.18", "--p-res", "10000000", "--t-res", "10000000"],
+])
+def test_oversized_grid_refused_before_allocating(capsys, tmp_path, argv):
+    # A grid far past the CSV budget exits 1 with one line, writes no file
+    # and allocates nothing of its size.
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text(TEXTBOOK_PHYSICAL.replace("input_power_w  = 0.03",
+                                          "input_power_w  = 0"))
+    out_path = tmp_path / "out.csv"
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--config", str(cfg), "--output", str(out_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG
+    assert err.count("\n") == 1 and "budget" in err
+    assert not out_path.exists()
+    assert peak < 2**20
+
+
 @pytest.mark.parametrize("argv", [["criterion", "--p", "0.1", "--t", "0.1"], ["scan"]])
 def test_subnormal_detuning_square_exits_config(capsys, tmp_path, argv):
     out_path = tmp_path / "out.csv"

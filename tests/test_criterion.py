@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from optoepr import (DimensionlessParams, InvalidRegimeError, ParameterError,
-                     best_power, epr_lhs, epsilon_half_pi, epsilon_zero,
-                     inferred_variance, optimal_gain, optimal_gains,
-                     paradox_boundary, scan)
+                     epr_lhs, epsilon_half_pi, epsilon_zero, inferred_variance,
+                     optimal_gain, optimal_gains, paradox_boundary, scan)
 
 from conftest import HEADLINE, random_dimensionless
 
@@ -214,8 +213,6 @@ class TestScan:
     def test_rejects_subnormal_detuning_square(self):
         with pytest.raises(ParameterError):
             scan((0.0, 1.0), (0.0, 1.0), 1e-170, 10)
-        with pytest.raises(ParameterError):
-            best_power(0.1, 1e-170)
 
 
 OVERFLOWING = [DimensionlessParams(0.1, 1e308, 0.18),
@@ -235,11 +232,6 @@ def test_scan_and_best_power_refuse_overflowing_closed_form():
         scan((0.0, 1.0), (0.0, 1.0), 1e200, 10)
     with pytest.raises(ParameterError, match="overflows"):
         scan((0.0, 1e200), (0.0, 1.0), 0.18, 10)
-    # eps(pi/2) overflows at every bracket point, p_cal = 1e-9 included.
-    # (At delta = 0.18 it overflows only for 0.052 < p_cal < 1.53, and a
-    # point is found.)
-    with pytest.raises(ParameterError, match="no valid p_cal"):
-        best_power(1e308, 1e-5)
 
 
 def test_eps_half_pi_reordered_only_where_first_quotient_overflows():
@@ -260,14 +252,6 @@ def test_eps_half_pi_reordered_only_where_first_quotient_overflows():
     eh = epsilon_half_pi(dp)
     assert type(eh) is float
     assert eh == (d2 + dp.p_cal + 0.25 * dp.t_cal) / (2.0 * d2) * dp.p_cal / denom
-
-
-def test_best_power_valid_where_first_quotient_overflows():
-    p_star, lhs_star = best_power(1e306, 1e-3)
-    assert 0.0 < p_star <= 10.0
-    assert math.isfinite(lhs_star)
-    assert lhs_star == pytest.approx(
-        epr_lhs(DimensionlessParams(float(p_star), 1e306, 1e-3)).lhs, rel=1e-12)
 
 
 def reference_boundary(grid):
@@ -379,24 +363,3 @@ class TestParadoxBoundary:
         for p, t in pts_c:
             d = np.sqrt(((pts_f - [p, t]) ** 2).sum(axis=1)).min()
             assert d < cell
-
-
-class TestBestPower:
-    def test_beats_headline_point(self):
-        p_star, lhs_star = best_power(0.1, 0.18)
-        assert lhs_star < 0.703
-        assert 0.0 < p_star <= 10.0
-
-    def test_no_paradox_at_unit_temperature(self):
-        _, lhs_star = best_power(1.0, 0.18)
-        assert lhs_star >= 1.0
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(19)
-        ps = np.linspace(1e-3, 10.0, 10_000)
-        for _ in range(25):
-            t = float(rng.uniform(0.0, 1.2))
-            delta = float(rng.uniform(0.05, 0.8))
-            _, lhs_star = best_power(t, delta)
-            brute = min(epr_lhs(DimensionlessParams(p, t, delta)).lhs for p in ps)
-            assert lhs_star <= brute + 1e-6

@@ -1,7 +1,8 @@
 """The four routes stay independent: which package modules each may import.
 
 Read from the import statements of each module's source, so a violation
-fails here even where no test exercises the import.
+fails here even where no test exercises the import.  The same reader pins
+where `sde` draws its noise, so that one kernel runs every chain.
 """
 
 import ast
@@ -46,3 +47,21 @@ def test_reader_sees_known_imports():
 @pytest.mark.parametrize("module", sorted(FORBIDDEN))
 def test_route_layers(module):
     assert not package_imports(module) & FORBIDDEN[module]
+
+
+def callers(module: str, name: str) -> list[str]:
+    """The top-level function or class of ``optoepr.<module>`` around each
+    call of ``name``, once per call; "<module>" for a call outside them."""
+    found = []
+    for top in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
+        found += [getattr(top, "name", "<module>") for node in ast.walk(top)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Name) and node.func.id == name]
+    return found
+
+
+def test_one_noise_loop_in_sde():
+    # Every chain runs through the kernel's block loop; the only other draw
+    # is the window sampler's 6 burn-in normals per trajectory.
+    assert sorted(callers("sde", "_draw_block")) == [
+        "_propagate", "sample_inference_variance"]

@@ -98,6 +98,18 @@ def edge_cfg(headline):
     return cfg
 
 
+@pytest.fixture(scope="module")
+def long_burn_cfg(headline):
+    # A burn-in longer than a noise block, so the first block closes no window
+    # and the second ends the burn-in.
+    _, model, _ = headline
+    cfg = small_cfg(model, n_traj=3, n_seg=3, tau_lifetimes=150.0, seed=19)
+    burn_steps = sde._check_step(model, cfg)[0] + NOISE_BLOCK
+    cfg = replace(cfg, burn_in=burn_steps * cfg.dt)
+    assert sde._check_step(model, cfg)[0] == burn_steps
+    return cfg
+
+
 class TestBlockedKernel:
     def test_integrate_matches_per_step_recursion(self, headline, ragged_cfg):
         _, model, noise = headline
@@ -107,7 +119,7 @@ class TestBlockedKernel:
         assert max_rel_diff(res.increments, out) < 1e-12
         assert max_rel_diff(res.final_states, x) < 1e-12
 
-    @pytest.mark.parametrize("plan", ["ragged_cfg", "edge_cfg"])
+    @pytest.mark.parametrize("plan", ["ragged_cfg", "edge_cfg", "long_burn_cfg"])
     def test_estimator_matches_per_step_recursion(self, headline, plan, request):
         params, model, noise = headline
         cfg, phi, gain = request.getfixturevalue(plan), 0.7, -0.3
@@ -310,17 +322,20 @@ def reference_window_sums(model, noise, cfg, phi, gain):
 class TestWindowSampler:
     def test_matches_window_by_window_recursion(self, headline):
         # Windows of 10 lifetimes stay correlated (the window map keeps
-        # ~0.1 of the state), and 70 windows span a full and a partial
-        # product, so the state carried between products is exercised.
+        # ~0.1 of the state).  70 windows span whole pieces and a shorter
+        # last one, so the state carried between pieces is exercised; then
+        # the kernel's edges: one window (no whole piece), one whole piece,
+        # and a full noise block followed by a block of one window.
         params, model, noise = headline
-        cfg = small_cfg(model, n_traj=3, n_seg=70, tau_lifetimes=10.0, seed=23)
         phi, gain = 0.7, -0.3
-        est = sample_inference_variance(model, noise, cfg, phi, gain)
-        per_traj = reference_window_sums(model, noise, cfg, phi, gain) / (
-            cfg.n_segments * round(cfg.tau / cfg.dt) * cfg.dt * params.gamma_c)
-        assert est.mean == pytest.approx(per_traj.mean(), rel=1e-12)
-        assert est.std_err == pytest.approx(
-            per_traj.std(ddof=1) / math.sqrt(cfg.n_trajectories), rel=1e-12)
+        for n_seg in (70, 1, sde._RECORD_PIECE, NOISE_BLOCK + 1):
+            cfg = small_cfg(model, n_traj=3, n_seg=n_seg, tau_lifetimes=10.0, seed=23)
+            est = sample_inference_variance(model, noise, cfg, phi, gain)
+            per_traj = reference_window_sums(model, noise, cfg, phi, gain) / (
+                cfg.n_segments * round(cfg.tau / cfg.dt) * cfg.dt * params.gamma_c)
+            assert est.mean == pytest.approx(per_traj.mean(), rel=1e-12)
+            assert est.std_err == pytest.approx(
+                per_traj.std(ddof=1) / math.sqrt(cfg.n_trajectories), rel=1e-12)
 
     def test_doubling_matches_step_by_step_composition(self, headline):
         # 37 = 100101b: a ragged count takes both the square and the multiply.
@@ -366,8 +381,8 @@ class TestWindowSampler:
                 window.std_err, steps.std_err)
 
     def test_draws_pinned(self, headline):
-        # 9000 windows span three noise blocks of `_chain`; any change in the
-        # draws or their order moves these values, BLAS rounding does not.
+        # 9000 windows span three noise blocks of `_propagate`; any change in
+        # the draws or their order moves these values, BLAS rounding does not.
         _, model, noise = headline
         cfg = small_cfg(model, n_traj=5, n_seg=9000, tau_lifetimes=10.0, seed=2)
         est = sample_inference_variance(model, noise, cfg, 0.7, -0.3)
@@ -376,7 +391,7 @@ class TestWindowSampler:
         assert est.n_samples == 5 * 9000
 
     def test_memory_independent_of_segments(self, headline):
-        # The windows' draws stream through `_chain` one noise block at a
+        # The windows' draws stream through `_propagate` one noise block at a
         # time; 200 000 windows held at once would take 21 MiB.
         _, model, noise = headline
         cfg = small_cfg(model, n_traj=2, n_seg=200_000, tau_lifetimes=10.0)

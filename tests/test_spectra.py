@@ -15,14 +15,26 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from optoepr import (DimensionlessParams, InstabilityError, K_B, NoisePsd,
                      NumericalError, build_state_space, commutator_norm_check, epr_lhs,
+                     epsilon_half_pi, epsilon_zero, inferred_variance,
                      inferred_variance_at, noise_psd, output_spectral_matrix,
                      realize_dimensionless, require_stable,
                      state_space_matrices, steady_state,
                      to_dimensionless)
 from optoepr.constants import HBAR
-from optoepr.spectra import closed_form_check
 
 from conftest import HEADLINE, random_dimensionless
+
+
+def closed_form_check(params, ss, phi):
+    """(state-space variance, closed-form variance) at omega = 0, gamma_c
+    units, at phi = 0 or pi/2: the full spectral solve and the
+    reduced-parameter formula, the two independent routes side by side."""
+    model = build_state_space(params, ss)
+    var_ss, _ = inferred_variance_at(model, noise_psd(params), 0.0, phi)
+    dp = to_dimensionless(params, ss.delta)
+    eps = {0.0: epsilon_zero, math.pi / 2: epsilon_half_pi}[phi](dp)
+    return var_ss, inferred_variance(eps)
+
 
 # 0, or 10^U(-12, 6): the reduced power and temperature of the property test.
 ZERO_OR_LOG = st.one_of(st.just(0.0), st.floats(-12.0, 6.0).map(lambda e: 10.0 ** e))
