@@ -33,6 +33,11 @@ EPS_FLOOR = -0.5
 # and of every output spectral matrix in `spectra`.
 PSD_TOL = 1e-9
 
+# `scan` refuses a grid whose work arrays could pass this many bytes, at the
+# ~40 per cell its traced peak reaches at 1000 x 1000, before allocating.
+SCAN_BUDGET_BYTES = 2**30
+_SCAN_CELL_BYTES = 40
+
 
 @dataclass(frozen=True)
 class EprResult:
@@ -195,12 +200,16 @@ def scan(p_range: tuple[float, float], t_range: tuple[float, float],
     a single value lo == hi with resolution 1.  Range ends must be finite
     with non-negative lower ends, and delta must pass the detuning rule of
     `DimensionlessParams`.  A grid on which eps(0) or eps(pi/2) overflows
-    anywhere is refused.
+    anywhere, or whose work arrays could pass SCAN_BUDGET_BYTES, is refused.
     """
     if isinstance(resolution, int):
         res_p = res_t = resolution
     else:
         res_p, res_t = resolution
+    if max(res_p, 0) * max(res_t, 0) * _SCAN_CELL_BYTES > SCAN_BUDGET_BYTES:
+        raise ParameterError(
+            f"a {res_p} x {res_t} scan grid could need more than the "
+            f"{SCAN_BUDGET_BYTES / 2**30:.0f} GiB scan budget")
     DimensionlessParams(0.0, 0.0, delta)   # the detuning rule
     p_axis = _axis(*map(float, p_range), res_p)
     t_axis = _axis(*map(float, t_range), res_t)

@@ -21,10 +21,12 @@ phi = 0 bias is first order in dt.
 
 One kernel, `_propagate`, runs every chain here: a linear chain
 x' = S x + B z driven by unit normals z, with outputs C x + D z.  It works
-in blocks of matrix products over pieces of a few steps and chains the
-pieces' end states by a doubling scan (W. D. Hillis and G. L. Steele, "Data
-parallel algorithms", CACM 29, 1986); its results equal the per-step
-recursion on the same draws up to rounding.  Three paths drive it:
+in blocks of matrix products over pieces of a few steps, whose maps
+`_piece_map` builds by running that recursion once on the identity basis of
+a piece's inputs, and chains the pieces' end states by a doubling scan
+(W. D. Hillis and G. L. Steele, "Data parallel algorithms", CACM 29, 1986);
+its results equal the per-step recursion on the same draws up to rounding.
+Three paths drive it:
 
 - `integrate`, the record of every step's outputs: the Euler-Maruyama step
   (S, B) = (I + dt A, B sig) with outputs (C dt, D sig).
@@ -176,18 +178,17 @@ def default_sim_config(model: StateSpace, *, n_trajectories: int = 180,
     burn_in to 30 relaxation times of the slowest mode (never below the
     5/gamma_m floor demanded by the estimators; rounded up to a whole number
     of steps).  The run is that burn-in plus n_segments windows.  A given dt
-    must be finite and positive, and a given tau or burn_in finite.
+    must be finite and positive, and a given tau or burn_in finite; the
+    drift must pass `spectra.require_stable`.
     """
     for name, value in (("dt", dt), ("tau", tau), ("burn_in", burn_in)):
         if value is not None and not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value!r}")
     if dt is not None and not (dt > 0.0):
         raise ParameterError(f"dt must be positive, got {dt!r}")
-    eigs = np.linalg.eigvals(model.drift)
+    eigs = spectra.require_stable(model.drift)
     rho = float(np.max(np.abs(eigs)))
     margin = float(np.min(-eigs.real))
-    if margin <= 0.0:
-        raise NumericalError("model must be strictly stable")
     if dt is None:
         dt = DT_SAFETY / rho
     if tau is None:
@@ -213,10 +214,10 @@ def _noise_levels(model: StateSpace, noise: NoisePsd | None) -> np.ndarray:
 
 
 def _check_step(model: StateSpace, cfg: SimConfig) -> tuple[int, int, int]:
-    """Check dt against DT_LIMIT and tau against the step grid; return the
-    run's burn-in, window and total step counts, the total being the burn-in
-    plus n_segments whole windows."""
-    rho = float(np.max(np.abs(np.linalg.eigvals(model.drift))))
+    """Check the drift's stability, dt against DT_LIMIT and tau against the
+    step grid; return the run's burn-in, window and total step counts, the
+    total being the burn-in plus n_segments whole windows."""
+    rho = float(np.max(np.abs(spectra.require_stable(model.drift))))
     if cfg.dt * rho > DT_LIMIT:
         raise NumericalError(
             f"dt * spectral_radius(A) = {cfg.dt * rho:.3f} exceeds {DT_LIMIT}; "
@@ -363,43 +364,25 @@ def _window_step(model: StateSpace, noise: NoisePsd | None, dt: float, phi: floa
     return f_one, np.vstack([b_sig, (model.feedthrough * sig).T @ weights])
 
 
-def _impulse_response(step: np.ndarray, b_sig: np.ndarray,
-                      length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Impulse response of a chain x' = S x + (B sig) z of n states, k noises.
+def _piece_map(step: np.ndarray, b: np.ndarray, out_map: np.ndarray,
+               feed: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x_map, z_map) of a piece of ``length`` steps of the chain
+    x' = S x + B z with outputs C x + D z; ``step`` is S, ``b`` B,
+    ``out_map`` C and ``feed`` D.
 
-    Returns the powers S^m for m <= length (shape (length+1, n, n)) and the
-    noise responses P_m = S^m B sig for m < length (shape (length, n, k)).
-    The powers are built by doubling: log2(length) batched n x n products.
+    The recursion runs once on the identity basis of the piece's inputs,
+    the start state and then its unit normals flattened step-major, so
+    row r is the response to input r: the end state, then every step's
+    outputs.  x_map holds the start state's rows, z_map the normals'.
     """
-    powers = np.empty((length + 1, *step.shape))
-    powers[0] = np.eye(len(step))
-    filled = 1
-    while filled <= length:
-        k = min(filled, length + 1 - filled)
-        powers[filled:filled + k] = powers[:k] @ (powers[filled - 1] @ step)
-        filled += k
-    return powers, powers[:length] @ b_sig
-
-
-def _toeplitz(powers: np.ndarray, responses: np.ndarray, out_map: np.ndarray,
-              feed: np.ndarray, length: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x_map, z_map) of a piece of ``length`` steps of a chain with outputs
-    C x + D z: the piece maps its start states and unit normals (flattened
-    step-major) to a product whose columns are the end state, then every
-    step's outputs.  ``out_map`` is C and ``feed`` is D."""
-    n_out, n_in = feed.shape
-    # lag[i, j] = j - i + 1 indexes [0, D, C P_0, C P_1, ...]: output j sees
-    # its own step's noise through D and earlier noise through C P_{j-1-i}.
-    taps = np.concatenate([np.zeros((1, n_out, n_in)), feed[None],
-                           out_map @ responses[:length - 1]])
-    lag = np.clip(np.arange(length)[None, :] - np.arange(length)[:, None] + 1, 0, None)
-    z_out = taps[lag].transpose(0, 3, 1, 2).reshape(n_in * length, n_out * length)
-    x_out = (out_map @ powers[:length]).transpose(2, 0, 1).reshape(
-        spectra.N_STATES, n_out * length)
-    z_end = responses[length - 1::-1].transpose(0, 2, 1).reshape(
-        n_in * length, spectra.N_STATES)
-    return (np.concatenate([powers[length].T, x_out], axis=1),
-            np.concatenate([z_end, z_out], axis=1))
+    n, k = b.shape
+    basis = np.eye(n + k * length)
+    x, outs = basis[:, :n], []
+    for z in np.split(basis[:, n:], length, axis=1):
+        outs.append(x @ out_map.T + z @ feed.T)
+        x = x @ step.T + z @ b.T
+    out = np.concatenate([x, *outs], axis=1)
+    return out[:n], out[n:]
 
 
 def _propagate(rngs: list[np.random.Generator], x: np.ndarray, n_steps: int,
@@ -413,38 +396,41 @@ def _propagate(rngs: list[np.random.Generator], x: np.ndarray, n_steps: int,
     Draws B.shape[1] unit normals per step from each trajectory's stream in
     ``rngs``, in NOISE_BLOCK blocks, freeing each block before the next
     draw.  Each block is cut into _RECORD_PIECE-step pieces, whose
-    `_toeplitz` map takes a piece's start state and normals to its end
-    state and every step's outputs.  Per block, one product with the map's
+    `_piece_map` takes a piece's start state and normals to its end state
+    and every step's outputs.  Per block, one product with the map's
     end-state columns gives every piece's noise term u_p.  The states after
     0, 1, ..., P pieces are the inclusive scan of (x, u_0, ..., u_{P-1})
     under x_{p+1} = x_p (S^T)^L + u_p, for L-step pieces: for
     k = 1, 2, 4, ... < P + 1, every entry from the k-th on adds the entry k
-    before it times (S^T)^(kL), whose squarings are built once, when a
-    block's piece count first needs them.  The products of the normals and
-    of the pieces' start states with the output columns are then summed
-    into the block's outputs in place.  A shorter last piece takes its own
-    single product.
+    before it times (S^T)^(kL).  The products of the normals and of the
+    pieces' start states with the output columns are then summed into the
+    block's outputs in place.  Only the last block can end in a shorter
+    piece, since _RECORD_PIECE divides NOISE_BLOCK; it takes its own single
+    product.  The maps and scan squarings a run needs are built once.
 
     The outputs are written into ``record`` (n_traj, n_steps, n_out) when
     given, else into a one-block buffer that the next block overwrites.
     Yields (first step, the block's outputs, the end states) per block.
     """
     n_traj, n = x.shape
-    maps = functools.cache(functools.partial(
-        _toeplitz, *_impulse_response(step, b, _RECORD_PIECE), out_map, feed))
+    most = min(NOISE_BLOCK, n_steps) // _RECORD_PIECE   # pieces in the largest block
+    if most:
+        x_map, z_map = _piece_map(step, b, out_map, feed, _RECORD_PIECE)
+    rest = n_steps % _RECORD_PIECE
+    if rest:
+        last_x, last_z = _piece_map(step, b, out_map, feed, rest)
     hops = []   # hops[j] = (S^T)^(L 2^j), the map over 2^j pieces
+    for _ in range(most.bit_length()):
+        hops.append(hops[-1] @ hops[-1] if hops else x_map[:, :n])
     if record is None:
         buffer = np.empty((n_traj, min(NOISE_BLOCK, n_steps), len(feed)))
     for start in range(0, n_steps, NOISE_BLOCK):
         z = _draw_block(rngs, min(NOISE_BLOCK, n_steps - start), b.shape[1])
         nb = z.shape[1]
         out = buffer[:, :nb] if record is None else record[:, start:start + nb]
-        pieces, rest = divmod(nb, _RECORD_PIECE)
-        full = nb - rest
+        pieces = nb // _RECORD_PIECE
+        full = pieces * _RECORD_PIECE
         if pieces:
-            x_map, z_map = maps(_RECORD_PIECE)
-            while len(hops) < pieces.bit_length():
-                hops.append(hops[-1] @ hops[-1] if hops else x_map[:, :n])
             zp = z[:, :full].reshape(n_traj, pieces, -1)
             # states[:, p] starts as piece p-1's noise term (x for p = 0);
             # after the scan's step k it sums the last 2k of these terms
@@ -460,8 +446,7 @@ def _propagate(rngs: list[np.random.Generator], x: np.ndarray, n_steps: int,
             np.matmul(zp, z_map[:, n:], out=piece_out)
             piece_out += states[:, :pieces] @ x_map[:, n:]
             del zp
-        if rest:
-            last_x, last_z = maps(rest)
+        if nb > full:
             res = x @ last_x + z[:, full:].reshape(n_traj, -1) @ last_z
             out[:, full:] = res[:, n:].reshape(n_traj, rest, -1)
             x = res[:, :n]

@@ -15,7 +15,7 @@ import pytest
 
 from optoepr import (DimensionlessParams, PhysicalParams, build_state_space,
                      default_sim_config, drive_kappa, epr_lhs,
-                     epr_product_estimate, epsilon_zero, inferred_variance_at,
+                     epr_product_estimate, inferred_variance_at,
                      noise_psd, optimal_gain, output_spectral_matrix,
                      realize_dimensionless, steady_state,
                      steady_state_residual, to_dimensionless)

@@ -1,6 +1,7 @@
 """Tests for the closed-form criterion, gain optimizer, scans, and boundary."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from optoepr import (DimensionlessParams, InvalidRegimeError, ParameterError,
                      epr_lhs, epsilon_half_pi, epsilon_zero, inferred_variance,
                      optimal_gain, optimal_gains, paradox_boundary, scan)
+from optoepr.criterion import _SCAN_CELL_BYTES, SCAN_BUDGET_BYTES
 
 from conftest import HEADLINE, random_dimensionless
 
@@ -213,6 +215,22 @@ class TestScan:
     def test_rejects_subnormal_detuning_square(self):
         with pytest.raises(ParameterError):
             scan((0.0, 1.0), (0.0, 1.0), 1e-170, 10)
+
+    def test_refuses_grid_above_budget_before_allocating(self):
+        # 10**14 cells at ~40 traced bytes each; the guard must fire before
+        # np.linspace builds even one axis.  One cell past the budget on a
+        # single row is refused too.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParameterError, match="budget"):
+                scan((0.0, 1.0), (0.0, 1.0), 0.18, 10**7)
+            with pytest.raises(ParameterError, match="budget"):
+                scan((0.0, 1.0), (0.1, 0.1), 0.18,
+                     (SCAN_BUDGET_BYTES // _SCAN_CELL_BYTES + 1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 OVERFLOWING = [DimensionlessParams(0.1, 1e308, 0.18),

@@ -2,7 +2,8 @@
 
 Read from the import statements of each module's source, so a violation
 fails here even where no test exercises the import.  The same reader pins
-where `sde` draws its noise, so that one kernel runs every chain.
+where `sde` draws its noise, so that one kernel runs every chain, and that
+no module of the package or of the tests imports a name it never uses.
 """
 
 import ast
@@ -13,6 +14,7 @@ import pytest
 import optoepr
 
 PACKAGE = Path(optoepr.__file__).parent
+TESTS = Path(__file__).parent
 
 FORBIDDEN = {
     "model": {"criterion", "spectra", "sde", "cli"},
@@ -65,3 +67,37 @@ def test_one_noise_loop_in_sde():
     # is the window sampler's 6 burn-in normals per trajectory.
     assert sorted(callers("sde", "_draw_block")) == [
         "_propagate", "sample_inference_variance"]
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names that a module imports and never reads; a name re-exported
+    through ``__all__`` counts as read."""
+    imported, read = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            imported.update(alias.asname or alias.name.split(".")[0]
+                            for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return imported - read
+
+
+def test_unused_import_reader():
+    # The check below is only as good as the reader.
+    source = ("from __future__ import annotations\n"
+              "import os.path\nimport numpy as np\nimport sys\n"
+              "from .x import a, b as c, d\n"
+              "__all__ = ['d']\n"
+              "np.zeros(a, sys.maxsize)\n")
+    assert unused_imports(source) == {"os", "c"}
+
+
+@pytest.mark.parametrize("path", sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_unused_imports(path):
+    assert not unused_imports(path.read_text())

@@ -5,13 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from optoepr import (Couplings, DimensionlessParams, NumericalError,
-                     ParameterError, PhysicalParams, couplings, drive_kappa,
-                     locality_check, steady_state, steady_state_residual,
-                     to_dimensionless)
+from optoepr import (DimensionlessParams, NumericalError, ParameterError,
+                     PhysicalParams, couplings, drive_kappa, locality_check,
+                     steady_state, steady_state_residual, to_dimensionless)
 from optoepr.constants import C_LIGHT, HBAR, K_B
-
-from conftest import TEXTBOOK_LAB
 
 
 def replace_params(base: PhysicalParams, **kw) -> PhysicalParams:

@@ -20,7 +20,6 @@ from optoepr import (DimensionlessParams, NumericalError, ParameterError,
                      realize_dimensionless, sample_inference_variance,
                      windowed_transform)
 from optoepr import sde
-from optoepr.constants import HBAR
 from optoepr.sde import (NOISE_BLOCK, RECORD_BUDGET_BYTES, _draw_block,
                          _noise_levels, _streams)
 from optoepr.spectra import N_NOISES
@@ -324,11 +323,13 @@ class TestWindowSampler:
         # Windows of 10 lifetimes stay correlated (the window map keeps
         # ~0.1 of the state).  70 windows span whole pieces and a shorter
         # last one, so the state carried between pieces is exercised; then
-        # the kernel's edges: one window (no whole piece), one whole piece,
+        # the kernel's edges: one window (no whole piece), a short piece
+        # alone, one whole piece, one whole piece and a one-window piece,
         # and a full noise block followed by a block of one window.
         params, model, noise = headline
         phi, gain = 0.7, -0.3
-        for n_seg in (70, 1, sde._RECORD_PIECE, NOISE_BLOCK + 1):
+        piece = sde._RECORD_PIECE
+        for n_seg in (70, 1, piece - 1, piece, piece + 1, NOISE_BLOCK + 1):
             cfg = small_cfg(model, n_traj=3, n_seg=n_seg, tau_lifetimes=10.0, seed=23)
             est = sample_inference_variance(model, noise, cfg, phi, gain)
             per_traj = reference_window_sums(model, noise, cfg, phi, gain) / (
@@ -349,21 +350,27 @@ class TestWindowSampler:
         assert max_rel_diff(q_pow, q) < 1e-12
 
     def test_window_map_is_the_step_chain_piece_map(self, headline):
-        # The step chain's piece over one whole window, the impulse response
-        # of the same `_window_step`: its start-state map is the window map's
-        # mean part, and its noise responses' Gram matrix the window
-        # covariance.
+        # The kernel's piece map of `_window_step`'s state chain over one
+        # whole window, its outputs summed into the window sum: the
+        # start-state rows are the window map's mean part, and the Gram
+        # matrix of the normals' rows the window covariance.
         _, model, noise = headline
-        cfg = small_cfg(model, tau_lifetimes=150.0)
+        cfg = small_cfg(model, tau_lifetimes=10.0)
         window_steps = round(cfg.tau / cfg.dt)
         phi, gain = 0.7, -0.3
         f_win, q_win = sde._power(window_one_step(model, noise, cfg, phi, gain),
                                   window_steps)
-        powers, responses = sde._impulse_response(
-            *sde._window_step(model, noise, cfg.dt, phi, gain), window_steps)
-        assert max_rel_diff(f_win[:, :6], powers[window_steps][:, :6]) < 1e-12
-        gram = np.einsum("mik,mjk->ij", responses, responses)
-        assert max_rel_diff(q_win, gram) < 1e-12
+        f_one, g_one = sde._window_step(model, noise, cfg.dt, phi, gain)
+        x_map, z_map = sde._piece_map(f_one[:6, :6], g_one[:6], f_one[6:, :6],
+                                      g_one[6:], window_steps)
+        assert z_map.shape == (5 * window_steps, 6 + window_steps)
+
+        def window(rows):
+            return np.column_stack([rows[:, :6], rows[:, 6:].sum(axis=1)])
+
+        assert max_rel_diff(window(x_map).T, f_win[:, :6]) < 1e-12
+        gram = window(z_map).T @ window(z_map)
+        assert max_rel_diff(gram, q_win) < 1e-12
 
     def test_agrees_with_step_chain_on_short_windows(self, headline):
         # At tau = 30/gamma_c the leakage bias moves both estimators far from
@@ -565,6 +572,19 @@ class TestSimConfig:
         assert cfg.tau >= 100 * cfg.dt
         gamma_m = -0.5 * model.drift[1, 1]
         assert cfg.burn_in >= 5.0 / gamma_m
+
+    def test_non_finite_drift_is_a_numerical_error(self, headline):
+        # One stability analysis, `spectra.require_stable`, refuses the nan
+        # before numpy's eigensolver would raise LinAlgError.
+        _, model, noise = headline
+        cfg = small_cfg(model, n_traj=2, n_seg=1)
+        drift = model.drift.copy()
+        drift[2, 3] = math.nan
+        bad = replace(model, drift=drift)
+        with pytest.raises(NumericalError, match="non-finite"):
+            default_sim_config(bad)
+        with pytest.raises(NumericalError, match="non-finite"):
+            integrate(bad, noise, cfg)
 
 
 class TestWindowedTransform:
