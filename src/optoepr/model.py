@@ -260,41 +260,30 @@ def _real_roots(delta0: float, kappa: float) -> list[float]:
         # The quadratic factor has no real zeros; the only root is delta0.
         return [delta0]
     span = 1.0 + abs(delta0) + abs(kappa) ** (1.0 / 3.0)
+    cuts = []   # the extrema between three crossings
     disc = delta0 * delta0 - 0.75
     if disc > 0.0:
         sq = math.sqrt(disc)
         d_lo = (delta0 - sq) / 3.0   # local maximum
         d_hi = (delta0 + sq) / 3.0   # local minimum
-        f_lo = _cubic(d_lo, delta0, kappa)
-        f_hi = _cubic(d_hi, delta0, kappa)
         # A fold puts a double root at an extremum; each has its own scale.
         if (_cubic_residual(d_lo, delta0, kappa) <= 1e-12
                 or _cubic_residual(d_hi, delta0, kappa) <= 1e-12):
             raise NumericalError(
                 "degenerate double root of the steady-state cubic "
                 f"(delta0={delta0!r}, kappa={kappa!r})")
-        if not (f_lo < 0.0 or f_hi > 0.0):
-            # f_lo > 0 > f_hi: three crossings.
-            lo = d_lo - span
-            while _cubic(lo, delta0, kappa) > 0.0:
-                lo -= span
-            hi = d_hi + span
-            while _cubic(hi, delta0, kappa) < 0.0:
-                hi += span
-            roots = [
-                _polish(_bisect(lo, d_lo, delta0, kappa), delta0, kappa),
-                _polish(_bisect(d_lo, d_hi, delta0, kappa), delta0, kappa),
-                _polish(_bisect(d_hi, hi, delta0, kappa), delta0, kappa),
-            ]
-            roots.sort()
-            return roots
-    # Single crossing: a monotone cubic, or one clear of the fold region.
-    lo, hi = delta0 - span, delta0 + span
+        if not (_cubic(d_lo, delta0, kappa) < 0.0 or _cubic(d_hi, delta0, kappa) > 0.0):
+            cuts = [d_lo, d_hi]   # f(d_lo) > 0 > f(d_hi): three crossings
+    # Otherwise a single crossing: a monotone cubic, or one clear of the fold.
+    lo = (cuts[0] if cuts else delta0) - span
     while _cubic(lo, delta0, kappa) > 0.0:
         lo -= span
+    hi = (cuts[-1] if cuts else delta0) + span
     while _cubic(hi, delta0, kappa) < 0.0:
         hi += span
-    return [_polish(_bisect(lo, hi, delta0, kappa), delta0, kappa)]
+    edges = [lo, *cuts, hi]
+    return sorted(_polish(_bisect(a, b, delta0, kappa), delta0, kappa)
+                  for a, b in zip(edges, edges[1:]))
 
 
 def steady_state(params: PhysicalParams) -> list[SteadyState]:

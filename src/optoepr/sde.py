@@ -28,21 +28,19 @@ a piece's inputs, and chains the pieces' end states by a doubling scan
 its results equal the per-step recursion on the same draws up to rounding.
 Three paths drive it:
 
-- `integrate`, the record of every step's outputs: the Euler-Maruyama step
-  (S, B) = (I + dt A, B sig) with outputs (C dt, D sig).
-- `estimate_inference_variance`, the step-level reference.  `_window_step`
-  gives the one-step map y' = F y + G z of the augmented state y = (x, s),
-  the state and its carrier window sum, with F = [[S, 0], [c^T, 1]] and
-  G = [B sig; q^T].  Its state rows are the chain and its window-sum row
-  the output, so each step's output is its term of the window sum.
+- `integrate`, the record of every step's outputs: `_step`, the one
+  Euler-Maruyama step (S, B, C, D) = (I + dt A, B sig, C dt, D sig).
+- `estimate_inference_variance`, the step-level reference: `_window_step`,
+  the same chain with its outputs weighted into the quadrature the window
+  sum takes, so each step's one output is its term of that sum.
 - `sample_inference_variance`, the production path behind
-  `epr_product_estimate`.  Binary powering of the Gaussian map (F, G G^T)
-  composes the burn-in and one window exactly (the discrete form of C. F.
-  Van Loan, "Computing integrals involving the matrix exponential", IEEE
-  TAC 23, 1978).  From window to window the chain is again linear, with the
-  window map as its step and the window sum as its output, so a trajectory
-  draws 6 normals for its burn-in and 7 per window, whatever the step
-  count.
+  `epr_product_estimate`.  Binary powering of the Gaussian map (F, G G^T) of
+  that chain and its window sum composes the burn-in and one window exactly
+  (the discrete form of C. F. Van Loan, "Computing integrals involving the
+  matrix exponential", IEEE TAC 23, 1978).  From window to window the chain
+  is again linear, with the window map as its step and the window sum as its
+  output, so a trajectory draws 6 normals for its burn-in and 7 per window,
+  whatever the step count.
 
 Both estimators sample the same chain, with the same dt and burn-in, and so
 the same distribution of window sums.
@@ -84,6 +82,10 @@ DT_LIMIT = 0.1
 # allocation.
 RECORD_BUDGET_BYTES = 2**30
 
+# `SimConfig` refuses a tau or burn_in longer than this many steps, so that
+# every step count of a plan is exact as a double.
+MAX_STEPS = 2**53
+
 # Steps per piece in `_propagate`; divides NOISE_BLOCK.  A piece's products
 # cost O(length) per step, the end-state scan O(log2(pieces)) per piece.
 # At 4 trajectories x 51 626 headline steps (one BLAS thread, 2-core x86,
@@ -115,8 +117,10 @@ class SimConfig:
     Every trajectory runs ``burn_in``, the discarded transient, then
     ``n_segments`` non-overlapping windows of length ``tau``, the
     measurement window of the finite-time transform; that is the whole run.
-    dt, tau and burn_in must be finite, dt > 0, tau >= 100 dt, burn_in >= 0
-    and seed >= 0.
+    dt, tau and burn_in must be finite, dt > 0, burn_in >= 0, seed >= 0,
+    and tau and burn_in at most MAX_STEPS steps.  Here alone the step grid
+    is set: tau is rounded to the nearest whole step (at least 100 of them)
+    and burn_in up to a whole step, less 1e-9 of one.
     """
 
     dt: float
@@ -127,21 +131,27 @@ class SimConfig:
     burn_in: float
 
     def __post_init__(self) -> None:
-        for name, value in (("dt", self.dt), ("tau", self.tau),
-                            ("burn_in", self.burn_in)):
+        if not (math.isfinite(self.dt) and self.dt > 0.0):
+            raise ParameterError(f"dt must be finite and positive, got {self.dt!r}")
+        for name, value in (("tau", self.tau), ("burn_in", self.burn_in)):
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value!r}")
-        if not (self.dt > 0.0):
-            raise ParameterError(f"dt must be positive, got {self.dt!r}")
-        if self.tau < 100.0 * self.dt:
+            if abs(value) / self.dt > MAX_STEPS:   # inf when the ratio overflows
+                raise ParameterError(f"{name} = {value!r} spans more than MAX_STEPS = "
+                                     f"2**53 steps of dt = {self.dt!r}")
+        if self.burn_in < 0.0:
+            raise ParameterError(f"burn_in must be >= 0, got {self.burn_in!r}")
+        window_steps = round(self.tau / self.dt)
+        if window_steps < 100:
             raise ParameterError(
                 f"tau = {self.tau!r} must be at least 100*dt = {100 * self.dt!r}")
         if self.n_segments < 1 or self.n_trajectories < 1:
             raise ParameterError("n_segments and n_trajectories must be >= 1")
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed!r}")
-        if self.burn_in < 0.0:
-            raise ParameterError(f"burn_in must be >= 0, got {self.burn_in!r}")
+        object.__setattr__(self, "tau", window_steps * self.dt)
+        burn_steps = math.ceil(self.burn_in / self.dt - 1e-9)
+        object.__setattr__(self, "burn_in", burn_steps * self.dt)
 
 
 @dataclass(frozen=True)
@@ -173,59 +183,35 @@ def default_sim_config(model: StateSpace, *, n_trajectories: int = 180,
                        burn_in: float | None = None) -> SimConfig:
     """Fill a SimConfig from the model's timescales.
 
-    dt is set a factor DT_SAFETY below the stability guard, tau to
-    TAU_LIFETIMES cavity lifetimes (rounded to a whole number of steps) and
-    burn_in to 30 relaxation times of the slowest mode (never below the
-    5/gamma_m floor demanded by the estimators; rounded up to a whole number
-    of steps).  The run is that burn-in plus n_segments windows.  A given dt
-    must be finite and positive, and a given tau or burn_in finite; the
-    drift must pass `spectra.require_stable`.
+    dt defaults to a factor DT_SAFETY below the stability guard, tau to
+    TAU_LIFETIMES cavity lifetimes and burn_in to 30 relaxation times of the
+    slowest mode, never below the 5/gamma_m floor demanded by the
+    estimators; `SimConfig` puts tau and burn_in on the step grid and checks
+    the plan.  The run is that burn-in plus n_segments windows.  The drift
+    must pass `spectra.require_stable`.
     """
-    for name, value in (("dt", dt), ("tau", tau), ("burn_in", burn_in)):
-        if value is not None and not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value!r}")
-    if dt is not None and not (dt > 0.0):
-        raise ParameterError(f"dt must be positive, got {dt!r}")
     eigs = spectra.require_stable(model.drift)
-    rho = float(np.max(np.abs(eigs)))
-    margin = float(np.min(-eigs.real))
     if dt is None:
-        dt = DT_SAFETY / rho
+        dt = DT_SAFETY / float(np.max(np.abs(eigs)))
     if tau is None:
         tau = TAU_LIFETIMES / model.gamma_c
-    tau = max(1, round(tau / dt)) * dt
-    gamma_m = -0.5 * model.drift[1, 1]
     if burn_in is None:
-        burn_in = max(30.0 / margin, 5.0 / gamma_m)
+        gamma_m = -0.5 * model.drift[1, 1]
+        burn_in = max(30.0 / float(np.min(-eigs.real)), 5.0 / gamma_m)
     return SimConfig(dt=dt, tau=tau, n_segments=n_segments,
-                     n_trajectories=n_trajectories, seed=seed,
-                     burn_in=math.ceil(burn_in / dt) * dt)
-
-
-def _noise_levels(model: StateSpace, noise: NoisePsd | None) -> np.ndarray:
-    """White-noise intensities: field quadratures at gamma_c, force at the
-    omega -> 0 Brownian level.  ``noise=None`` means a noiseless run."""
-    if noise is None:
-        return np.zeros(spectra.N_NOISES)
-    levels = noise.levels(0.0)
-    if np.any(levels < 0.0):
-        raise ParameterError("noise intensities must be non-negative")
-    return levels
+                     n_trajectories=n_trajectories, seed=seed, burn_in=burn_in)
 
 
 def _check_step(model: StateSpace, cfg: SimConfig) -> tuple[int, int, int]:
-    """Check the drift's stability, dt against DT_LIMIT and tau against the
-    step grid; return the run's burn-in, window and total step counts, the
-    total being the burn-in plus n_segments whole windows."""
+    """Check the drift's stability and dt against DT_LIMIT; return the run's
+    burn-in, window and total step counts, the total being the burn-in plus
+    n_segments whole windows."""
     rho = float(np.max(np.abs(spectra.require_stable(model.drift))))
     if cfg.dt * rho > DT_LIMIT:
         raise NumericalError(
             f"dt * spectral_radius(A) = {cfg.dt * rho:.3f} exceeds {DT_LIMIT}; "
             "reduce the step size")
-    burn_steps = math.ceil(cfg.burn_in / cfg.dt - 1e-9)
-    window_steps = round(cfg.tau / cfg.dt)
-    if abs(window_steps * cfg.dt - cfg.tau) > 1e-9 * cfg.tau:
-        raise ParameterError("tau must be a whole number of steps")
+    burn_steps, window_steps = round(cfg.burn_in / cfg.dt), round(cfg.tau / cfg.dt)
     return burn_steps, window_steps, burn_steps + cfg.n_segments * window_steps
 
 
@@ -247,11 +233,11 @@ def _check_plan(model: StateSpace, cfg: SimConfig) -> tuple[int, int, int]:
 
 def _check_budget(what: str, n_traj: int, per_traj: int, advice: str) -> None:
     """Refuse an array of n_traj x per_traj doubles above the budget."""
-    n_bytes = n_traj * per_traj * 8
+    n_bytes = 8.0 * n_traj * per_traj   # inf when the product overflows
     if n_bytes > RECORD_BUDGET_BYTES:
         raise ParameterError(
-            f"{what} of {n_traj} trajectories x {per_traj} doubles needs "
-            f"{n_bytes / 2**30:.1f} GiB, above the "
+            f"{what} of {n_traj:.6g} trajectories x {per_traj:.6g} doubles needs "
+            f"{n_bytes / 2**30:.6g} GiB, above the "
             f"{RECORD_BUDGET_BYTES / 2**30:.0f} GiB budget; {advice}")
 
 
@@ -333,35 +319,36 @@ def _draw_block(rngs: list[np.random.Generator], nb: int,
     return z
 
 
-def _step(model: StateSpace, noise: NoisePsd | None,
-          dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Euler-Maruyama step driven by unit normals z: x' = S x + (B sig) z.
-
-    Returns S = I + dt A, B sig and sig, the per-noise standard deviation of
-    one step's Wiener increment.
-    """
-    sig = np.sqrt(_noise_levels(model, noise) * dt)
-    return np.eye(spectra.N_STATES) + dt * model.drift, model.input_map * sig, sig
+def _step(model: StateSpace, noise: NoisePsd | None, dt: float
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The Euler-Maruyama step as the chain x' = S x + B z, outputs C x + D z
+    (the step's integrated increments), on unit normals z: (S, B, C, D) =
+    (I + dt A, B sig, C dt, D sig), sig the per-noise standard deviation of
+    one step's Wiener increment, white at the omega = 0 levels.
+    ``noise=None`` means a noiseless run."""
+    if noise is None:
+        levels = np.zeros(spectra.N_NOISES)
+    else:
+        levels = noise.levels(0.0)
+        if np.any(levels < 0.0):
+            raise ParameterError("noise intensities must be non-negative")
+    sig = np.sqrt(levels * dt)
+    return (np.eye(spectra.N_STATES) + dt * model.drift, model.input_map * sig,
+            model.output_map * dt, model.feedthrough * sig)
 
 
 def _window_step(model: StateSpace, noise: NoisePsd | None, dt: float, phi: float,
-                 gain: float) -> tuple[np.ndarray, np.ndarray]:
-    """One step y' = F y + G z of the chain and its carrier window sum.
-
-    y = (x, s) is the state and the window sum s' = s + c.x + q.z, which
-    accumulates the step's integrated outputs weighted by (cos phi, sin phi,
-    -gain cos phi, -gain sin phi).  Returns F = [[S, 0], [c^T, 1]] and
-    G = [B sig; q^T]; both estimators build their maps from these, so they
-    sum the same quadrature.
-    """
-    step, b_sig, sig = _step(model, noise, dt)
+                 gain: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`_step`'s chain (S, B, w C, w D) with its outputs weighted by w =
+    (cos phi, sin phi, -gain cos phi, -gain sin phi), for finite phi and
+    gain: each step's one output is its term of the carrier window sum."""
+    for name, value in (("phi", phi), ("gain", gain)):
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+    step, b, out_map, feed = _step(model, noise, dt)
     c, s = math.cos(phi), math.sin(phi)
-    weights = np.array([c, s, -gain * c, -gain * s])
-    n = spectra.N_STATES
-    f_one = np.eye(n + 1)
-    f_one[:n, :n] = step
-    f_one[n, :n] = (model.output_map.T * dt) @ weights
-    return f_one, np.vstack([b_sig, (model.feedthrough * sig).T @ weights])
+    w = np.array([[c, s, -gain * c, -gain * s]])
+    return step, b, w @ out_map, w @ feed
 
 
 def _piece_map(step: np.ndarray, b: np.ndarray, out_map: np.ndarray,
@@ -465,22 +452,19 @@ def integrate(model: StateSpace, noise: NoisePsd | None, cfg: SimConfig,
     refused before anything is allocated; use the streaming estimators for
     production window counts.
 
-    `_propagate` runs the step chain x' = S x + (B sig) z with outputs
-    (C dt) x + (D sig) z and writes every block's outputs into the record
-    in place.  The result equals the per-step recursion up to rounding.
+    `_propagate` runs `_step`'s chain and writes every block's outputs into
+    the record in place.  The result equals the per-step recursion up to rounding.
     """
     _, _, n_steps = _check_step(model, cfg)
     n_traj = cfg.n_trajectories
     _check_budget("record", n_traj, n_steps * spectra.N_OUTPUTS,
                   "use the streaming estimators")
-    step, b_sig, sig = _step(model, noise, cfg.dt)
     x = np.zeros((n_traj, spectra.N_STATES))
     if initial_state is not None:
         x[:] = np.asarray(initial_state, dtype=float)
     out = np.empty((n_traj, n_steps, spectra.N_OUTPUTS))
-    for _, _, x in _propagate(_streams(cfg.seed, n_traj), x, n_steps, step, b_sig,
-                              model.output_map * cfg.dt, model.feedthrough * sig,
-                              out):
+    for _, _, x in _propagate(_streams(cfg.seed, n_traj), x, n_steps,
+                              *_step(model, noise, cfg.dt), record=out):
         pass
     return SimulationRecords(increments=out, final_states=x)
 
@@ -566,15 +550,14 @@ def estimate_inference_variance(model: StateSpace, noise: NoisePsd | None,
     n_traj = cfg.n_trajectories
     _check_budget("step draws", n_traj, n_steps * spectra.N_NOISES,
                   "use fewer trajectories or segments")
-    f_one, g_one = _window_step(model, noise, cfg.dt, phi, gain)
-    n = spectra.N_STATES
+    chain = _window_step(model, noise, cfg.dt, phi, gain)
     wsum = np.zeros(n_traj)
     sum_sq = np.zeros(n_traj)
     # Each step's output is its contribution to the window sum; a block's
     # outputs are summed window by window from the end of the burn-in.
-    for start, out, _ in _propagate(_streams(cfg.seed, n_traj), np.zeros((n_traj, n)),
-                                    n_steps, f_one[:n, :n], g_one[:n], f_one[n:, :n],
-                                    g_one[n:]):
+    for start, out, _ in _propagate(_streams(cfg.seed, n_traj),
+                                    np.zeros((n_traj, spectra.N_STATES)),
+                                    n_steps, *chain):
         a, end = max(start, burn_steps), start + out.shape[1]
         while a < end:
             b = min(end, a + window_steps - (a - burn_steps) % window_steps)
@@ -629,22 +612,26 @@ def sample_inference_variance(model: StateSpace, noise: NoisePsd | None,
     """Monte Carlo estimate of Var[X1(phi,0) - gain * X2(phi,0)], gamma_c units.
 
     Samples the step-level chain of `estimate_inference_variance` window by
-    window, exactly: binary powering of `_window_step`'s one-step map
-    (F, G G^T) gives the burn-in and window maps.  Each trajectory's own
+    window, exactly: with `_window_step`'s chain (S, B, c, d), binary
+    powering of the one-step map (F, G G^T) of y = (x, s), the state and
+    its window sum, F = [[S, 0], [c, 1]] and G = [B; d], gives the burn-in
+    and window maps.  Each trajectory's own
     stream gives 6 normals for the burn-in from x = 0, then 7 per window;
     the windows run through `_propagate` as the steps of the window chain,
     whose output is the window sum.  Time is O(n_trajectories * n_segments)
     whatever the step count, memory O(n_trajectories), and plans whose
     draws exceed RECORD_BUDGET_BYTES are refused before any stream is
-    spawned.  The distribution is the step chain's (same dt, same burn-in), the draws are
-    not, and the estimate and its jackknife error are formed the same way.
+    spawned.  The distribution is the step chain's (same dt, same burn-in),
+    the draws are not, and the estimate and its jackknife error are formed
+    the same way.
     """
     burn_steps, window_steps, _ = _check_plan(model, cfg)
     n_traj, n_seg, n = cfg.n_trajectories, cfg.n_segments, spectra.N_STATES
     _check_budget("window draws", n_traj, n + (n + 1) * n_seg,
                   "use fewer trajectories or segments")
-    f_one, g_one = _window_step(model, noise, cfg.dt, phi, gain)
-    one = (f_one, g_one @ g_one.T)
+    step, b, c, d = _window_step(model, noise, cfg.dt, phi, gain)
+    g_one = np.vstack([b, d])
+    one = (np.block([[step, np.zeros((n, 1))], [c, np.ones((1, 1))]]), g_one @ g_one.T)
     burn = _factor(_power(one, burn_steps)[1][:n, :n])
     # From window to window the chain is again x' = A x + B xi with output
     # s = C x + D xi: A, C from the window map (each window starts with

@@ -223,6 +223,8 @@ def output_response(model: StateSpace, omega) -> np.ndarray:
 
 
 def _projector(phi: float) -> np.ndarray:
+    if not math.isfinite(phi):
+        raise ParameterError(f"phi must be finite, got {phi!r}")
     p = np.zeros((2, N_OUTPUTS))
     p[0, 0] = p[1, 2] = math.cos(phi)
     p[0, 1] = p[1, 3] = math.sin(phi)

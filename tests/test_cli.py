@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -465,6 +466,19 @@ class TestSpectrum:
         assert "frequency axis" in capsys.readouterr().err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("phi", ["inf", "-inf", "nan"])
+    def test_non_finite_angle_exits_config(self, capsys, tmp_path,
+                                           realized_headline_config, phi):
+        out_path = tmp_path / "s.csv"
+        code = main(["spectrum", "--config", str(realized_headline_config),
+                     "--omega-min", "0", "--omega-max", "4e6", "--points", "3",
+                     f"--phi={phi}", "--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"phi must be finite, got {phi}" in err
+        assert len(err.splitlines()) == 1
+        assert not out_path.exists()
+
     def test_literal_textbook_set_exits_numerical(self, capsys, tmp_path):
         # The quoted laboratory point is anti-damped; building its state
         # space must fail with the numerical exit code.
@@ -654,6 +668,44 @@ class TestSimulate:
         assert "budget" in capsys.readouterr().err
         assert not out_path.exists()
         assert elapsed < 1.0
+
+    @pytest.mark.parametrize("keys", [
+        "tau = 1e300\n",
+        "dt = 1e-300\ntau = 1e10\n",
+        "dt = 1e-10\nburn_in = 1e300\n",
+        "dt = 1e-30\n",
+    ], ids=["tau", "tau-over-tiny-dt", "burn_in", "tiny-dt"])
+    def test_plan_past_max_steps_exits_config(self, capsys, tmp_path, keys):
+        # A tau or burn_in of more than MAX_STEPS steps, the ratio finite or
+        # overflowing (with the default tau at dt = 1e-30): refused as a
+        # config error, not an OverflowError or nan estimates.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(DIMLESS + "trajectories = 2\nsegments = 1\n" + keys)
+        out_path = tmp_path / "sim.out"
+        code = main(["simulate", "--config", str(cfg), "--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "MAX_STEPS" in err
+        assert len(err.splitlines()) == 1
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("keys", [
+        "segments = 1e300\n", "trajectories = 1e300\n",
+        "segments = 1e300\ntrajectories = 1e300\n",
+    ], ids=["segments", "trajectories", "both"])
+    def test_huge_plan_budget_message_is_readable(self, capsys, tmp_path, keys):
+        # The counts and GiB print as %.6g numbers, not 300-digit integers;
+        # with both keys the byte count overflows a double and reads inf.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(DIMLESS + keys)
+        out_path = tmp_path / "sim.out"
+        code = main(["simulate", "--config", str(cfg), "--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "budget" in err and "e+300" in err
+        assert not re.search(r"\d{20}", err)
+        assert len(err.splitlines()) == 1
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("p_cal, delta, message", [
         ("0.003", "2e-8", "landed at"), ("1", "1e-10", "omega_0"),

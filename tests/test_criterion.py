@@ -245,7 +245,7 @@ def test_point_refuses_overflowing_closed_form(fn, dp):
         fn(dp)
 
 
-def test_scan_and_best_power_refuse_overflowing_closed_form():
+def test_scan_refuses_overflowing_closed_form():
     with pytest.raises(ParameterError, match="overflows"):
         scan((0.0, 1.0), (0.0, 1.0), 1e200, 10)
     with pytest.raises(ParameterError, match="overflows"):

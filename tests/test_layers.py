@@ -2,8 +2,9 @@
 
 Read from the import statements of each module's source, so a violation
 fails here even where no test exercises the import.  The same reader pins
-where `sde` draws its noise, so that one kernel runs every chain, and that
-no module of the package or of the tests imports a name it never uses.
+where `sde` draws its noise and builds its step, so that one kernel runs
+every chain on one Euler-Maruyama step, and that no module of the package
+or of the tests imports a name it never uses.
 """
 
 import ast
@@ -67,6 +68,14 @@ def test_one_noise_loop_in_sde():
     # is the window sampler's 6 burn-in normals per trajectory.
     assert sorted(callers("sde", "_draw_block")) == [
         "_propagate", "sample_inference_variance"]
+
+
+def test_one_euler_step_in_sde():
+    # The step is built in one place; the estimators weight its outputs
+    # into the window sum through one other.
+    assert sorted(callers("sde", "_step")) == ["_window_step", "integrate"]
+    assert sorted(callers("sde", "_window_step")) == [
+        "estimate_inference_variance", "sample_inference_variance"]
 
 
 def unused_imports(source: str) -> set[str]:

@@ -20,8 +20,8 @@ from optoepr import (DimensionlessParams, NumericalError, ParameterError,
                      realize_dimensionless, sample_inference_variance,
                      windowed_transform)
 from optoepr import sde
-from optoepr.sde import (NOISE_BLOCK, RECORD_BUDGET_BYTES, _draw_block,
-                         _noise_levels, _streams)
+from optoepr.sde import (MAX_STEPS, NOISE_BLOCK, RECORD_BUDGET_BYTES, _draw_block,
+                         _streams)
 from optoepr.spectra import N_NOISES
 
 from conftest import HEADLINE
@@ -52,7 +52,7 @@ def reference_records(model, noise, cfg, x0=None):
     stream: the plain loop that the blocked kernel evaluates, kept as a test
     oracle.  Returns (increments, final states)."""
     n_steps = sde._check_step(model, cfg)[2]
-    sig = np.sqrt(_noise_levels(model, noise) * cfg.dt)
+    sig = np.sqrt(noise.levels(0.0) * cfg.dt)
     step_mat = (np.eye(6) + cfg.dt * model.drift).T
     x = np.zeros((cfg.n_trajectories, 6)) + (0.0 if x0 is None else x0)
     out = np.empty((cfg.n_trajectories, n_steps, 4))
@@ -293,8 +293,13 @@ class TestStreams:
 
 
 def window_one_step(model, noise, cfg, phi, gain):
-    """The 7-state one-step map (F_1, Q_1) of the chain and its window sum."""
-    f_one, g_one = sde._window_step(model, noise, cfg.dt, phi, gain)
+    """The 7-state one-step map (F_1, Q_1) of the chain and its window sum,
+    F_1 = [[S, 0], [c, 1]] and Q_1 = G G^T with G = [B; d], from
+    `_window_step`'s chain (S, B, c, d)."""
+    step, b, c, d = sde._window_step(model, noise, cfg.dt, phi, gain)
+    f_one = np.eye(7)
+    f_one[:6, :6], f_one[6, :6] = step, c[0]
+    g_one = np.vstack([b, d])
     return f_one, g_one @ g_one.T
 
 
@@ -360,9 +365,8 @@ class TestWindowSampler:
         phi, gain = 0.7, -0.3
         f_win, q_win = sde._power(window_one_step(model, noise, cfg, phi, gain),
                                   window_steps)
-        f_one, g_one = sde._window_step(model, noise, cfg.dt, phi, gain)
-        x_map, z_map = sde._piece_map(f_one[:6, :6], g_one[:6], f_one[6:, :6],
-                                      g_one[6:], window_steps)
+        x_map, z_map = sde._piece_map(*sde._window_step(model, noise, cfg.dt, phi, gain),
+                                      window_steps)
         assert z_map.shape == (5 * window_steps, 6 + window_steps)
 
         def window(rows):
@@ -470,6 +474,16 @@ class TestWindowSampler:
         with pytest.raises(NumericalError):
             sde._factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
+    @pytest.mark.parametrize("phi, gain", [(math.nan, -0.3), (math.inf, -0.3),
+                                           (0.7, math.inf), (0.7, math.nan)])
+    def test_estimators_refuse_non_finite_angle_or_gain(self, headline, phi, gain):
+        _, model, noise = headline
+        cfg = small_cfg(model, n_traj=2, n_seg=1)
+        name, value = ("phi", phi) if not math.isfinite(phi) else ("gain", gain)
+        for estimator in (estimate_inference_variance, sample_inference_variance):
+            with pytest.raises(ParameterError, match=f"{name} must be finite, got {value!r}"):
+                estimator(model, noise, cfg, phi, gain)
+
     def test_product_estimate_runs_the_window_sampler(self, headline, monkeypatch):
         _, model, noise = headline
 
@@ -553,9 +567,11 @@ class TestIntegrate:
 
 class TestSimConfig:
     def test_rejects_short_window(self):
-        with pytest.raises(ParameterError):
-            SimConfig(dt=1.0, tau=50.0, n_segments=1, n_trajectories=1,
-                      seed=0, burn_in=0.0)
+        # 99.4 steps round to 99, below the 100-step floor.
+        for tau in (50.0, 99.4):
+            with pytest.raises(ParameterError, match="at least 100"):
+                SimConfig(dt=1.0, tau=tau, n_segments=1, n_trajectories=1,
+                          seed=0, burn_in=0.0)
 
     @pytest.mark.parametrize("field", ["tau", "burn_in"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -563,6 +579,27 @@ class TestSimConfig:
         times = {"tau": 0.5, "burn_in": 0.0, field: value}
         with pytest.raises(ParameterError, match=f"{field} must be finite"):
             SimConfig(dt=1e-3, n_segments=4, n_trajectories=1, seed=0, **times)
+
+    def test_rounds_onto_the_step_grid(self):
+        # An off-grid tau goes to the nearest whole step and burn_in up to
+        # one; a plan already on the grid stays put.
+        cfg = SimConfig(dt=1e-3, tau=0.1234567, n_segments=1, n_trajectories=1,
+                        seed=0, burn_in=0.0101)
+        assert cfg.tau == 123 * 1e-3
+        assert round(cfg.tau / cfg.dt) * cfg.dt == cfg.tau
+        assert cfg.burn_in == 11 * 1e-3
+        assert replace(cfg, seed=1).tau == cfg.tau
+        assert replace(cfg, seed=1).burn_in == cfg.burn_in
+        # The 100-step floor applies to the rounded window.
+        assert replace(cfg, dt=1.0, tau=99.6, burn_in=0.0).tau == 100.0
+
+    @pytest.mark.parametrize("field", ["tau", "burn_in"])
+    @pytest.mark.parametrize("dt, value", [(1.0, 2.0 * MAX_STEPS), (1e-300, 1e10)],
+                             ids=["finite-ratio", "overflowing-ratio"])
+    def test_refuses_more_than_max_steps(self, field, dt, value):
+        times = {"tau": 200.0 * dt, "burn_in": 0.0, field: value}
+        with pytest.raises(ParameterError, match=f"{field} = .* MAX_STEPS"):
+            SimConfig(dt=dt, n_segments=1, n_trajectories=1, seed=0, **times)
 
     def test_default_config_is_consistent(self, headline):
         _, model, _ = headline

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
 from optoepr import (DimensionlessParams, InstabilityError, K_B, NoisePsd,
-                     NumericalError, build_state_space, commutator_norm_check, epr_lhs,
+                     NumericalError, ParameterError, build_state_space, commutator_norm_check, epr_lhs,
                      epsilon_half_pi, epsilon_zero, inferred_variance,
                      inferred_variance_at, noise_psd, output_spectral_matrix,
                      realize_dimensionless, require_stable,
@@ -285,6 +285,17 @@ class TestOutputSpectra:
                            match=re.escape(f"omega={float(omegas[5])!r}")):
             output_spectral_matrix(model, broken, omegas, 0.0)
         output_spectral_matrix(model, broken, omegas[:5], 0.0)
+
+    @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
+    def test_non_finite_angle_refused(self, headline_model, phi):
+        # cos(inf) would raise a bare ValueError and nan would surface as a
+        # misleading "s22 must be positive".
+        _, _, model, noise = headline_model
+        for omega in (0.0, np.array([0.0, 1e6])):
+            with pytest.raises(ParameterError, match=f"phi must be finite, got {phi!r}"):
+                output_spectral_matrix(model, noise, omega, phi)
+        with pytest.raises(ParameterError, match="phi must be finite"):
+            inferred_variance_at(model, noise, 0.0, phi)
 
     def test_empty_cavity_inference_is_trivial(self, empty_cavity_model):
         _, _, model, noise = empty_cavity_model
