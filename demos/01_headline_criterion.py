@@ -8,12 +8,11 @@ product criterion drops below 1.
 """
 
 from optoepr import (DimensionlessParams, PhysicalParams, epr_lhs,
-                     optimal_gains, to_dimensionless)
+                     to_dimensionless)
 
 # Reduced operating point: dimensionless power, temperature, detuning.
 point = DimensionlessParams(p_cal=0.17, t_cal=0.1, delta=0.18)
 res = epr_lhs(point)
-gains = optimal_gains(point)
 
 print("criterion at (p_cal, t_cal, delta) = (0.17, 0.1, 0.18)")
 print(f"  eps(0)      = {res.eps0:+.6f}   (negative: amplitude correlations)")
@@ -21,7 +20,7 @@ print(f"  eps(pi/2)   = {res.eps_half_pi:+.6f}")
 print(f"  var_x       = {res.var_x:.6f}  in units of gamma_c")
 print(f"  var_y       = {res.var_y:.6f}")
 print(f"  lhs         = {res.lhs:.6f}   (< 1 -> paradox: {res.paradox})")
-print(f"  gains       = ({gains.g_x:+.4f}, {gains.g_y:+.4f})")
+print(f"  gains       = ({res.gain_x:+.4f}, {res.gain_y:+.4f})")
 
 # The same point expressed through a laboratory parameter set.  Reducing the
 # often-quoted experimental numbers gives p_cal ~ 0.159 and t_cal ~ 0.189

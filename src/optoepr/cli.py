@@ -148,7 +148,7 @@ def dimensionless_from_config(values: dict[str, float]) -> model.DimensionlessPa
 
 
 def _load_config(args) -> dict[str, float]:
-    if getattr(args, "config", None):
+    if args.config:
         return parse_config(args.config)
     return {}
 
@@ -186,13 +186,12 @@ def cmd_criterion(args) -> int:
     values = _load_config(args)
     dp = _resolve_dimensionless(args, values)
     result = criterion.epr_lhs(dp)
-    gains = criterion.optimal_gains(dp)
     fields = [
         ("p_cal", dp.p_cal), ("t_cal", dp.t_cal), ("delta", dp.delta),
         ("eps0", result.eps0), ("eps_half_pi", result.eps_half_pi),
         ("var_x", result.var_x), ("var_y", result.var_y),
         ("lhs", result.lhs), ("paradox", result.paradox),
-        ("gain_x", gains.g_x), ("gain_y", gains.g_y),
+        ("gain_x", result.gain_x), ("gain_y", result.gain_y),
     ]
     if args.csv:
         lines = [",".join(name for name, _ in fields),
@@ -357,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_criterion)
 
     p = sub.add_parser("scan", help="criterion grid over (p_cal, t_cal)")
-    add_common(p)
+    p.add_argument("--output", help="write the grid CSV to this file")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--p-min", type=float, default=0.0)
     p.add_argument("--p-max", type=float, default=1.0)

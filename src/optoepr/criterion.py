@@ -7,12 +7,15 @@ is ``gamma_c * (1 + eps/(1 + eps))`` with
     eps(pi/2) = ((delta^2 + p_cal + t_cal/4) / (2 delta^2))
                  * p_cal / (delta^2 + p_cal + 1/4)^2
 
-Both inferred variances are reported in units of gamma_c, so the Heisenberg
-bound on their product is exactly 1 and a paradox is ``lhs < 1``.
+and optimal inference gain g = eps/(1 + eps).  Both inferred variances are
+reported in units of gamma_c, so the Heisenberg bound on their product is
+exactly 1 and a paradox is ``lhs < 1``.
 
-The module also carries the generic quadratic-gain minimizer used by the
-frequency-domain solver, dense (p_cal, t_cal) grid scans and extraction of
-the ``lhs = 1`` boundary contour.
+`epr_lhs` evaluates one point; `scan` runs the same arithmetic on a dense
+(p_cal, t_cal) grid, so each cell holds the bits of `epr_lhs` there, and
+`paradox_boundary` extracts its ``lhs = 1`` contour.  The module also
+carries the generic quadratic-gain minimizer used by the frequency-domain
+solver.
 """
 
 from __future__ import annotations
@@ -43,9 +46,11 @@ _SCAN_CELL_BYTES = 40
 class EprResult:
     """Criterion evaluation at one reduced parameter point.
 
-    ``var_x`` and ``var_y`` are the minimized inference variances at phi = 0
-    and phi = pi/2 in units of gamma_c; ``lhs`` is their product and
-    ``paradox`` is true when it beats the Heisenberg bound of 1.
+    ``eps0``/``eps_half_pi`` are eps at phi = 0 and phi = pi/2,
+    ``gain_x``/``gain_y`` the optimal gains g = eps/(1 + eps) there, and
+    ``var_x``/``var_y`` = 1 + g the minimized inference variances in units
+    of gamma_c; ``lhs`` is their product and ``paradox`` is true when it
+    beats the Heisenberg bound of 1.
     """
 
     eps0: float
@@ -54,14 +59,8 @@ class EprResult:
     var_y: float
     lhs: float
     paradox: bool
-
-
-@dataclass(frozen=True)
-class GainPair:
-    """Optimal inference gains at phi = 0 (g_x) and phi = pi/2 (g_y)."""
-
-    g_x: float
-    g_y: float
+    gain_x: float
+    gain_y: float
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,8 @@ class ScanGrid:
 def _epsilons(p, t, delta):
     """(eps(0), eps(pi/2)) at float or broadcasting-array (p_cal, t_cal)."""
     d2 = delta * delta
-    denom = (d2 + p + 0.25) ** 2
+    s = d2 + p + 0.25
+    denom = s * s   # not ** 2, which on a float rounds through libm's pow
     e0 = 0.5 * (t - 1.0) * p / denom
     eh = (d2 + p + 0.25 * t) / (2.0 * d2) * p / denom
     # The first quotient overflows at t_cal far above delta^2 even where
@@ -97,66 +97,29 @@ def _epsilons(p, t, delta):
     return e0, eh
 
 
-def _point_epsilons(dp: DimensionlessParams) -> tuple[float, float]:
-    """(eps(0), eps(pi/2)) at one point, refused unless both are finite."""
-    try:
-        e0, eh = _epsilons(dp.p_cal, dp.t_cal, dp.delta)
-        if math.isfinite(e0) and math.isfinite(eh):
-            return e0, eh
-    except OverflowError:   # float (d2 + p + 1/4) ** 2 past the double range
-        pass
-    raise ParameterError(f"closed form overflows at {dp}")
-
-
-def epsilon_zero(dp: DimensionlessParams) -> float:
-    """Amplitude-quadrature correlation parameter eps(0).
-
-    Negative exactly when t_cal < 1 and p_cal > 0, which is the resource
-    that pulls the phi = 0 inference variance below the vacuum level.
-    """
-    return _point_epsilons(dp)[0]
-
-
-def epsilon_half_pi(dp: DimensionlessParams) -> float:
-    """Phase-quadrature correlation parameter eps(pi/2); always >= 0.
-
-    Diverges as delta -> 0 at fixed p_cal: with vanishing detuning only the
-    amplitude quadratures correlate and no paradox can form.
-    """
-    return _point_epsilons(dp)[1]
-
-
-def inferred_variance(eps: float) -> float:
-    """Minimized inference variance 1 + eps/(1 + eps), in gamma_c units.
-
-    Raises
-    ------
-    InvalidRegimeError
-        For eps <= -1/2, where the closed form would violate variance
-        positivity.
-    """
-    if eps <= EPS_FLOOR:
-        raise InvalidRegimeError(
-            f"eps = {eps!r} <= -1/2: inference variance would be non-positive")
-    return 1.0 + eps / (1.0 + eps)
+def _gains(p, t, delta):
+    """(eps(0), eps(pi/2), g_x, g_y): `_epsilons` and the optimal inference
+    gains g = eps/(1 + eps), whose inference variances are 1 + g.  Floats and
+    arrays run the same operations in the same order, so a `scan` cell holds
+    the bits of `epr_lhs` at its point."""
+    e0, eh = _epsilons(p, t, delta)
+    return e0, eh, e0 / (1.0 + e0), eh / (1.0 + eh)
 
 
 def epr_lhs(dp: DimensionlessParams) -> EprResult:
-    """Evaluate the full criterion at one reduced parameter point."""
-    e0, eh = _point_epsilons(dp)
-    vx = inferred_variance(e0)
-    vy = inferred_variance(eh)
+    """Evaluate the full criterion at one reduced parameter point; an
+    overflowing eps raises ParameterError, eps(0) <= EPS_FLOOR (a
+    non-positive variance) InvalidRegimeError."""
+    e0, eh, gx, gy = _gains(dp.p_cal, dp.t_cal, dp.delta)
+    if not (math.isfinite(e0) and math.isfinite(eh)):
+        raise ParameterError(f"closed form overflows at {dp}")
+    if e0 <= EPS_FLOOR:
+        raise InvalidRegimeError(
+            f"eps = {e0!r} <= -1/2: inference variance would be non-positive")
+    vx, vy = 1.0 + gx, 1.0 + gy
     lhs = vx * vy
     return EprResult(eps0=e0, eps_half_pi=eh, var_x=vx, var_y=vy,
-                     lhs=lhs, paradox=lhs < 1.0)
-
-
-def optimal_gains(dp: DimensionlessParams) -> GainPair:
-    """Closed-form optimal inference gains, g = eps/(1 + eps) per angle."""
-    e0, eh = _point_epsilons(dp)
-    if e0 <= EPS_FLOOR:
-        raise InvalidRegimeError(f"eps0 = {e0!r} <= -1/2")
-    return GainPair(g_x=e0 / (1.0 + e0), g_y=eh / (1.0 + eh))
+                     lhs=lhs, paradox=lhs < 1.0, gain_x=gx, gain_y=gy)
 
 
 def optimal_gain(s11, s12, s22):
@@ -214,13 +177,16 @@ def scan(p_range: tuple[float, float], t_range: tuple[float, float],
     p_axis = _axis(*map(float, p_range), res_p)
     t_axis = _axis(*map(float, t_range), res_t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        e0, eh = _epsilons(p_axis[np.newaxis, :], t_axis[:, np.newaxis], delta)
-        lhs = (1.0 + e0 / (1.0 + e0)) * (1.0 + eh / (1.0 + eh))
+        e0, eh, gx, gy = _gains(p_axis[np.newaxis, :], t_axis[:, np.newaxis], delta)
     if not (np.isfinite(e0).all() and np.isfinite(eh).all()):
         raise ParameterError(
             f"closed form overflows on the scan grid at delta = {delta!r}")
-    return ScanGrid(p_axis=p_axis, t_axis=t_axis, delta=delta,
-                    lhs_values=np.where(e0 <= EPS_FLOOR, np.nan, lhs))
+    # (1 + g_x) * (1 + g_y) as in `epr_lhs`, in the gains' own buffers so
+    # that the traced peak stays within _SCAN_CELL_BYTES a cell.
+    lhs = np.add(gx, 1.0, out=gx)
+    lhs *= np.add(gy, 1.0, out=gy)
+    lhs[e0 <= EPS_FLOOR] = np.nan
+    return ScanGrid(p_axis=p_axis, t_axis=t_axis, delta=delta, lhs_values=lhs)
 
 
 def _row_crossings(f: np.ndarray, x: np.ndarray, touch: bool):

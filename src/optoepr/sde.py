@@ -120,7 +120,8 @@ class SimConfig:
     dt, tau and burn_in must be finite, dt > 0, burn_in >= 0, seed >= 0,
     and tau and burn_in at most MAX_STEPS steps.  Here alone the step grid
     is set: tau is rounded to the nearest whole step (at least 100 of them)
-    and burn_in up to a whole step, less 1e-9 of one.
+    and burn_in up to a whole step, or to the nearest one within
+    max(1e-9, 4 ulp(1) * steps) of a step.
     """
 
     dt: float
@@ -150,7 +151,12 @@ class SimConfig:
         if self.seed < 0:
             raise ParameterError(f"seed must be >= 0, got {self.seed!r}")
         object.__setattr__(self, "tau", window_steps * self.dt)
-        burn_steps = math.ceil(self.burn_in / self.dt - 1e-9)
+        # A burn_in within the rounding of n*dt/dt of n steps is n steps, so
+        # `replace` never moves the grid; any other is rounded up.
+        ratio = self.burn_in / self.dt
+        burn_steps = round(ratio)
+        if abs(ratio - burn_steps) > max(1e-9, 4 * math.ulp(1.0) * ratio):
+            burn_steps = math.ceil(ratio)
         object.__setattr__(self, "burn_in", burn_steps * self.dt)
 
 

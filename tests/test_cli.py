@@ -267,6 +267,15 @@ class TestScan:
         assert code == EXIT_CONFIG
         assert not grid.exists() and not contour.exists()
 
+    def test_config_flag_is_unrecognized(self, capsys, tmp_path):
+        # scan reads no config; the flag is refused, not silently ignored.
+        grid = tmp_path / "g.csv"
+        code = main(["scan", "--config", str(tmp_path / "none.cfg"),
+                     "--delta", "0.18", "--output", str(grid)])
+        assert code == EXIT_CONFIG
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not grid.exists()
+
     @pytest.mark.parametrize("delta", ["inf", "nan", "0", "-0.1"])
     def test_bad_delta_exits_config(self, capsys, tmp_path, delta):
         grid = tmp_path / "g.csv"
@@ -286,9 +295,10 @@ def test_oversized_grid_refused_before_allocating(capsys, tmp_path, argv):
     cfg.write_text(TEXTBOOK_PHYSICAL.replace("input_power_w  = 0.03",
                                           "input_power_w  = 0"))
     out_path = tmp_path / "out.csv"
+    config = ["--config", str(cfg)] if argv[0] == "spectrum" else []   # scan takes none
     tracemalloc.start()
     try:
-        code = main([*argv, "--config", str(cfg), "--output", str(out_path)])
+        code = main([*argv, *config, "--output", str(out_path)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -797,8 +807,9 @@ def test_subcommand_help_enumerates_flags(capsys):
     assert main(["scan", "--help"]) == EXIT_OK
     out = capsys.readouterr().out
     for flag in ("--delta", "--p-min", "--p-max", "--t-min", "--t-max",
-                 "--p-res", "--t-res", "--contour", "--output", "--config"):
+                 "--p-res", "--t-res", "--contour", "--output"):
         assert flag in out
+    assert "--config" not in out   # the grid comes from flags alone
 
 
 def test_python_m_runs_the_cli():

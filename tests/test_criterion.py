@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from optoepr import (DimensionlessParams, InvalidRegimeError, ParameterError,
-                     epr_lhs, epsilon_half_pi, epsilon_zero, inferred_variance,
-                     optimal_gain, optimal_gains, paradox_boundary, scan)
+                     epr_lhs, optimal_gain, paradox_boundary, scan)
 from optoepr.criterion import _SCAN_CELL_BYTES, SCAN_BUDGET_BYTES
 
 from conftest import HEADLINE, random_dimensionless
@@ -18,43 +17,50 @@ from conftest import HEADLINE, random_dimensionless
 class TestEpsilon:
     def test_headline_values(self):
         # Direct evaluation of the closed forms at (0.17, 0.1, 0.18).
-        assert epsilon_zero(HEADLINE) == pytest.approx(-0.37378, abs=1e-5)
-        assert epsilon_half_pi(HEADLINE) == pytest.approx(2.91487, abs=1e-4)
+        res = epr_lhs(HEADLINE)
+        assert res.eps0 == pytest.approx(-0.37378, abs=1e-5)
+        assert res.eps_half_pi == pytest.approx(2.91487, abs=1e-4)
 
     def test_trivial_zeros(self):
-        assert epsilon_zero(DimensionlessParams(0.0, 0.5, 0.18)) == 0.0
-        assert epsilon_zero(DimensionlessParams(0.3, 1.0, 0.18)) == 0.0
-        assert epsilon_half_pi(DimensionlessParams(0.0, 0.5, 0.18)) == 0.0
+        assert epr_lhs(DimensionlessParams(0.0, 0.5, 0.18)).eps0 == 0.0
+        assert epr_lhs(DimensionlessParams(0.3, 1.0, 0.18)).eps0 == 0.0
+        assert epr_lhs(DimensionlessParams(0.0, 0.5, 0.18)).eps_half_pi == 0.0
 
     def test_half_pi_grows_toward_zero_detuning(self):
         # 1/delta^2 dominance: the phase-quadrature penalty diverges as the
         # detuning closes.
-        lo = epsilon_half_pi(DimensionlessParams(0.1, 0.0, 0.01))
-        hi = epsilon_half_pi(DimensionlessParams(0.1, 0.0, 0.18))
+        lo = epr_lhs(DimensionlessParams(0.1, 0.0, 0.01)).eps_half_pi
+        hi = epr_lhs(DimensionlessParams(0.1, 0.0, 0.18)).eps_half_pi
         assert lo > hi
 
     def test_sign_structure(self):
         rng = np.random.default_rng(5)
         for _ in range(500):
             dp = random_dimensionless(rng)
-            e0 = epsilon_zero(dp)
-            assert epsilon_half_pi(dp) >= 0.0
+            res = epr_lhs(dp)
+            assert res.eps_half_pi >= 0.0
             negative_expected = dp.t_cal < 1.0 and dp.p_cal > 0.0
-            assert (e0 < 0.0) == negative_expected
+            assert (res.eps0 < 0.0) == negative_expected
 
 
 class TestInferredVariance:
     def test_vacuum_limit(self):
-        assert inferred_variance(0.0) == 1.0
+        res = epr_lhs(DimensionlessParams(0.0, 0.5, 0.18))
+        assert (res.var_x, res.var_y, res.gain_x, res.gain_y) == (1.0, 1.0, 0.0, 0.0)
 
     def test_frozen_substitutions(self):
-        assert inferred_variance(-0.37378) == pytest.approx(0.40312, abs=1e-4)
-        assert inferred_variance(2.91487) == pytest.approx(1.74456, abs=1e-4)
+        res = epr_lhs(HEADLINE)
+        assert res.var_x == pytest.approx(0.40312, abs=1e-4)
+        assert res.var_y == pytest.approx(1.74456, abs=1e-4)
+        assert (res.var_x, res.var_y) == (1.0 + res.gain_x, 1.0 + res.gain_y)
 
     def test_invalid_regime(self):
-        for bad in (-0.5, -0.7, -1.0, -2.0):
-            with pytest.raises(InvalidRegimeError):
-                inferred_variance(bad)
+        # eps(0) = -p/(2 (delta^2 + p + 1/4)^2) at t_cal = 0 reaches the
+        # floor -1/2 at p_cal = 1/4 once delta^2 vanishes beside 1/4.
+        for delta in (1e-9, 1e-12):
+            with pytest.raises(InvalidRegimeError, match="eps = -0.5 <= -1/2"):
+                epr_lhs(DimensionlessParams(0.25, 0.0, delta))
+            assert np.isnan(scan((0.25, 0.25), (0.0, 0.0), delta, 1).lhs_values[0, 0])
 
 
 class TestEprLhs:
@@ -147,11 +153,11 @@ class TestOptimalGain:
             assert best == pytest.approx(s11 - s12 * s12 / s22, rel=1e-10, abs=1e-12)
 
     def test_closed_form_gains(self):
-        gains = optimal_gains(HEADLINE)
-        e0 = epsilon_zero(HEADLINE)
-        eh = epsilon_half_pi(HEADLINE)
-        assert gains.g_x == pytest.approx(e0 / (1 + e0), rel=1e-14)
-        assert gains.g_y == pytest.approx(eh / (1 + eh), rel=1e-14)
+        rng = np.random.default_rng(19)
+        for dp in [HEADLINE] + [random_dimensionless(rng) for _ in range(200)]:
+            res = epr_lhs(dp)
+            assert res.gain_x == res.eps0 / (1.0 + res.eps0)
+            assert res.gain_y == res.eps_half_pi / (1.0 + res.eps_half_pi)
 
 
 class TestScan:
@@ -180,6 +186,26 @@ class TestScan:
             for j, p in enumerate(grid.p_axis):
                 ref = epr_lhs(DimensionlessParams(p, t, 0.3)).lhs
                 assert grid.lhs_values[i, j] == pytest.approx(ref, rel=1e-14)
+
+    @pytest.mark.parametrize("args", [
+        ((0.0, 1.0), (0.0, 1.0), 0.18, 64),
+        ((0.0, 2.0), (0.0, 2.0), 0.05, (60, 30)),
+        ((0.0, 3.0), (0.0, 2.0), 0.8, (97, 13)),
+        ((0.0, 1.0), (0.0, 1.0), 1e-9, (201, 50)),
+    ], ids=["square", "low_delta", "wide", "tiny_delta"])
+    def test_cells_are_epr_lhs_bits(self, args):
+        # Point and grid share one arithmetic: every cell is `epr_lhs` at its
+        # point to the bit, and NaN exactly where `epr_lhs` hits the floor.
+        grid = scan(*args)
+        want = np.empty_like(grid.lhs_values)
+        for i, t in enumerate(grid.t_axis.tolist()):
+            for j, p in enumerate(grid.p_axis.tolist()):
+                try:
+                    want[i, j] = epr_lhs(DimensionlessParams(p, t, grid.delta)).lhs
+                except InvalidRegimeError:
+                    want[i, j] = math.nan
+        assert grid.lhs_values.tobytes() == want.tobytes()
+        assert np.isnan(want).any() == (grid.delta == 1e-9)
 
     def test_rejects_degenerate_inputs(self):
         with pytest.raises(ParameterError):
@@ -239,7 +265,7 @@ OVERFLOWING = [DimensionlessParams(0.1, 1e308, 0.18),
 
 
 @pytest.mark.parametrize("dp", OVERFLOWING)
-@pytest.mark.parametrize("fn", [epr_lhs, optimal_gains, epsilon_zero, epsilon_half_pi])
+@pytest.mark.parametrize("fn", [epr_lhs])
 def test_point_refuses_overflowing_closed_form(fn, dp):
     with pytest.raises(ParameterError, match="overflows"):
         fn(dp)
@@ -258,16 +284,16 @@ def test_eps_half_pi_reordered_only_where_first_quotient_overflows():
     # order p/denom * (...) / (2 d2) there, and a float stays a float.
     dp = DimensionlessParams(1e-9, 1e306, 1e-3)
     d2 = dp.delta * dp.delta
-    denom = (d2 + dp.p_cal + 0.25) ** 2
+    denom = (d2 + dp.p_cal + 0.25) * (d2 + dp.p_cal + 0.25)
     want = dp.p_cal / denom * (d2 + dp.p_cal + 0.25 * dp.t_cal) / (2.0 * d2)
     assert math.isfinite(want)
-    eh = epsilon_half_pi(dp)
+    eh = epr_lhs(dp).eps_half_pi
     assert type(eh) is float and eh == want
     # In range, the original order and its bits are kept.
     dp = DimensionlessParams(0.17, 0.1, 0.18)
     d2 = dp.delta * dp.delta
-    denom = (d2 + dp.p_cal + 0.25) ** 2
-    eh = epsilon_half_pi(dp)
+    denom = (d2 + dp.p_cal + 0.25) * (d2 + dp.p_cal + 0.25)
+    eh = epr_lhs(dp).eps_half_pi
     assert type(eh) is float
     assert eh == (d2 + dp.p_cal + 0.25 * dp.t_cal) / (2.0 * d2) * dp.p_cal / denom
 

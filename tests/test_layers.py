@@ -3,8 +3,9 @@
 Read from the import statements of each module's source, so a violation
 fails here even where no test exercises the import.  The same reader pins
 where `sde` draws its noise and builds its step, so that one kernel runs
-every chain on one Euler-Maruyama step, and that no module of the package
-or of the tests imports a name it never uses.
+every chain on one Euler-Maruyama step, where `criterion` computes its
+gains, so that the point and the grid share one arithmetic, and that no
+module of the package or of the tests imports a name it never uses.
 """
 
 import ast
@@ -76,6 +77,13 @@ def test_one_euler_step_in_sde():
     assert sorted(callers("sde", "_step")) == ["_window_step", "integrate"]
     assert sorted(callers("sde", "_window_step")) == [
         "estimate_inference_variance", "sample_inference_variance"]
+
+
+def test_one_closed_form_in_criterion():
+    # The point and the grid evaluate the gains, hence the variances and
+    # their product, through one helper.
+    assert sorted(callers("criterion", "_gains")) == ["epr_lhs", "scan"]
+    assert callers("criterion", "_epsilons") == ["_gains"]
 
 
 def unused_imports(source: str) -> set[str]:

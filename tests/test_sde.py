@@ -593,6 +593,21 @@ class TestSimConfig:
         # The 100-step floor applies to the rounded window.
         assert replace(cfg, dt=1.0, tau=99.6, burn_in=0.0).tau == 100.0
 
+    def test_burn_in_grid_survives_replace(self):
+        # fl(n*dt)/dt can miss n by more than 1e-9 past ~4.5e6 steps; such a
+        # burn_in still holds n steps, and `replace` never moves the grid.
+        def plan(dt, n):
+            return SimConfig(dt=dt, tau=100 * dt, n_segments=1, n_trajectories=1,
+                             seed=0, burn_in=n * dt)
+
+        cfg = plan(9.1357e-08, 1_030_958_618_452)
+        assert round(cfg.burn_in / cfg.dt) == 1_030_958_618_452
+        rng = np.random.default_rng(41)
+        for _ in range(20_000):
+            cfg = plan(10.0 ** rng.uniform(-12.0, 0.0),
+                       int(10.0 ** rng.uniform(0.0, 15.9)))
+            assert replace(cfg, seed=1).burn_in == cfg.burn_in
+
     @pytest.mark.parametrize("field", ["tau", "burn_in"])
     @pytest.mark.parametrize("dt, value", [(1.0, 2.0 * MAX_STEPS), (1e-300, 1e10)],
                              ids=["finite-ratio", "overflowing-ratio"])

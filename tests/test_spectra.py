@@ -15,7 +15,6 @@ from scipy.linalg import solve_continuous_lyapunov
 
 from optoepr import (DimensionlessParams, InstabilityError, K_B, NoisePsd,
                      NumericalError, ParameterError, build_state_space, commutator_norm_check, epr_lhs,
-                     epsilon_half_pi, epsilon_zero, inferred_variance,
                      inferred_variance_at, noise_psd, output_spectral_matrix,
                      realize_dimensionless, require_stable,
                      state_space_matrices, steady_state,
@@ -31,9 +30,8 @@ def closed_form_check(params, ss, phi):
     reduced-parameter formula, the two independent routes side by side."""
     model = build_state_space(params, ss)
     var_ss, _ = inferred_variance_at(model, noise_psd(params), 0.0, phi)
-    dp = to_dimensionless(params, ss.delta)
-    eps = {0.0: epsilon_zero, math.pi / 2: epsilon_half_pi}[phi](dp)
-    return var_ss, inferred_variance(eps)
+    res = epr_lhs(to_dimensionless(params, ss.delta))
+    return var_ss, {0.0: res.var_x, math.pi / 2: res.var_y}[phi]
 
 
 # 0, or 10^U(-12, 6): the reduced power and temperature of the property test.
