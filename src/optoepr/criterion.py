@@ -77,32 +77,31 @@ class ScanGrid:
     lhs_values: np.ndarray
 
 
-def _epsilons(p, t, delta):
-    """(eps(0), eps(pi/2)) at float or broadcasting-array (p_cal, t_cal)."""
+def _closed_form(p, t, delta):
+    """(eps(0), eps(pi/2), g_x, g_y) at float or broadcasting-array
+    (p_cal, t_cal), with the optimal inference gains g = eps/(1 + eps) whose
+    inference variances are 1 + g.  Floats and arrays run the same
+    operations in the same order, so a `scan` cell holds the bits of
+    `epr_lhs` at its point."""
     d2 = delta * delta
     s = d2 + p + 0.25
     denom = s * s   # not ** 2, which on a float rounds through libm's pow
+    # An overflowing denom would divide finite numerators down to 0; as NaN
+    # it leaves both eps non-finite, so the point or grid is refused.
+    if isinstance(denom, np.ndarray):
+        denom[~np.isfinite(denom)] = np.nan
+    elif not math.isfinite(denom):
+        denom = math.nan
     e0 = 0.5 * (t - 1.0) * p / denom
     eh = (d2 + p + 0.25 * t) / (2.0 * d2) * p / denom
     # The first quotient overflows at t_cal far above delta^2 even where
     # eps(pi/2) is a finite double; only there the product is reordered, so
-    # every finite value keeps its bits.  Where denom itself overflows the
-    # reordered product would read 0, so those points stay non-finite and
-    # refused.
+    # every finite value keeps its bits.
     alt = p / denom * (d2 + p + 0.25 * t) / (2.0 * d2)
     if isinstance(eh, np.ndarray):
-        eh = np.where(np.isfinite(eh) | ~np.isfinite(denom), eh, alt)
-    elif not math.isfinite(eh) and math.isfinite(denom):
+        eh = np.where(np.isfinite(eh), eh, alt)
+    elif not math.isfinite(eh):
         eh = alt
-    return e0, eh
-
-
-def _gains(p, t, delta):
-    """(eps(0), eps(pi/2), g_x, g_y): `_epsilons` and the optimal inference
-    gains g = eps/(1 + eps), whose inference variances are 1 + g.  Floats and
-    arrays run the same operations in the same order, so a `scan` cell holds
-    the bits of `epr_lhs` at its point."""
-    e0, eh = _epsilons(p, t, delta)
     return e0, eh, e0 / (1.0 + e0), eh / (1.0 + eh)
 
 
@@ -110,7 +109,7 @@ def epr_lhs(dp: DimensionlessParams) -> EprResult:
     """Evaluate the full criterion at one reduced parameter point; an
     overflowing eps raises ParameterError, eps(0) <= EPS_FLOOR (a
     non-positive variance) InvalidRegimeError."""
-    e0, eh, gx, gy = _gains(dp.p_cal, dp.t_cal, dp.delta)
+    e0, eh, gx, gy = _closed_form(dp.p_cal, dp.t_cal, dp.delta)
     if not (math.isfinite(e0) and math.isfinite(eh)):
         raise ParameterError(f"closed form overflows at {dp}")
     if e0 <= EPS_FLOOR:
@@ -177,7 +176,7 @@ def scan(p_range: tuple[float, float], t_range: tuple[float, float],
     p_axis = _axis(*map(float, p_range), res_p)
     t_axis = _axis(*map(float, t_range), res_t)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        e0, eh, gx, gy = _gains(p_axis[np.newaxis, :], t_axis[:, np.newaxis], delta)
+        e0, eh, gx, gy = _closed_form(p_axis[np.newaxis, :], t_axis[:, np.newaxis], delta)
     if not (np.isfinite(e0).all() and np.isfinite(eh).all()):
         raise ParameterError(
             f"closed form overflows on the scan grid at delta = {delta!r}")

@@ -323,6 +323,8 @@ def test_subnormal_detuning_square_exits_config(capsys, tmp_path, argv):
     ["criterion", "--p", "1e155", "--t", "0.1", "--delta", "0.18"],
     ["scan", "--delta", "1e200"],
     ["scan", "--delta", "0.18", "--p-max", "1e200"],
+    ["criterion", "--p", "2e154", "--t", "0.1", "--delta", "1.5"],
+    ["scan", "--delta", "1.5", "--p-max", "2e154"],
 ])
 def test_closed_form_overflow_exits_config(capsys, tmp_path, argv):
     # eps(0) or eps(pi/2) past the double range: refused, never printed as nan.

@@ -261,7 +261,10 @@ class TestScan:
 
 OVERFLOWING = [DimensionlessParams(0.1, 1e308, 0.18),
                DimensionlessParams(0.1, 0.1, 1e160),
-               DimensionlessParams(1e155, 0.1, 0.18)]
+               DimensionlessParams(1e155, 0.1, 0.18),
+               # denom = (d2 + p + 1/4)^2 overflows while both numerators
+               # stay finite: refused, not eps divided down to 0.
+               DimensionlessParams(2e154, 0.1, 1.5)]
 
 
 @pytest.mark.parametrize("dp", OVERFLOWING)
@@ -276,6 +279,8 @@ def test_scan_refuses_overflowing_closed_form():
         scan((0.0, 1.0), (0.0, 1.0), 1e200, 10)
     with pytest.raises(ParameterError, match="overflows"):
         scan((0.0, 1e200), (0.0, 1.0), 0.18, 10)
+    with pytest.raises(ParameterError, match="overflows"):
+        scan((0.0, 2e154), (0.0, 1.0), 1.5, 10)
 
 
 def test_eps_half_pi_reordered_only_where_first_quotient_overflows():

@@ -82,8 +82,7 @@ def test_one_euler_step_in_sde():
 def test_one_closed_form_in_criterion():
     # The point and the grid evaluate the gains, hence the variances and
     # their product, through one helper.
-    assert sorted(callers("criterion", "_gains")) == ["epr_lhs", "scan"]
-    assert callers("criterion", "_epsilons") == ["_gains"]
+    assert sorted(callers("criterion", "_closed_form")) == ["epr_lhs", "scan"]
 
 
 def unused_imports(source: str) -> set[str]:
