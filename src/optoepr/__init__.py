@@ -9,8 +9,7 @@ stochastic-simulation oracle.
 """
 
 from .constants import C_LIGHT, HBAR, K_B
-from .criterion import (EprResult, ScanGrid, epr_lhs, optimal_gain,
-                        paradox_boundary, scan)
+from .criterion import EprResult, ScanGrid, epr_lhs, paradox_boundary, scan
 from .errors import (ConvergenceError, InstabilityError, InvalidRegimeError,
                      NumericalError, OptoEprError, ParameterError)
 from .model import (Couplings, DimensionlessParams, PhysicalParams,
@@ -34,8 +33,7 @@ __all__ = [
     "Couplings", "DimensionlessParams", "PhysicalParams", "SteadyState",
     "couplings", "drive_kappa", "locality_check", "steady_state",
     "steady_state_residual", "to_dimensionless",
-    "EprResult", "ScanGrid", "epr_lhs", "optimal_gain", "paradox_boundary",
-    "scan",
+    "EprResult", "ScanGrid", "epr_lhs", "paradox_boundary", "scan",
     "NoisePsd", "SpectralMatrix", "StateSpace", "brownian_psd",
     "build_state_space", "commutator_norm_check", "inferred_variance_at",
     "noise_psd", "output_response", "output_spectral_matrix",

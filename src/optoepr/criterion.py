@@ -13,9 +13,7 @@ exactly 1 and a paradox is ``lhs < 1``.
 
 `epr_lhs` evaluates one point; `scan` runs the same arithmetic on a dense
 (p_cal, t_cal) grid, so each cell holds the bits of `epr_lhs` there, and
-`paradox_boundary` extracts its ``lhs = 1`` contour.  The module also
-carries the generic quadratic-gain minimizer used by the frequency-domain
-solver.
+`paradox_boundary` extracts its ``lhs = 1`` contour.
 """
 
 from __future__ import annotations
@@ -31,10 +29,6 @@ from .model import DimensionlessParams
 # Below this value of eps the closed form would give a non-positive variance;
 # such a point is flagged as an invalid regime rather than clamped.
 EPS_FLOOR = -0.5
-
-# Relative tolerance on positive semidefiniteness of a spectral triple, here
-# and of every output spectral matrix in `spectra`.
-PSD_TOL = 1e-9
 
 # `scan` refuses a grid whose work arrays could pass this many bytes, at the
 # ~40 per cell its traced peak reaches at 1000 x 1000, before allocating.
@@ -119,29 +113,6 @@ def epr_lhs(dp: DimensionlessParams) -> EprResult:
     lhs = vx * vy
     return EprResult(eps0=e0, eps_half_pi=eh, var_x=vx, var_y=vy,
                      lhs=lhs, paradox=lhs < 1.0, gain_x=gx, gain_y=gy)
-
-
-def optimal_gain(s11, s12, s22):
-    """Minimizer g* = s12/s22 of the inference quadratic s11 - 2 g s12 + g^2 s22.
-
-    The minimized value is s11 - s12^2/s22.  The triple must be a valid
-    symmetrized spectral matrix: s22 > 0 and s11*s22 >= s12^2 within a
-    relative tolerance of 1e-9.  Floats or broadcasting arrays (one triple
-    per element); an array is refused if any of its triples is, and the
-    error names the first offending value.
-    """
-    positive = np.asarray(s22 > 0.0)
-    if not positive.all():
-        bad = np.asarray(s22)[~positive].flat[0]
-        raise ParameterError(f"s22 must be positive, got {float(bad)!r}")
-    violation = s12 * s12 - s11 * s22
-    scale = np.maximum(abs(s11 * s22), s12 * s12)
-    refused = np.asarray(violation > PSD_TOL * scale)
-    if refused.any():
-        bad = np.asarray(violation)[refused].flat[0]
-        raise ParameterError(
-            f"spectral matrix not positive semidefinite: s12^2 - s11*s22 = {float(bad)!r}")
-    return s12 / s22
 
 
 def _axis(lo: float, hi: float, res: int) -> np.ndarray:

@@ -190,17 +190,17 @@ def to_dimensionless(params: PhysicalParams, delta: float) -> DimensionlessParam
         If ``delta`` breaks the detuning rule of `DimensionlessParams` (the
         reduced description is only defined for positive detuning).
     NumericalError
-        Where a square in p_cal overflows or its denominator underflows to 0.
+        Where a square in p_cal overflows or a denominator underflows to 0.
     """
     try:
         p_cal = (8.0 * params.omega_0 * delta * params.input_power
                  / (params.mass * params.cavity_length ** 2 * params.omega_m ** 2
                     * params.gamma_c ** 2 * (1.0 + 4.0 * delta * delta)))
+        t_cal = (8.0 * K_B * params.temperature * params.gamma_m * delta
+                 / (HBAR * params.omega_m ** 2))
     except (OverflowError, ZeroDivisionError) as exc:
-        raise NumericalError(f"p_cal is outside the double range ({exc}) "
+        raise NumericalError(f"p_cal or t_cal is outside the double range ({exc}) "
                              f"for {params}") from None
-    t_cal = (8.0 * K_B * params.temperature * params.gamma_m * delta
-             / (HBAR * params.omega_m ** 2))
     return DimensionlessParams(p_cal=p_cal, t_cal=t_cal, delta=delta)
 
 

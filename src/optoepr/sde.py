@@ -600,9 +600,15 @@ def _factor(cov: np.ndarray) -> np.ndarray:
 
     The covariance is scaled to a unit diagonal first, because its entries
     span decades, and factored with `eigh`.  Eigenvalues negative only by
-    rounding are clipped to zero; a materially negative one is refused.
+    rounding are clipped to zero; a materially negative one is refused, as
+    is a non-finite entry or a negative variance, which cancellation leaves
+    in the window sum where the noise outgrows the double precision.
     """
-    scale = np.sqrt(np.diag(cov))
+    var = np.diag(cov)
+    if not (np.isfinite(cov).all() and var.min() >= 0.0):
+        raise NumericalError("window covariance has a non-finite entry or a negative "
+                             f"variance (least variance {float(var.min())!r})")
+    scale = np.sqrt(var)
     scale[scale == 0.0] = 1.0   # a noiseless component: its row is zero
     vals, vecs = np.linalg.eigh(cov / np.outer(scale, scale))
     if vals[0] < -1e-9 * len(cov):

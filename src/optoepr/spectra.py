@@ -29,6 +29,9 @@ conjugate output quadratures is exactly 2 gamma_c, so the minimized omega = 0
 inference variances coincide with the closed forms in `criterion` (the
 calibration constant between conventions is identically 1; verified to
 ~1e-9, limited only by omega_0/omega_c in the reduced-power definition).
+
+Each matrix is checked once, in `output_spectral_matrix`, by the rule under
+which `SpectralMatrix.inference` is defined; nothing comes from `criterion`.
 """
 
 from __future__ import annotations
@@ -39,7 +42,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import criterion
 from .constants import HBAR, K_B
 from .errors import InstabilityError, NumericalError, ParameterError
 from .model import (DimensionlessParams, PhysicalParams, SteadyState,
@@ -48,6 +50,7 @@ from .model import (DimensionlessParams, PhysicalParams, SteadyState,
 N_STATES = 6
 N_NOISES = 5
 N_OUTPUTS = 4
+PSD_TOL = 1e-9   # relative tolerance of the positive semidefinite rule
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ class SpectralMatrix:
         s = self.s
         # [()] makes the entries of a single matrix numpy scalars, not 0-d arrays.
         s11, s12, s22 = s[..., 0, 0][()], s[..., 0, 1][()], s[..., 1, 1][()]
-        gain = criterion.optimal_gain(s11, s12, s22)
+        gain = s12 / s22
         return s11 - 2.0 * gain * s12 + gain * gain * s22, gain
 
 
@@ -236,21 +239,27 @@ def output_spectral_matrix(model: StateSpace, noise: NoisePsd, omega,
     """Symmetrized 2x2 output spectra of the phi-quadratures at each ``omega``.
 
     ``omega`` is a float or an array; the returned ``s`` has shape
-    ``(*np.shape(omega), 2, 2)``.  Each matrix is held to the same PSD
-    tolerance, and the first omega that fails it is named in the error.
+    ``(*np.shape(omega), 2, 2)``.  A matrix is accepted only if every entry
+    is finite, s22 > 0 and s12^2 - s11 s22 <= PSD_TOL max(|s11 s22|, s12^2),
+    so that `SpectralMatrix.inference` is defined on it; otherwise
+    NumericalError names the first omega that fails.
     """
     w = np.asarray(omega, dtype=float)
     r = output_response(model, w)
-    s4 = ((r * noise.levels(w)[..., None, :]) @ r.conj().swapaxes(-1, -2)).real
     p = _projector(phi)
-    s = p @ s4 @ p.T
-    s = 0.5 * (s + s.swapaxes(-1, -2))
-    trace = s[..., 0, 0] + s[..., 1, 1]
-    bad = np.min(np.linalg.eigvalsh(s), axis=-1) < -criterion.PSD_TOL * abs(trace)
-    if np.any(bad):
+    with np.errstate(over="ignore", invalid="ignore"):   # inf and nan are refused below
+        s4 = ((r * noise.levels(w)[..., None, :]) @ r.conj().swapaxes(-1, -2)).real
+        s = p @ s4 @ p.T
+        s = 0.5 * (s + s.swapaxes(-1, -2))
+        # The rule is homogeneous: over the largest entry, no square overflows.
+        n = s / np.abs(s).max(axis=(-2, -1), keepdims=True)
+    n11, n12, n22 = n[..., 0, 0], n[..., 0, 1], n[..., 1, 1]
+    ok = (np.isfinite(s).all(axis=(-2, -1)) & (s[..., 1, 1] > 0.0)
+          & (n12 * n12 - n11 * n22 <= PSD_TOL * np.maximum(abs(n11 * n22), n12 * n12)))
+    if not ok.all():
         raise NumericalError(
-            "output spectral matrix not positive semidefinite at "
-            f"omega={float(w[bad].flat[0])!r}")
+            "output spectral matrix is not finite and positive semidefinite "
+            f"with s22 > 0 at omega={float(w[~ok].flat[0])!r}")
     return SpectralMatrix(s=s)
 
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,13 @@ def realized_headline_config(tmp_path, headline_realization):
         f"gamma_c_hz = {params.gamma_c!r}\n"
         f"temperature_k = {params.temperature!r}\n"
         f"input_power_w = {params.input_power!r}\n")
+    return cfg
+
+
+def set_key(cfg: Path, key: str, value: str) -> Path:
+    """Rewrite the ``key`` line of config file ``cfg`` to ``value``."""
+    cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", cfg.read_text(),
+                          flags=re.M))
     return cfg
 
 
@@ -123,6 +131,18 @@ class TestCriterion:
         code, _ = run(capsys, "criterion", "--config", "/nonexistent/x.cfg",
                       "--delta", "0.18")
         assert code == EXIT_IO
+
+    def test_underflowing_t_cal_denominator_exits_numerical(self, capsys,
+                                                            realized_headline_config):
+        # hbar omega_m^2 underflows to 0 where p_cal's denominator does not:
+        # a numerical failure, not a ZeroDivisionError.
+        cfg = set_key(realized_headline_config, "omega_m_rad_s", "1.1e-154")
+        code = main(["criterion", "--config", str(cfg), "--delta", "0.18"])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert captured.out == ""
+        assert "t_cal is outside the double range" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
 
 def per_cell_scan_csv(grid) -> str:
@@ -491,6 +511,28 @@ class TestSpectrum:
         assert len(err.splitlines()) == 1
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("temperature, expected", [
+        ("1e160", EXIT_OK), ("1e300", EXIT_NUMERICAL)])
+    def test_bath_near_the_double_range(self, capsys, tmp_path,
+                                        realized_headline_config, temperature,
+                                        expected):
+        # Spectra near 1e171 are checked without a square overflowing; past
+        # the double range they are a numerical failure in one line, not a
+        # config error after overflow warnings.
+        cfg = set_key(realized_headline_config, "temperature_k", temperature)
+        out_path = tmp_path / "s.csv"
+        code = main(["spectrum", "--config", str(cfg), "--omega-min", "0",
+                     "--omega-max", "1e6", "--points", "3", "--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == expected
+        if expected == EXIT_OK:
+            assert err == ""
+            assert len(out_path.read_text().splitlines()) == 4
+        else:
+            assert "at omega=0.0" in err
+            assert len(err.splitlines()) == 1
+            assert not out_path.exists()
+
     def test_literal_textbook_set_exits_numerical(self, capsys, tmp_path):
         # The quoted laboratory point is anti-damped; building its state
         # space must fail with the numerical exit code.
@@ -738,6 +780,23 @@ class TestSimulate:
         assert message in capsys.readouterr().err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("temperature", ["1e15", "1e25", "1e40"])
+    def test_negative_window_variance_exits_numerical(self, capsys, tmp_path,
+                                                       realized_headline_config,
+                                                       temperature):
+        # At phi = pi/2 the gain is 1 + 2^-52, and force noise 1e20 or more
+        # above vacuum cancels in X1 - g X2 until the window-sum variance
+        # comes out negative: refused before its square root is taken.
+        cfg = set_key(realized_headline_config, "temperature_k", temperature)
+        cfg.write_text(cfg.read_text() + "trajectories = 4\nsegments = 1\n")
+        out_path = tmp_path / "sim.out"
+        code = main(["simulate", "--config", str(cfg), "--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_NUMERICAL
+        assert "negative variance" in err
+        assert len(err.splitlines()) == 1
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("key, value", [
         ("trajectories", "nan"), ("trajectories", "inf"), ("trajectories", "2.9"),
         ("segments", "nan"), ("seed", "-1"), ("seed", "nan"),
@@ -753,6 +812,35 @@ class TestSimulate:
         code, _ = run(capsys, "simulate", "--config", str(cfg), "--output", str(out_path))
         assert code == EXIT_CONFIG
         assert not out_path.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    *(("temperature_k", t) for t in ("1e15", "1e25", "1e40", "1e160", "1e200", "1e300")),
+    ("omega_m_rad_s", "1.1e-154"),
+])
+def test_extreme_value_exits_cleanly(capsys, realized_headline_config,
+                                     headline_realization, key, value):
+    # Every physical-config command on the realized headline with one key
+    # pushed to an extreme: an exit code of the contract, at most one line
+    # on stderr, and no exception or warning escaping `main`.
+    params, _ = headline_realization
+    base = set_key(realized_headline_config, key, value).read_text()
+    detuning0 = (params.omega_0 - params.omega_c) / params.gamma_c
+    runs = [
+        (base, ["spectrum", "--omega-min", "0", "--omega-max", "1e6", "--points", "3"]),
+        (base + "trajectories = 4\nsegments = 1\n", ["simulate"]),
+        (base, ["criterion", "--delta", "0.18"]),
+        (re.sub(r"^omega_0_rad_s = .*$", f"detuning0 = {detuning0!r}", base, flags=re.M),
+         ["steady-state"]),
+    ]
+    for text, argv in runs:
+        realized_headline_config.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([*argv, "--config", str(realized_headline_config)])
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 4), (argv, err)
+        assert len(err.splitlines()) <= 1, (argv, err)
 
 
 class TestSpectrumCriterionConsistency:

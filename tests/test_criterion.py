@@ -1,4 +1,4 @@
-"""Tests for the closed-form criterion, gain optimizer, scans, and boundary."""
+"""Tests for the closed-form criterion, its gains, scans, and boundary."""
 
 import math
 import tracemalloc
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from optoepr import (DimensionlessParams, InvalidRegimeError, ParameterError,
-                     epr_lhs, optimal_gain, paradox_boundary, scan)
+                     epr_lhs, paradox_boundary, scan)
 from optoepr.criterion import _SCAN_CELL_BYTES, SCAN_BUDGET_BYTES
 
 from conftest import HEADLINE, random_dimensionless
@@ -104,54 +104,6 @@ class TestEprLhs:
 
 
 class TestOptimalGain:
-    def test_uncorrelated_gain_zero(self):
-        assert optimal_gain(1.0, 0.0, 1.0) == 0.0
-
-    def test_perfect_correlation(self):
-        g = optimal_gain(1.0, 1.0, 1.0)
-        assert g == 1.0
-        assert 1.0 - 2 * g * 1.0 + g * g * 1.0 == 0.0
-
-    def test_rejects_bad_matrices(self):
-        with pytest.raises(ParameterError):
-            optimal_gain(1.0, 0.1, 0.0)
-        with pytest.raises(ParameterError):
-            optimal_gain(1.0, 0.1, -1.0)
-        with pytest.raises(ParameterError):
-            optimal_gain(1.0, 1.1, 1.0)   # s12^2 > s11 s22
-
-    def test_arrays_match_scalar_calls_and_refuse_any_bad_triple(self):
-        rng = np.random.default_rng(29)
-        s11 = rng.uniform(0.05, 5.0, 50)
-        s22 = rng.uniform(0.05, 5.0, 50)
-        s12 = rng.uniform(-1.0, 1.0, 50) * np.sqrt(s11 * s22)
-        gains = optimal_gain(s11, s12, s22)
-        assert gains.tobytes() == np.array(
-            [optimal_gain(*t) for t in zip(s11.tolist(), s12.tolist(),
-                                           s22.tolist())]).tobytes()
-        for value in (0.0, -1.0):
-            bad = s22.copy()
-            bad[17] = value
-            with pytest.raises(ParameterError, match="s22 must be positive"):
-                optimal_gain(s11, s12, bad)
-        bad = s12.copy()
-        bad[31] = 1.1 * np.sqrt(s11[31] * s22[31])
-        with pytest.raises(ParameterError, match="not positive semidefinite"):
-            optimal_gain(s11, bad, s22)
-
-    def test_beats_brute_force_grid(self):
-        rng = np.random.default_rng(17)
-        grid = np.linspace(-10.0, 10.0, 201)
-        for _ in range(1000):
-            s22 = float(rng.uniform(0.05, 5.0))
-            s11 = float(rng.uniform(0.05, 5.0))
-            s12 = float(rng.uniform(-1.0, 1.0)) * np.sqrt(s11 * s22)
-            g = optimal_gain(s11, s12, s22)
-            best = s11 - 2 * g * s12 + g * g * s22
-            brute = s11 - 2 * grid * s12 + grid * grid * s22
-            assert best <= brute.min() + 1e-12
-            assert best == pytest.approx(s11 - s12 * s12 / s22, rel=1e-10, abs=1e-12)
-
     def test_closed_form_gains(self):
         rng = np.random.default_rng(19)
         for dp in [HEADLINE] + [random_dimensionless(rng) for _ in range(200)]:

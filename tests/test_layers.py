@@ -21,7 +21,7 @@ TESTS = Path(__file__).parent
 FORBIDDEN = {
     "model": {"criterion", "spectra", "sde", "cli"},
     "criterion": {"spectra", "sde", "cli"},
-    "spectra": {"sde", "cli"},
+    "spectra": {"criterion", "sde", "cli"},
     "sde": {"criterion", "cli"},
 }
 

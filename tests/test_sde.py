@@ -473,6 +473,12 @@ class TestWindowSampler:
         assert np.allclose(low @ low.T, cov, rtol=1e-12, atol=0.0)
         with pytest.raises(NumericalError):
             sde._factor(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # A negative variance, which cancellation leaves in a window sum
+        # whose noise outgrows the double precision, and a non-finite entry
+        # are refused before the diagonal's square root.
+        for cov in ([[1.0, 0.0], [0.0, -4.6e5]], [[1.0, math.nan], [math.nan, 1.0]]):
+            with pytest.raises(NumericalError, match="non-finite entry or a negative"):
+                sde._factor(np.array(cov))
 
     @pytest.mark.parametrize("phi, gain", [(math.nan, -0.3), (math.inf, -0.3),
                                            (0.7, math.inf), (0.7, math.nan)])

@@ -7,6 +7,8 @@ the closed-form reduced-parameter expression for both quadrature angles.
 
 import math
 import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
 from optoepr import (DimensionlessParams, InstabilityError, K_B, NoisePsd,
-                     NumericalError, ParameterError, build_state_space, commutator_norm_check, epr_lhs,
+                     NumericalError, ParameterError, SpectralMatrix, StateSpace,
+                     build_state_space, commutator_norm_check, epr_lhs,
                      inferred_variance_at, noise_psd, output_spectral_matrix,
                      realize_dimensionless, require_stable,
                      state_space_matrices, steady_state,
@@ -284,10 +287,36 @@ class TestOutputSpectra:
             output_spectral_matrix(model, broken, omegas, 0.0)
         output_spectral_matrix(model, broken, omegas[:5], 0.0)
 
+    def test_nan_force_psd_refused_naming_the_omega(self, headline_model):
+        # A nan mirror noise PSD gives nan matrices: refused by the
+        # finiteness rule, naming the first such omega, before any inference.
+        params, _, model, noise = headline_model
+        omegas = np.linspace(-2.0, 2.0, 9) * params.gamma_c
+        broken = NoisePsd(vacuum_level=noise.vacuum_level,
+                          brownian=lambda w: math.nan if w > 0.0 else noise.brownian(w))
+        with pytest.raises(NumericalError,
+                           match=re.escape(f"omega={float(omegas[5])!r}")):
+            output_spectral_matrix(model, broken, omegas, 0.0)
+        with pytest.raises(NumericalError, match=re.escape(f"omega={1e6!r}")):
+            inferred_variance_at(model, broken, 1e6, math.pi / 2)
+
+    def test_entries_near_1e170_pass_without_warning(self, headline_model):
+        # A bath at 1e160 K puts the entries between 1e170 and 1e173, where
+        # s11 s22 overflows; the rule is applied to s over its largest entry.
+        params, _, model, _ = headline_model
+        hot = noise_psd(replace(params, temperature=1e160))
+        omegas = np.linspace(0.0, 0.5, 5) * params.gamma_c
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for phi in (0.0, math.pi / 2):
+                s = output_spectral_matrix(model, hot, omegas, phi).s
+                assert np.all(s > 1e170) and np.all(s < 1e173)
+
     @pytest.mark.parametrize("phi", [math.inf, -math.inf, math.nan])
     def test_non_finite_angle_refused(self, headline_model, phi):
-        # cos(inf) would raise a bare ValueError and nan would surface as a
-        # misleading "s22 must be positive".
+        # cos(inf) would raise a bare ValueError, and a nan angle would only
+        # be refused later, as a non-finite spectral matrix: a numerical
+        # failure rather than the config error it is.
         _, _, model, noise = headline_model
         for omega in (0.0, np.array([0.0, 1e6])):
             with pytest.raises(ParameterError, match=f"phi must be finite, got {phi!r}"):
@@ -300,6 +329,69 @@ class TestOutputSpectra:
         var, gain = inferred_variance_at(model, noise, 0.0, 0.0)
         assert var == pytest.approx(1.0, rel=1e-12)
         assert gain == pytest.approx(0.0, abs=1e-12)
+
+
+def common_mode(n0):
+    """Spectra at omega = 0, 1, ... of a state space with no dynamics:
+    outputs x1 and x2 each carry their own vacuum input plus the mirror
+    noise, which is ``n0[k]`` at omega = k.  At phi = 0 the matrix at
+    omega = k is exactly n0[k] [[1, 1], [1, 1]] + I, through the one
+    check of `output_spectral_matrix`."""
+    d = np.zeros((4, 5))
+    d[0, [0, 1]] = d[2, [0, 3]] = 1.0
+    model = StateSpace(drift=-np.eye(6), input_map=np.zeros((6, 5)),
+                       output_map=np.zeros((4, 6)), feedthrough=d, gamma_c=1.0)
+    noise = NoisePsd(vacuum_level=1.0, brownian=lambda w: n0[int(w)])
+    return output_spectral_matrix(model, noise, np.arange(len(n0), dtype=float), 0.0)
+
+
+class TestOptimalGain:
+    def test_uncorrelated_gain_zero(self):
+        assert SpectralMatrix(np.eye(2)).inference() == (1.0, 0.0)
+        assert common_mode([0.0]).inference() == (1.0, 0.0)
+
+    def test_perfect_correlation(self):
+        var, g = SpectralMatrix(np.ones((2, 2))).inference()
+        assert g == 1.0
+        assert var == 0.0
+
+    def test_rejects_bad_matrices(self):
+        # s22 = 0, s22 = -1, and s12^2 > s11 s22 at s22 = 1/4; the rank-one
+        # boundary n0 = -1/2 passes, with gain -1 and variance 0.
+        for n0 in (-1.0, -2.0, -0.75):
+            with pytest.raises(NumericalError, match=re.escape("omega=0.0")):
+                common_mode([n0])
+        assert common_mode([-0.5]).inference() == (0.0, -1.0)
+
+    def test_arrays_match_scalar_calls_and_refuse_any_bad_triple(self):
+        rng = np.random.default_rng(29)
+        s11 = rng.uniform(0.05, 5.0, 50)
+        s22 = rng.uniform(0.05, 5.0, 50)
+        s12 = rng.uniform(-1.0, 1.0, 50) * np.sqrt(s11 * s22)
+        stack = np.stack([np.stack([s11, s12], -1), np.stack([s12, s22], -1)], -2)
+        var, gains = SpectralMatrix(stack).inference()
+        one = [SpectralMatrix(s).inference() for s in stack]
+        assert var.tobytes() == np.array([v for v, _ in one]).tobytes()
+        assert gains.tobytes() == np.array([g for _, g in one]).tobytes()
+        n0 = rng.uniform(-0.5, 5.0, 50)
+        assert common_mode(n0.tolist()).s.shape == (50, 2, 2)
+        for k, value in ((17, -1.0), (17, -2.0), (31, -0.75)):
+            bad = n0.copy()
+            bad[k] = value
+            with pytest.raises(NumericalError, match=re.escape(f"omega={float(k)!r}")):
+                common_mode(bad.tolist())
+
+    def test_beats_brute_force_grid(self):
+        rng = np.random.default_rng(17)
+        grid = np.linspace(-10.0, 10.0, 201)
+        for _ in range(1000):
+            s22 = float(rng.uniform(0.05, 5.0))
+            s11 = float(rng.uniform(0.05, 5.0))
+            s12 = float(rng.uniform(-1.0, 1.0)) * np.sqrt(s11 * s22)
+            best, g = SpectralMatrix(np.array([[s11, s12], [s12, s22]])).inference()
+            brute = s11 - 2 * grid * s12 + grid * grid * s22
+            assert best <= brute.min() + 1e-12
+            assert best == pytest.approx(s11 - s12 * s12 / s22, rel=1e-10, abs=1e-12)
 
 
 class TestOmegaZeroEquivalence:
