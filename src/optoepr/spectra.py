@@ -22,8 +22,13 @@ at T = 0.  With these normalizations the output spectral matrix is
     S(omega) = Re[ R(omega) diag(N(omega)) R(omega)^dag ],
     R(omega) = C (-i omega I - A)^{-1} B + D,
 
-projected onto the phi-quadratures X(phi) = x cos(phi) + y sin(phi).  No
-further calibration constant is needed: the empty cavity returns exactly
+for the phi-quadratures X(phi) = x cos(phi) + y sin(phi).  C and D are
+projected onto those two quadratures before the solve, and R comes from the
+adjoint system (-i omega I - A)^T Y = C^T, so each omega carries one
+right-hand side per reported quadrature.  The inference variance is read
+off the same factors, as sum_k N_k |R_1k - g R_2k|^2.
+
+No further calibration constant is needed: the empty cavity returns exactly
 S_11 = gamma_c at every frequency and the omega = 0 commutator norm between
 conjugate output quadratures is exactly 2 gamma_c, so the minimized omega = 0
 inference variances coincide with the closed forms in `criterion` (the
@@ -37,7 +42,7 @@ which `SpectralMatrix.inference` is defined; nothing comes from `criterion`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -57,10 +62,12 @@ PSD_TOL = 1e-9   # relative tolerance of the positive semidefinite rule
 class StateSpace:
     """Real state-space model (A, B, C, D) of the fluctuation dynamics.
 
-    ``drift`` is 6x6, ``input_map`` 6x5, ``output_map`` 4x6 and
-    ``feedthrough`` 4x5; ``gamma_c`` is carried along so spectra can be
-    normalized without re-threading the physical parameters.  Treat
-    instances (and their arrays) as immutable.
+    ``drift`` is 6x6 and ``input_map`` 6x5; ``output_map`` is kx6 and
+    ``feedthrough`` kx5 for k outputs: the 4 output field quadratures as
+    built, or 2 once projected onto the phi-quadratures of the two modes.
+    ``gamma_c`` is carried along so spectra can be normalized without
+    re-threading the physical parameters.  Treat instances (and their
+    arrays) as immutable.
     """
 
     drift: np.ndarray
@@ -103,24 +110,42 @@ class NoisePsd:
 
 @dataclass(frozen=True)
 class SpectralMatrix:
-    """Symmetrized 2x2 mode-indexed output spectra at one phi.
+    """Symmetrized 2x2 mode-indexed output spectra at one phi, with their factors.
 
-    ``s`` has shape ``(..., 2, 2)``: one matrix per omega of the solve, or
-    ``(2, 2)`` for a scalar omega.
+    ``response`` has shape ``(..., 2, K)``: the complex response of the two
+    phi-quadratures to K uncorrelated inputs, whose symmetrized PSDs
+    ``levels`` has shape ``(..., K)``.  ``s = Re[r diag(N) r^dag]`` has
+    shape ``(..., 2, 2)``: one matrix per omega of the solve, or ``(2, 2)``
+    for a scalar omega.
     """
 
-    s: np.ndarray
+    response: np.ndarray
+    levels: np.ndarray
+    s: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        r = self.response
+        with np.errstate(over="ignore", invalid="ignore"):   # refused by the caller's rule
+            rn = r * self.levels[..., None, :]
+            s = (rn[..., :, None, :] * r[..., None, :, :].conj()).real.sum(axis=-1)
+            object.__setattr__(self, "s", 0.5 * (s + s.swapaxes(-1, -2)))
 
     def inference(self):
-        """(s11 - 2 g s12 + g^2 s22, g) at the optimal gain g, in units of ``s``.
+        """(sum_k N_k |r_1k - g r_2k|^2, g) at the optimal gain g = s12/s22.
 
-        Elementwise over the leading axes of ``s``; scalars for one matrix.
+        The variance, in units of ``s``, equals s11 - 2 g s12 + g^2 s22 in
+        exact arithmetic, but as a sum of non-negative terms it cannot
+        cancel when common-mode noise dominates both entries.  It is the
+        variance at the returned gain, whose rounding adds about
+        s22 (2^-53 g)^2 to the minimum.  Elementwise over the leading axes
+        of ``s``; scalars for one matrix.
         """
-        s = self.s
-        # [()] makes the entries of a single matrix numpy scalars, not 0-d arrays.
-        s11, s12, s22 = s[..., 0, 0][()], s[..., 0, 1][()], s[..., 1, 1][()]
-        gain = s12 / s22
-        return s11 - 2.0 * gain * s12 + gain * gain * s22, gain
+        r = self.response
+        gain = self.s[..., 0, 1] / self.s[..., 1, 1]
+        d = r[..., 0, :] - gain[..., None] * r[..., 1, :]
+        variance = (self.levels * (d * d.conj()).real).sum(axis=-1)
+        # [()] makes the values of a single matrix numpy scalars, not 0-d arrays.
+        return variance[()], gain[()]
 
 
 def brownian_psd(omega: float, params: PhysicalParams) -> float:
@@ -213,16 +238,24 @@ def build_state_space(params: PhysicalParams, ss: SteadyState) -> StateSpace:
 def output_response(model: StateSpace, omega) -> np.ndarray:
     """Complex response R(omega) = C (-i omega I - A)^{-1} B + D.
 
-    ``omega`` is a float or an array of sideband frequencies; the result has
-    shape ``(*np.shape(omega), 4, 5)``, from one stacked solve.
+    Solved as the adjoint system (-i omega I - A)^T Y = C^T, with
+    R = Y^T B + D: one right-hand side per output, not one per input.
+    ``omega`` is a float or an array of sideband frequencies; for a model
+    with k outputs the result has shape ``(*np.shape(omega), k, 5)``, from
+    one stacked solve.
     """
     w = np.asarray(omega, dtype=float)
-    m = -1j * w[..., None, None] * np.eye(N_STATES) - model.drift
+    m = np.empty(w.shape + (N_STATES, N_STATES), dtype=complex)
+    m[...] = -model.drift.T
+    m.reshape(w.shape + (N_STATES * N_STATES,))[..., ::N_STATES + 1] -= 1j * w[..., None]
     try:
-        h = np.linalg.solve(m, model.input_map)   # B broadcasts over the stack
+        y = np.linalg.solve(m, model.output_map.T)   # C^T broadcasts over the stack
     except np.linalg.LinAlgError as exc:   # cannot occur for stable A, real omega
         raise NumericalError(f"singular response matrix at omega={omega!r}") from exc
-    return model.output_map @ h + model.feedthrough
+    # B is real, so Y^T B is one real product over the interleaved real and
+    # imaginary parts of Y, with the values of the complex product.
+    yb = (model.input_map.T @ y.view(float)).view(complex)
+    return yb.swapaxes(-1, -2) + model.feedthrough
 
 
 def _projector(phi: float) -> np.ndarray:
@@ -238,19 +271,21 @@ def output_spectral_matrix(model: StateSpace, noise: NoisePsd, omega,
                            phi: float) -> SpectralMatrix:
     """Symmetrized 2x2 output spectra of the phi-quadratures at each ``omega``.
 
-    ``omega`` is a float or an array; the returned ``s`` has shape
+    The model is projected onto the two phi-quadratures before the solve,
+    so `output_response` carries two right-hand sides.  ``omega`` is a
+    float or an array; the returned ``s`` has shape
     ``(*np.shape(omega), 2, 2)``.  A matrix is accepted only if every entry
     is finite, s22 > 0 and s12^2 - s11 s22 <= PSD_TOL max(|s11 s22|, s12^2),
     so that `SpectralMatrix.inference` is defined on it; otherwise
     NumericalError names the first omega that fails.
     """
     w = np.asarray(omega, dtype=float)
-    r = output_response(model, w)
     p = _projector(phi)
+    projected = replace(model, output_map=p @ model.output_map,
+                        feedthrough=p @ model.feedthrough)
+    spec = SpectralMatrix(response=output_response(projected, w), levels=noise.levels(w))
+    s = spec.s
     with np.errstate(over="ignore", invalid="ignore"):   # inf and nan are refused below
-        s4 = ((r * noise.levels(w)[..., None, :]) @ r.conj().swapaxes(-1, -2)).real
-        s = p @ s4 @ p.T
-        s = 0.5 * (s + s.swapaxes(-1, -2))
         # The rule is homogeneous: over the largest entry, no square overflows.
         n = s / np.abs(s).max(axis=(-2, -1), keepdims=True)
     n11, n12, n22 = n[..., 0, 0], n[..., 0, 1], n[..., 1, 1]
@@ -260,7 +295,7 @@ def output_spectral_matrix(model: StateSpace, noise: NoisePsd, omega,
         raise NumericalError(
             "output spectral matrix is not finite and positive semidefinite "
             f"with s22 > 0 at omega={float(w[~ok].flat[0])!r}")
-    return SpectralMatrix(s=s)
+    return spec
 
 
 def inferred_variance_at(model: StateSpace, noise: NoisePsd, omega: float,

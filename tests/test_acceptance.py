@@ -13,14 +13,15 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from optoepr import (DimensionlessParams, PhysicalParams, SpectralMatrix,
+from optoepr import (DimensionlessParams, PhysicalParams,
                      build_state_space, default_sim_config, drive_kappa, epr_lhs,
                      epr_product_estimate, inferred_variance_at,
                      noise_psd, output_spectral_matrix,
                      realize_dimensionless, steady_state,
                      steady_state_residual, to_dimensionless)
 
-from conftest import HEADLINE, TEXTBOOK_LAB, random_dimensionless
+from conftest import (HEADLINE, TEXTBOOK_LAB, bare_spectral_matrix,
+                      random_dimensionless)
 
 
 @contextmanager
@@ -109,7 +110,7 @@ def test_a5_property_suites():
             s11 = float(rng.uniform(0.05, 5.0))
             s22 = float(rng.uniform(0.05, 5.0))
             s12 = float(rng.uniform(-1.0, 1.0)) * math.sqrt(s11 * s22)
-            _, g = SpectralMatrix(np.array([[s11, s12], [s12, s22]])).inference()
+            _, g = bare_spectral_matrix([[s11, s12], [s12, s22]]).inference()
             best = s11 - 2 * g * s12 + g * g * s22
             assert best <= (s11 - 2 * grid * s12 + grid ** 2 * s22).min() + 1e-12
         # empty cavity reflects vacuum at every sideband frequency

@@ -533,6 +533,24 @@ class TestSpectrum:
             assert len(err.splitlines()) == 1
             assert not out_path.exists()
 
+    @pytest.mark.parametrize("temperature", ["1e8", "1e15", "1e40"])
+    def test_hot_bath_variance_matches_closed_form(self, tmp_path,
+                                                   realized_headline_config,
+                                                   temperature):
+        # Common-mode force noise dominates every entry of the matrix, so
+        # s11 - 2 g s12 + g^2 s22 would cancel (to -68719.48 at 1e15 K); the
+        # variance must come out of a sum of non-negative noise terms.
+        cfg = set_key(realized_headline_config, "temperature_k", temperature)
+        params = cli.physical_from_config(parse_config(str(cfg)))
+        ref = epr_lhs(model.to_dimensionless(params, model.steady_state(params)[0].delta))
+        out_path = tmp_path / "s.csv"
+        for phi, want in ((0.0, ref.var_x), (math.pi / 2, ref.var_y)):
+            assert main(["spectrum", "--config", str(cfg), "--omega-min", "0",
+                         "--omega-max", "0", "--points", "1", f"--phi={phi!r}",
+                         "--output", str(out_path)]) == EXIT_OK
+            var = float(out_path.read_text().splitlines()[1].split(",")[4])
+            assert var == pytest.approx(want, rel=1e-8)
+
     def test_literal_textbook_set_exits_numerical(self, capsys, tmp_path):
         # The quoted laboratory point is anti-damped; building its state
         # space must fail with the numerical exit code.

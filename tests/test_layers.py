@@ -4,8 +4,9 @@ Read from the import statements of each module's source, so a violation
 fails here even where no test exercises the import.  The same reader pins
 where `sde` draws its noise and builds its step, so that one kernel runs
 every chain on one Euler-Maruyama step, where `criterion` computes its
-gains, so that the point and the grid share one arithmetic, and that no
-module of the package or of the tests imports a name it never uses.
+gains, so that the point and the grid share one arithmetic, that `spectra`
+solves a linear system in one place only, and that no module of the
+package or of the tests imports a name it never uses.
 """
 
 import ast
@@ -55,13 +56,20 @@ def test_route_layers(module):
 
 def callers(module: str, name: str) -> list[str]:
     """The top-level function or class of ``optoepr.<module>`` around each
-    call of ``name``, once per call; "<module>" for a call outside them."""
+    call of ``name``, once per call; "<module>" for a call outside them.
+    ``name`` is a bare name or a dotted attribute path, as written at the
+    call (``"_step"``, ``"np.linalg.solve"``)."""
     found = []
     for top in ast.parse((PACKAGE / f"{module}.py").read_text()).body:
         found += [getattr(top, "name", "<module>") for node in ast.walk(top)
-                  if isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Name) and node.func.id == name]
+                  if isinstance(node, ast.Call) and ast.unparse(node.func) == name]
     return found
+
+
+def test_callers_reads_attribute_calls():
+    # The pins below are only as good as the reader.
+    assert callers("spectra", "np.linalg.eigvals") == [
+        "require_stable", "realize_dimensionless"]
 
 
 def test_one_noise_loop_in_sde():
@@ -83,6 +91,12 @@ def test_one_closed_form_in_criterion():
     # The point and the grid evaluate the gains, hence the variances and
     # their product, through one helper.
     assert sorted(callers("criterion", "_closed_form")) == ["epr_lhs", "scan"]
+
+
+def test_one_solve_in_spectra():
+    # The adjoint solve of the response is the only linear solve of the
+    # spectral route; every spectrum and inference goes through it.
+    assert callers("spectra", "np.linalg.solve") == ["output_response"]
 
 
 def unused_imports(source: str) -> set[str]:

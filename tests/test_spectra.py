@@ -16,15 +16,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
 from optoepr import (DimensionlessParams, InstabilityError, K_B, NoisePsd,
-                     NumericalError, ParameterError, SpectralMatrix, StateSpace,
+                     NumericalError, ParameterError, StateSpace,
                      build_state_space, commutator_norm_check, epr_lhs,
-                     inferred_variance_at, noise_psd, output_spectral_matrix,
+                     inferred_variance_at, noise_psd, output_response,
+                     output_spectral_matrix,
                      realize_dimensionless, require_stable,
                      state_space_matrices, steady_state,
                      to_dimensionless)
 from optoepr.constants import HBAR
 
-from conftest import HEADLINE, random_dimensionless
+from conftest import HEADLINE, bare_spectral_matrix, random_dimensionless
 
 
 def closed_form_check(params, ss, phi):
@@ -331,6 +332,70 @@ class TestOutputSpectra:
         assert gain == pytest.approx(0.0, abs=1e-12)
 
 
+def reference_response(model, omega):
+    """R = C (-i omega I - A)^{-1} B + D by the direct solve: one right-hand
+    side per input, every output of the model."""
+    w = np.asarray(omega, dtype=float)
+    h = np.linalg.solve(-1j * w[..., None, None] * np.eye(6) - model.drift,
+                        model.input_map)
+    return model.output_map @ h + model.feedthrough
+
+
+def reference_spectral_matrix(model, noise, omega, phi):
+    """The 4x4 output matrix Re[R diag(N) R^dag] of the direct solve at each
+    omega, projected afterwards onto the phi-quadratures of the two modes."""
+    w = np.asarray(omega, dtype=float)
+    r = reference_response(model, w)
+    s4 = ((r * noise.levels(w)[..., None, :]) @ r.conj().swapaxes(-1, -2)).real
+    c, s = math.cos(phi), math.sin(phi)
+    p = np.array([[c, s, 0.0, 0.0], [0.0, 0.0, c, s]])
+    s2 = p @ s4 @ p.T
+    return 0.5 * (s2 + s2.swapaxes(-1, -2))
+
+
+def assert_matches_reference(model, noise, omega, phi):
+    """Response, matrix and inference variance against the references, each
+    within 1e-12 of the reference's largest entry at every omega."""
+    want = reference_response(model, omega)
+    err = np.abs(output_response(model, omega) - want).max(axis=(-2, -1))
+    assert np.all(err <= 1e-12 * np.abs(want).max(axis=(-2, -1)))
+    spec = output_spectral_matrix(model, noise, omega, phi)
+    ref = reference_spectral_matrix(model, noise, omega, phi)
+    scale = np.abs(ref).max(axis=(-2, -1))
+    assert np.all(np.abs(spec.s - ref).max(axis=(-2, -1)) <= 1e-12 * scale)
+    var, gain = spec.inference()
+    ref_var = ref[..., 0, 0] - ref[..., 0, 1] ** 2 / ref[..., 1, 1]
+    assert np.all(np.abs(var - ref_var) <= 1e-12 * scale)
+    assert np.all(np.abs(gain - ref[..., 0, 1] / ref[..., 1, 1])
+                  <= 1e-12 * scale / ref[..., 1, 1])
+
+
+class TestAgainstDirectSolve:
+    """The adjoint solve on the projected model against the direct solve of
+    every input column and the 4x4 matrix projected after the fact."""
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 2, 0.7])
+    def test_realized_headline(self, headline_model, phi):
+        _, _, model, noise = headline_model
+        assert_matches_reference(model, noise, np.linspace(-8.0, 8.0, 2001) * model.gamma_c,
+                                 phi)
+        assert_matches_reference(model, noise, 0.0, phi)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(p_cal=ZERO_OR_LOG, t_cal=ZERO_OR_LOG,
+           delta=st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e))
+    def test_drawn_triples(self, p_cal, t_cal, delta):
+        try:
+            params, ss = realize_dimensionless(DimensionlessParams(p_cal, t_cal, delta))
+        except NumericalError:   # InstabilityError included
+            return
+        model, noise = build_state_space(params, ss), noise_psd(params)
+        for phi in (0.0, math.pi / 2, 0.7):
+            assert_matches_reference(model, noise,
+                                     np.linspace(-8.0, 8.0, 65) * model.gamma_c, phi)
+            assert_matches_reference(model, noise, 0.0, phi)
+
+
 def common_mode(n0):
     """Spectra at omega = 0, 1, ... of a state space with no dynamics:
     outputs x1 and x2 each carry their own vacuum input plus the mirror
@@ -347,11 +412,11 @@ def common_mode(n0):
 
 class TestOptimalGain:
     def test_uncorrelated_gain_zero(self):
-        assert SpectralMatrix(np.eye(2)).inference() == (1.0, 0.0)
+        assert bare_spectral_matrix(np.eye(2)).inference() == (1.0, 0.0)
         assert common_mode([0.0]).inference() == (1.0, 0.0)
 
     def test_perfect_correlation(self):
-        var, g = SpectralMatrix(np.ones((2, 2))).inference()
+        var, g = bare_spectral_matrix(np.ones((2, 2))).inference()
         assert g == 1.0
         assert var == 0.0
 
@@ -369,8 +434,8 @@ class TestOptimalGain:
         s22 = rng.uniform(0.05, 5.0, 50)
         s12 = rng.uniform(-1.0, 1.0, 50) * np.sqrt(s11 * s22)
         stack = np.stack([np.stack([s11, s12], -1), np.stack([s12, s22], -1)], -2)
-        var, gains = SpectralMatrix(stack).inference()
-        one = [SpectralMatrix(s).inference() for s in stack]
+        var, gains = bare_spectral_matrix(stack).inference()
+        one = [bare_spectral_matrix(s).inference() for s in stack]
         assert var.tobytes() == np.array([v for v, _ in one]).tobytes()
         assert gains.tobytes() == np.array([g for _, g in one]).tobytes()
         n0 = rng.uniform(-0.5, 5.0, 50)
@@ -388,7 +453,7 @@ class TestOptimalGain:
             s22 = float(rng.uniform(0.05, 5.0))
             s11 = float(rng.uniform(0.05, 5.0))
             s12 = float(rng.uniform(-1.0, 1.0)) * np.sqrt(s11 * s22)
-            best, g = SpectralMatrix(np.array([[s11, s12], [s12, s22]])).inference()
+            best, g = bare_spectral_matrix([[s11, s12], [s12, s22]]).inference()
             brute = s11 - 2 * grid * s12 + grid * grid * s22
             assert best <= brute.min() + 1e-12
             assert best == pytest.approx(s11 - s12 * s12 / s22, rel=1e-10, abs=1e-12)
