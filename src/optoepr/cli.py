@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import criterion, model, sde, spectra
-from .errors import NumericalError, OptoEprError, ParameterError
+from .errors import NumericalError, ParameterError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -401,9 +401,6 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"optoepr: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except OptoEprError as exc:
-        print(f"optoepr: error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:
         print(f"optoepr: i/o error: {exc}", file=sys.stderr)

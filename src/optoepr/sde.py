@@ -325,25 +325,19 @@ def _draw_block(rngs: list[np.random.Generator], nb: int,
     return z
 
 
-def _step(model: StateSpace, noise: NoisePsd | None, dt: float
+def _step(model: StateSpace, noise: NoisePsd, dt: float
           ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The Euler-Maruyama step as the chain x' = S x + B z, outputs C x + D z
     (the step's integrated increments), on unit normals z: (S, B, C, D) =
     (I + dt A, B sig, C dt, D sig), sig the per-noise standard deviation of
-    one step's Wiener increment, white at the omega = 0 levels.
-    ``noise=None`` means a noiseless run."""
-    if noise is None:
-        levels = np.zeros(spectra.N_NOISES)
-    else:
-        levels = noise.levels(0.0)
-        if np.any(levels < 0.0):
-            raise ParameterError("noise intensities must be non-negative")
-    sig = np.sqrt(levels * dt)
+    one step's Wiener increment, white at the omega = 0 levels, which
+    `NoisePsd.levels` checks (zero levels make a noiseless run)."""
+    sig = np.sqrt(noise.levels(0.0) * dt)
     return (np.eye(spectra.N_STATES) + dt * model.drift, model.input_map * sig,
             model.output_map * dt, model.feedthrough * sig)
 
 
-def _window_step(model: StateSpace, noise: NoisePsd | None, dt: float, phi: float,
+def _window_step(model: StateSpace, noise: NoisePsd, dt: float, phi: float,
                  gain: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """`_step`'s chain (S, B, w C, w D) with its outputs weighted by w =
     (cos phi, sin phi, -gain cos phi, -gain sin phi), for finite phi and
@@ -447,7 +441,7 @@ def _propagate(rngs: list[np.random.Generator], x: np.ndarray, n_steps: int,
         yield start, out, x
 
 
-def integrate(model: StateSpace, noise: NoisePsd | None, cfg: SimConfig,
+def integrate(model: StateSpace, noise: NoisePsd, cfg: SimConfig,
               initial_state: np.ndarray | None = None) -> SimulationRecords:
     """Euler-Maruyama trajectories with pathwise output records.
 
@@ -536,7 +530,7 @@ def _estimate(sum_sq: np.ndarray, cfg: SimConfig, window_steps: int,
                     n_samples=n_traj * cfg.n_segments)
 
 
-def estimate_inference_variance(model: StateSpace, noise: NoisePsd | None,
+def estimate_inference_variance(model: StateSpace, noise: NoisePsd,
                                 cfg: SimConfig, phi: float,
                                 gain: float) -> Estimate:
     """Monte Carlo estimate of Var[X1(phi,0) - gain * X2(phi,0)], gamma_c units.
@@ -618,7 +612,7 @@ def _factor(cov: np.ndarray) -> np.ndarray:
     return scale[:, None] * vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def sample_inference_variance(model: StateSpace, noise: NoisePsd | None,
+def sample_inference_variance(model: StateSpace, noise: NoisePsd,
                               cfg: SimConfig, phi: float,
                               gain: float) -> Estimate:
     """Monte Carlo estimate of Var[X1(phi,0) - gain * X2(phi,0)], gamma_c units.
@@ -664,7 +658,7 @@ def _derived_seed(seed: int, index: int) -> int:
     return int(_seed_words(seed, 2)[index, 0])
 
 
-def epr_product_estimate(model: StateSpace, noise: NoisePsd | None,
+def epr_product_estimate(model: StateSpace, noise: NoisePsd,
                          cfg: SimConfig) -> tuple[Estimate, Estimate, Estimate]:
     """Monte Carlo criterion: both inference variances and their product.
 
@@ -674,8 +668,6 @@ def epr_product_estimate(model: StateSpace, noise: NoisePsd | None,
     the product to first order.  Returns
     (estimate at phi=0, estimate at phi=pi/2, product estimate).
     """
-    if noise is None:
-        raise ParameterError("epr_product_estimate requires input noise")
     results = []
     for idx, phi in enumerate((0.0, math.pi / 2)):
         _, gain = spectra.inferred_variance_at(model, noise, 0.0, phi)

@@ -35,8 +35,11 @@ inference variances coincide with the closed forms in `criterion` (the
 calibration constant between conventions is identically 1; verified to
 ~1e-9, limited only by omega_0/omega_c in the reduced-power definition).
 
-Each matrix is checked once, in `output_spectral_matrix`, by the rule under
-which `SpectralMatrix.inference` is defined; nothing comes from `criterion`.
+Every noise level is checked once, in `NoisePsd.levels`, for this route
+and the stochastic one: finite and non-negative, zero being a noiseless
+input.  With such levels ``s`` is positive semidefinite by construction, so
+`output_spectral_matrix` checks only what the gain needs, finite entries
+and s22 > 0; nothing comes from `criterion`.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ from .model import (DimensionlessParams, PhysicalParams, SteadyState,
 N_STATES = 6
 N_NOISES = 5
 N_OUTPUTS = 4
-PSD_TOL = 1e-9   # relative tolerance of the positive semidefinite rule
 
 
 @dataclass(frozen=True)
@@ -83,28 +85,30 @@ class NoisePsd:
 
     ``vacuum_level`` is the flat PSD of every input field quadrature
     (= gamma_c in the adopted normalization); ``brownian`` maps omega to the
-    symmetrized PSD of the mirror force noise.
+    symmetrized PSD of the mirror force noise.  Both are checked where they
+    are read, by `levels`; a noiseless run is ``NoisePsd(0.0, lambda w: 0.0)``.
     """
 
     vacuum_level: float
     brownian: Callable[[float], float]
-
-    def __post_init__(self) -> None:
-        if not (self.vacuum_level > 0.0):
-            raise ParameterError(
-                f"vacuum_level must be positive, got {self.vacuum_level!r}")
 
     def levels(self, omega) -> np.ndarray:
         """Diagonal of the 5x5 noise spectral matrix at each ``omega``.
 
         ``omega`` is a float or an array; the result has shape
         ``(*np.shape(omega), 5)``.  ``brownian`` is called once per omega,
-        with a Python float.
+        with a Python float.  Every level must be finite and non-negative
+        (zero is a noiseless input); otherwise NumericalError names the
+        first omega that fails.
         """
         w = np.asarray(omega, dtype=float)
         out = np.full(w.shape + (N_NOISES,), self.vacuum_level)
         out[..., 0] = np.fromiter((self.brownian(float(x)) for x in w.flat),
                                   float, w.size).reshape(w.shape)
+        bad = ~(np.isfinite(out) & (out >= 0.0)).all(axis=-1)
+        if bad.any():
+            raise NumericalError("noise level is not finite and non-negative "
+                                 f"at omega={float(w[bad].flat[0])!r}")
         return out
 
 
@@ -125,7 +129,7 @@ class SpectralMatrix:
 
     def __post_init__(self) -> None:
         r = self.response
-        with np.errstate(over="ignore", invalid="ignore"):   # refused by the caller's rule
+        with np.errstate(over="ignore", invalid="ignore"):   # refused by the caller's check
             rn = r * self.levels[..., None, :]
             s = (rn[..., :, None, :] * r[..., None, :, :].conj()).real.sum(axis=-1)
             object.__setattr__(self, "s", 0.5 * (s + s.swapaxes(-1, -2)))
@@ -274,27 +278,23 @@ def output_spectral_matrix(model: StateSpace, noise: NoisePsd, omega,
     The model is projected onto the two phi-quadratures before the solve,
     so `output_response` carries two right-hand sides.  ``omega`` is a
     float or an array; the returned ``s`` has shape
-    ``(*np.shape(omega), 2, 2)``.  A matrix is accepted only if every entry
-    is finite, s22 > 0 and s12^2 - s11 s22 <= PSD_TOL max(|s11 s22|, s12^2),
-    so that `SpectralMatrix.inference` is defined on it; otherwise
-    NumericalError names the first omega that fails.
+    ``(*np.shape(omega), 2, 2)``.  The levels are checked by
+    `NoisePsd.levels`, so ``s`` is positive semidefinite; a matrix is
+    accepted only if every entry is finite and s22 > 0, so that
+    `SpectralMatrix.inference` is defined on it.  Otherwise NumericalError
+    names the first omega that fails.
     """
     w = np.asarray(omega, dtype=float)
     p = _projector(phi)
+    levels = noise.levels(w)   # refuses a bad level before the solve
     projected = replace(model, output_map=p @ model.output_map,
                         feedthrough=p @ model.feedthrough)
-    spec = SpectralMatrix(response=output_response(projected, w), levels=noise.levels(w))
+    spec = SpectralMatrix(response=output_response(projected, w), levels=levels)
     s = spec.s
-    with np.errstate(over="ignore", invalid="ignore"):   # inf and nan are refused below
-        # The rule is homogeneous: over the largest entry, no square overflows.
-        n = s / np.abs(s).max(axis=(-2, -1), keepdims=True)
-    n11, n12, n22 = n[..., 0, 0], n[..., 0, 1], n[..., 1, 1]
-    ok = (np.isfinite(s).all(axis=(-2, -1)) & (s[..., 1, 1] > 0.0)
-          & (n12 * n12 - n11 * n22 <= PSD_TOL * np.maximum(abs(n11 * n22), n12 * n12)))
+    ok = np.isfinite(s).all(axis=(-2, -1)) & (s[..., 1, 1] > 0.0)
     if not ok.all():
-        raise NumericalError(
-            "output spectral matrix is not finite and positive semidefinite "
-            f"with s22 > 0 at omega={float(w[~ok].flat[0])!r}")
+        raise NumericalError("output spectral matrix has a non-finite entry or "
+                             f"s22 <= 0 at omega={float(w[~ok].flat[0])!r}")
     return spec
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optoepr import cli, criterion, epr_lhs, model, spectra
+from optoepr import cli, criterion, epr_lhs, errors, model, spectra
 from optoepr.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main,
                          parse_config)
 
@@ -929,3 +929,14 @@ def test_python_m_runs_the_cli():
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "--delta" in proc.stdout
+
+
+def test_every_package_error_has_an_exit_code():
+    # `main` maps ParameterError to exit 1 and NumericalError to exit 2 and
+    # has no branch for the base class, so every other package error must
+    # derive from one of the two.
+    classes = {cls for cls in vars(errors).values()
+               if isinstance(cls, type) and issubclass(cls, errors.OptoEprError)}
+    assert {errors.ConvergenceError, errors.InstabilityError} <= classes
+    for cls in classes - {errors.OptoEprError}:
+        assert issubclass(cls, (errors.ParameterError, errors.NumericalError)), cls

@@ -5,8 +5,9 @@ fails here even where no test exercises the import.  The same reader pins
 where `sde` draws its noise and builds its step, so that one kernel runs
 every chain on one Euler-Maruyama step, where `criterion` computes its
 gains, so that the point and the grid share one arithmetic, that `spectra`
-solves a linear system in one place only, and that no module of the
-package or of the tests imports a name it never uses.
+solves a linear system in one place only, that both routes read the noise
+levels through their one check, and that no module of the package or of
+the tests imports a name it never uses.
 """
 
 import ast
@@ -97,6 +98,15 @@ def test_one_solve_in_spectra():
     # The adjoint solve of the response is the only linear solve of the
     # spectral route; every spectrum and inference goes through it.
     assert callers("spectra", "np.linalg.solve") == ["output_response"]
+
+
+def test_one_noise_rule():
+    # Both routes read the noise levels only through the one checked
+    # method, and no tolerance is left to forgive a bad output matrix.
+    assert callers("sde", "noise.levels") == ["_step"]
+    assert callers("spectra", "noise.levels") == ["output_spectral_matrix"]
+    assert not [path.name for path in PACKAGE.glob("*.py")
+                if "PSD_TOL" in path.read_text()]
 
 
 def unused_imports(source: str) -> set[str]:

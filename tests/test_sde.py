@@ -3,6 +3,7 @@
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,8 +14,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, solve_continuous_lyapunov
 
-from optoepr import (DimensionlessParams, NumericalError, ParameterError,
-                     SimConfig, build_state_space, default_sim_config,
+from optoepr import (DimensionlessParams, NoisePsd, NumericalError,
+                     ParameterError, SimConfig, build_state_space, default_sim_config,
                      epr_lhs, epr_product_estimate, estimate_inference_variance,
                      inferred_variance_at, integrate, noise_psd,
                      realize_dimensionless, sample_inference_variance,
@@ -514,7 +515,7 @@ class TestIntegrate:
         cfg = SimConfig(dt=dt, tau=duration, n_segments=1, n_trajectories=1,
                         seed=1, burn_in=0.0)
         x0 = np.array([0.0, 0.0, 1.0, -0.5, 0.25, 0.8])
-        res = integrate(model, None, cfg, initial_state=x0)
+        res = integrate(model, NoisePsd(0.0, lambda w: 0.0), cfg, initial_state=x0)
         exact = expm(model.drift * (n_steps * dt)) @ x0
         err = np.linalg.norm(res.final_states[0] - exact) / np.linalg.norm(exact)
         assert err < 1e-6
@@ -569,6 +570,24 @@ class TestIntegrate:
                         n_trajectories=2, seed=0, burn_in=0.0)
         with pytest.raises(ParameterError):
             estimate_inference_variance(model, noise, bad, 0.0, 0.0)
+
+    @pytest.mark.parametrize("run", [
+        lambda model, noise, cfg: integrate(model, noise, cfg),
+        lambda model, noise, cfg: estimate_inference_variance(model, noise, cfg, 0.0, -0.5),
+        lambda model, noise, cfg: sample_inference_variance(model, noise, cfg, 0.0, -0.5),
+    ], ids=["integrate", "estimate", "sample"])
+    @pytest.mark.parametrize("vacuum, force", [
+        (1.0, math.nan), (1.0, math.inf), (1.0, -1.0), (-1.0, 1.0)],
+        ids=["nan-force", "inf-force", "negative-force", "negative-vacuum"])
+    def test_bad_noise_level_is_a_numerical_error(self, headline, run, vacuum, force):
+        # Every path reads its levels through the one check of
+        # `NoisePsd.levels`, which names the carrier it reads them at.
+        _, model, noise = headline
+        cfg = small_cfg(model, n_traj=2, n_seg=1)
+        bad = NoisePsd(vacuum * noise.vacuum_level,
+                       lambda w: force * noise.brownian(w))
+        with pytest.raises(NumericalError, match=re.escape("omega=0.0")):
+            run(model, bad, cfg)
 
 
 class TestSimConfig:

@@ -22,7 +22,7 @@ from optoepr import (DimensionlessParams, InstabilityError, K_B, NoisePsd,
                      output_spectral_matrix,
                      realize_dimensionless, require_stable,
                      state_space_matrices, steady_state,
-                     to_dimensionless)
+                     spectra, to_dimensionless)
 from optoepr.constants import HBAR
 
 from conftest import HEADLINE, bare_spectral_matrix, random_dimensionless
@@ -289,8 +289,8 @@ class TestOutputSpectra:
         output_spectral_matrix(model, broken, omegas[:5], 0.0)
 
     def test_nan_force_psd_refused_naming_the_omega(self, headline_model):
-        # A nan mirror noise PSD gives nan matrices: refused by the
-        # finiteness rule, naming the first such omega, before any inference.
+        # A nan mirror noise PSD is refused by the level check, naming the
+        # first such omega, before any inference.
         params, _, model, noise = headline_model
         omegas = np.linspace(-2.0, 2.0, 9) * params.gamma_c
         broken = NoisePsd(vacuum_level=noise.vacuum_level,
@@ -301,9 +301,25 @@ class TestOutputSpectra:
         with pytest.raises(NumericalError, match=re.escape(f"omega={1e6!r}")):
             inferred_variance_at(model, broken, 1e6, math.pi / 2)
 
+    def test_inf_force_psd_refused_before_the_solve(self, headline_model, monkeypatch):
+        # The level check names the first inf omega, and runs before the
+        # response is solved.
+        params, _, model, noise = headline_model
+        omegas = np.linspace(-2.0, 2.0, 9) * params.gamma_c
+        broken = NoisePsd(vacuum_level=noise.vacuum_level,
+                          brownian=lambda w: math.inf if w > 0.0 else noise.brownian(w))
+
+        def no_solve(*args):
+            raise AssertionError("solved before the levels were checked")
+
+        monkeypatch.setattr(spectra, "output_response", no_solve)
+        with pytest.raises(NumericalError, match=re.escape(
+                f"noise level is not finite and non-negative at omega={float(omegas[5])!r}")):
+            output_spectral_matrix(model, broken, omegas, 0.0)
+
     def test_entries_near_1e170_pass_without_warning(self, headline_model):
         # A bath at 1e160 K puts the entries between 1e170 and 1e173, where
-        # s11 s22 overflows; the rule is applied to s over its largest entry.
+        # s11 s22 would overflow; no check forms that product.
         params, _, model, _ = headline_model
         hot = noise_psd(replace(params, temperature=1e160))
         omegas = np.linspace(0.0, 0.5, 5) * params.gamma_c
@@ -400,8 +416,8 @@ def common_mode(n0):
     """Spectra at omega = 0, 1, ... of a state space with no dynamics:
     outputs x1 and x2 each carry their own vacuum input plus the mirror
     noise, which is ``n0[k]`` at omega = k.  At phi = 0 the matrix at
-    omega = k is exactly n0[k] [[1, 1], [1, 1]] + I, through the one
-    check of `output_spectral_matrix`."""
+    omega = k is exactly n0[k] [[1, 1], [1, 1]] + I, through the checks of
+    `NoisePsd.levels` and `output_spectral_matrix`."""
     d = np.zeros((4, 5))
     d[0, [0, 1]] = d[2, [0, 3]] = 1.0
     model = StateSpace(drift=-np.eye(6), input_map=np.zeros((6, 5)),
@@ -421,12 +437,11 @@ class TestOptimalGain:
         assert var == 0.0
 
     def test_rejects_bad_matrices(self):
-        # s22 = 0, s22 = -1, and s12^2 > s11 s22 at s22 = 1/4; the rank-one
-        # boundary n0 = -1/2 passes, with gain -1 and variance 0.
+        # Force levels that would give s22 = 0, s22 = -1, and s12^2 > s11 s22
+        # at s22 = 1/4: each negative level is refused, naming its omega.
         for n0 in (-1.0, -2.0, -0.75):
             with pytest.raises(NumericalError, match=re.escape("omega=0.0")):
                 common_mode([n0])
-        assert common_mode([-0.5]).inference() == (0.0, -1.0)
 
     def test_arrays_match_scalar_calls_and_refuse_any_bad_triple(self):
         rng = np.random.default_rng(29)
@@ -438,7 +453,7 @@ class TestOptimalGain:
         one = [bare_spectral_matrix(s).inference() for s in stack]
         assert var.tobytes() == np.array([v for v, _ in one]).tobytes()
         assert gains.tobytes() == np.array([g for _, g in one]).tobytes()
-        n0 = rng.uniform(-0.5, 5.0, 50)
+        n0 = rng.uniform(0.0, 5.0, 50)
         assert common_mode(n0.tolist()).s.shape == (50, 2, 2)
         for k, value in ((17, -1.0), (17, -2.0), (31, -0.75)):
             bad = n0.copy()
