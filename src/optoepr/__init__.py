@@ -12,9 +12,9 @@ from .constants import C_LIGHT, HBAR, K_B
 from .criterion import EprResult, ScanGrid, epr_lhs, paradox_boundary, scan
 from .errors import (ConvergenceError, InstabilityError, InvalidRegimeError,
                      NumericalError, OptoEprError, ParameterError)
-from .model import (Couplings, DimensionlessParams, PhysicalParams,
-                    SteadyState, couplings, drive_kappa, locality_check,
-                    steady_state, steady_state_residual, to_dimensionless)
+from .model import (DimensionlessParams, PhysicalParams, SteadyState,
+                    drive_kappa, locality_check, steady_state,
+                    steady_state_residual, to_dimensionless)
 from .sde import (Estimate, SimConfig, SimulationRecords, default_sim_config,
                   epr_product_estimate, estimate_inference_variance,
                   integrate, sample_inference_variance, windowed_transform)
@@ -30,8 +30,8 @@ __all__ = [
     "C_LIGHT", "HBAR", "K_B",
     "ConvergenceError", "InstabilityError", "InvalidRegimeError",
     "NumericalError", "OptoEprError", "ParameterError",
-    "Couplings", "DimensionlessParams", "PhysicalParams", "SteadyState",
-    "couplings", "drive_kappa", "locality_check", "steady_state",
+    "DimensionlessParams", "PhysicalParams", "SteadyState",
+    "drive_kappa", "locality_check", "steady_state",
     "steady_state_residual", "to_dimensionless",
     "EprResult", "ScanGrid", "epr_lhs", "paradox_boundary", "scan",
     "NoisePsd", "SpectralMatrix", "StateSpace", "brownian_psd",

@@ -230,14 +230,28 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _model_from_physical(values, branch: int):
-    params = physical_from_config(values)
-    roots = model.steady_state(params)
-    if not 0 <= branch < len(roots):
-        raise ParameterError(
-            f"--branch {branch} out of range; cubic has {len(roots)} root(s)")
-    ss = roots[branch]
-    return params, ss, spectra.build_state_space(params, ss)
+def _load_model(values, branch: int):
+    """(params, state space) of the config's parameter block.
+
+    A physical block runs on root ``branch`` of its cubic; a dimensionless
+    block is realized on the root at its own detuning, so only branch 0.
+    """
+    if values.keys() & PHYSICAL_KEYS:
+        params = physical_from_config(values)
+        roots = model.steady_state(params)
+        if not 0 <= branch < len(roots):
+            raise ParameterError(
+                f"--branch {branch} out of range; cubic has {len(roots)} root(s)")
+        ss = roots[branch]
+    elif values.keys() & DIMENSIONLESS_KEYS:
+        if branch != 0:
+            raise ParameterError(
+                f"--branch {branch} needs a physical block; a dimensionless "
+                "block is realized on one root, branch 0")
+        params, ss = spectra.realize_dimensionless(dimensionless_from_config(values))
+    else:
+        raise ParameterError("no parameter block in the config")
+    return params, spectra.build_state_space(params, ss)
 
 
 def _spectrum_block(sm, noise, omegas: np.ndarray, phi: float) -> str:
@@ -260,7 +274,7 @@ def cmd_spectrum(args) -> int:
     values = _load_config(args)
     if not values.keys() & PHYSICAL_KEYS:
         raise ParameterError("spectrum requires a physical config block")
-    params, ss, sm = _model_from_physical(values, args.branch)
+    params, sm = _load_model(values, args.branch)
     noise = spectra.noise_psd(params)
     omegas = np.linspace(lo, hi, n)
     lines = ["omega,s11,s12,s22,inferred_variance,gain"]
@@ -287,14 +301,7 @@ def _sim_config_from(values, sm) -> sde.SimConfig:
 
 def cmd_simulate(args) -> int:
     values = _load_config(args)
-    if values.keys() & PHYSICAL_KEYS:
-        params, ss, sm = _model_from_physical(values, args.branch)
-    elif values.keys() & DIMENSIONLESS_KEYS:
-        dp = dimensionless_from_config(values)
-        params, ss = spectra.realize_dimensionless(dp)
-        sm = spectra.build_state_space(params, ss)
-    else:
-        raise ParameterError("simulate requires a config with parameters")
+    params, sm = _load_model(values, args.branch)
     noise = spectra.noise_psd(params)
     cfg = _sim_config_from(values, sm)
 

@@ -146,20 +146,6 @@ class SteadyState:
     stable: bool = True
 
 
-@dataclass(frozen=True)
-class Couplings:
-    """Linearized coupling constants at a steady state.
-
-    ``g_force``: radiation-pressure force per unit amplitude quadrature,
-    hbar omega_c |alpha| / L  [N].
-    ``g_phase``: displacement-to-phase-quadrature rate, 2 omega_c |alpha| / L
-    [rad/(s m)].
-    """
-
-    g_force: float
-    g_phase: float
-
-
 def input_amplitude_sq(params: PhysicalParams) -> float:
     """|alpha_in|^2 of each mode for equal pumping, P_in = 2 hbar omega_0 |alpha_in|^2."""
     return params.input_power / (2.0 * HBAR * params.omega_0)
@@ -335,15 +321,6 @@ def steady_state_residual(params: PhysicalParams, ss: SteadyState) -> float:
     scale = max(abs(ss.alpha), abs(alpha_back))
     r_alpha = abs(alpha_back - ss.alpha) / scale if scale > 0.0 else 0.0
     return max(r_cubic, r_delta, r_alpha, abs(ss.y))
-
-
-def couplings(params: PhysicalParams, ss: SteadyState) -> Couplings:
-    """Linearized coupling constants for the fluctuation dynamics at ``ss``."""
-    amp = abs(ss.alpha)
-    return Couplings(
-        g_force=HBAR * params.omega_c * amp / params.cavity_length,
-        g_phase=2.0 * params.omega_c * amp / params.cavity_length,
-    )
 
 
 def locality_check(tau: float, distance: float) -> bool:

@@ -53,7 +53,7 @@ import numpy as np
 from .constants import HBAR, K_B
 from .errors import InstabilityError, NumericalError, ParameterError
 from .model import (DimensionlessParams, PhysicalParams, SteadyState,
-                    couplings, drive_kappa, steady_state)
+                    drive_kappa, steady_state)
 
 N_STATES = 6
 N_NOISES = 5
@@ -175,14 +175,22 @@ def noise_psd(params: PhysicalParams) -> NoisePsd:
                     brownian=lambda omega: brownian_psd(omega, params))
 
 
-def state_space_matrices(mass: float, omega_m: float, gamma_m: float,
-                         gamma_c: float, delta: float, g_force: float,
-                         g_phase: float):
-    """Raw (A, B, C, D) matrices from the linearized equations of motion."""
+def state_space_matrices(params: PhysicalParams, ss: SteadyState):
+    """Raw (A, B, C, D) matrices from the linearized equations of motion at ``ss``.
+
+    The couplings come from the steady-state amplitude: the radiation-pressure
+    force per amplitude quadrature, g_force = hbar omega_c |alpha| / L [N],
+    and the displacement-to-phase rate, g_phase = 2 omega_c |alpha| / L
+    [rad/(s m)].
+    """
+    amp = abs(ss.alpha)
+    g_force = HBAR * params.omega_c * amp / params.cavity_length
+    g_phase = 2.0 * params.omega_c * amp / params.cavity_length
+    mass, gamma_c, delta = params.mass, params.gamma_c, ss.delta
     a = np.zeros((N_STATES, N_STATES))
     a[0, 1] = 1.0 / mass
-    a[1, 0] = -mass * omega_m ** 2
-    a[1, 1] = -2.0 * gamma_m
+    a[1, 0] = -mass * params.omega_m ** 2
+    a[1, 1] = -2.0 * params.gamma_m
     a[1, 2] = g_force
     a[1, 4] = g_force
     for ix, iy in ((2, 3), (4, 5)):
@@ -230,10 +238,7 @@ def build_state_space(params: PhysicalParams, ss: SteadyState) -> StateSpace:
         If any drift eigenvalue has a non-negative real part (stationary
         spectra would not exist).
     """
-    g = couplings(params, ss)
-    a, b, c, d = state_space_matrices(
-        params.mass, params.omega_m, params.gamma_m, params.gamma_c,
-        ss.delta, g.g_force, g.g_phase)
+    a, b, c, d = state_space_matrices(params, ss)
     require_stable(a)
     return StateSpace(drift=a, input_map=b, output_map=c, feedthrough=d,
                       gamma_c=params.gamma_c)
@@ -347,7 +352,10 @@ def realize_dimensionless(dp: DimensionlessParams) -> tuple[PhysicalParams, Stea
     places the mechanical frequency inside the cavity bandwidth and picks a
     mechanical damping of the same order, doubling gamma_m until the drift
     matrix is comfortably stable; the bath temperature is rescaled alongside
-    so t_cal is preserved.
+    so t_cal is preserved.  The drive frequency, input power and steady
+    state depend on neither gamma_m nor T, so they are solved once, and a
+    root that misses ``dp.delta`` is refused before any damping is tried;
+    each attempt then only reads the eigenvalues of the drift.
 
     Returns the parameter set together with its self-consistent steady state
     (whose detuning equals ``dp.delta`` by construction of the bare
@@ -358,45 +366,45 @@ def realize_dimensionless(dp: DimensionlessParams) -> tuple[PhysicalParams, Stea
     delta = dp.delta
     u4 = 1.0 + 4.0 * delta * delta
 
+    def temperature(gamma_m: float) -> float:
+        # The bath temperature that keeps t_cal at this damping.
+        return dp.t_cal * HBAR * omega_m ** 2 / (8.0 * K_B * gamma_m * delta)
+
+    # Input power from the reduced-power definition, iterating the tiny
+    # omega_0 shift from the self-consistent bare detuning.
+    omega_0 = omega_c
+    for _ in range(4):
+        p_in = (dp.p_cal * mass * cavity_length ** 2 * omega_m ** 2
+                * gamma_c ** 2 * u4 / (8.0 * omega_0 * delta))
+        try:
+            params = PhysicalParams(
+                mass=mass, cavity_length=cavity_length, omega_m=omega_m,
+                gamma_m=gamma_m, omega_c=omega_c, omega_0=omega_0,
+                gamma_c=gamma_c, temperature=temperature(gamma_m), input_power=p_in)
+        except ParameterError as exc:   # dp is valid: the recipe overflowed
+            raise NumericalError(
+                f"realizing {dp!r} leaves the double range: {exc}") from exc
+        delta0 = delta - drive_kappa(params) / (0.25 + delta * delta)
+        omega_0 = omega_c + gamma_c * delta0
+        if not omega_0 > 0.0:
+            raise NumericalError(
+                f"realizing {dp!r} needs a drive frequency omega_0 = "
+                f"{omega_0!r} rad/s <= 0 (bare detuning {delta0!r})")
+    params = replace(params, omega_0=omega_0)
+    ss = min(steady_state(params), key=lambda r: abs(r.delta - delta))
+    # omega_0 is stored as an SI float near omega_c, whose ULP bounds how
+    # precisely the bare detuning (and hence the root) can be hit.  The
+    # bound is relative, so a root at delta <= 0 fails it too.
+    if not abs(ss.delta - delta) <= 1e-3 * delta:
+        raise NumericalError(
+            f"steady state landed at delta={ss.delta!r}, wanted {delta!r}; "
+            "the bare detuning is resolved only to the ULP of omega_0")
+
     for _ in range(8):
-        temperature = (dp.t_cal * HBAR * omega_m ** 2
-                       / (8.0 * K_B * gamma_m * delta))
-        # Input power from the reduced-power definition, iterating the tiny
-        # omega_0 shift from the self-consistent bare detuning.
-        omega_0 = omega_c
-        for _ in range(4):
-            p_in = (dp.p_cal * mass * cavity_length ** 2 * omega_m ** 2
-                    * gamma_c ** 2 * u4 / (8.0 * omega_0 * delta))
-            try:
-                params = PhysicalParams(
-                    mass=mass, cavity_length=cavity_length, omega_m=omega_m,
-                    gamma_m=gamma_m, omega_c=omega_c, omega_0=omega_0,
-                    gamma_c=gamma_c, temperature=temperature, input_power=p_in)
-            except ParameterError as exc:   # dp is valid: the recipe overflowed
-                raise NumericalError(
-                    f"realizing {dp!r} leaves the double range: {exc}") from exc
-            delta0 = delta - drive_kappa(params) / (0.25 + delta * delta)
-            omega_0 = omega_c + gamma_c * delta0
-            if not omega_0 > 0.0:
-                raise NumericalError(
-                    f"realizing {dp!r} needs a drive frequency omega_0 = "
-                    f"{omega_0!r} rad/s <= 0 (bare detuning {delta0!r})")
-        params = replace(params, omega_0=omega_0)
-        roots = steady_state(params)
-        ss = min(roots, key=lambda r: abs(r.delta - delta))
-        g = couplings(params, ss)
-        a, _, _, _ = state_space_matrices(mass, omega_m, gamma_m, gamma_c,
-                                          ss.delta, g.g_force, g.g_phase)
-        eigs = np.linalg.eigvals(a)
-        if eigs.real.max() < -0.02 * gamma_c:
-            # omega_0 is stored as an SI float near omega_c, whose ULP bounds
-            # how precisely the bare detuning (and hence the root) can be hit.
-            # The bound is relative, so a root at delta <= 0 fails it too.
-            if not abs(ss.delta - delta) <= 1e-3 * delta:
-                raise NumericalError(
-                    f"steady state landed at delta={ss.delta!r}, wanted {delta!r}; "
-                    "the bare detuning is resolved only to the ULP of omega_0")
+        a, _, _, _ = state_space_matrices(params, ss)
+        if np.linalg.eigvals(a).real.max() < -0.02 * gamma_c:
             return params, ss
         gamma_m *= 2.0
+        params = replace(params, gamma_m=gamma_m, temperature=temperature(gamma_m))
     raise InstabilityError(
         f"could not stabilize a realization of {dp!r} by raising gamma_m")

@@ -703,6 +703,19 @@ class TestSimulate:
         code, _ = run(capsys, "simulate", "--config", str(cfg))
         assert code == EXIT_CONFIG
 
+    def test_branch_refused_for_dimensionless_block(self, capsys, tmp_path):
+        # A dimensionless block is realized on one root; a --branch that
+        # cannot apply is a config error, not ignored.
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(DIMLESS)
+        out_path = tmp_path / "sim.out"
+        code = main(["simulate", "--config", str(cfg), "--branch", "7",
+                     "--output", str(out_path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == EXIT_CONFIG
+        assert len(err) == 1 and "--branch 7" in err[0]
+        assert not out_path.exists()
+
     def test_tiny_trajectory_count_still_passes(self, capsys, tmp_path):
         # Two trajectories give a wide jackknife error; the |z| < 3 gate is a
         # contract on the reported z, not on the precision.  Seed pinned.
@@ -780,13 +793,15 @@ class TestSimulate:
         assert not out_path.exists()
 
     @pytest.mark.parametrize("p_cal, delta, message", [
-        ("0.003", "2e-8", "landed at"), ("1", "1e-10", "omega_0"),
+        ("0.003", "2e-8", "landed at"), ("100", "1e-5", "steady state landed"),
+        ("1", "1e-10", "omega_0"),
         ("0.17", "1e200", "double range"), ("0", "1e200", "double range"),
         ("1e300", "0.18", "double range"),
     ])
     def test_unrealizable_triple_exits_numerical(self, capsys, tmp_path, p_cal, delta,
                                                  message):
-        # A detuning below the ULP of omega_0, one whose realization needs a
+        # A detuning below the ULP of omega_0, a root that misses its
+        # detuning before any damping is tried, one whose realization needs a
         # drive frequency <= 0, and recipes whose input power overflows: all
         # are numerical failures, not errors in a config that set no power.
         cfg = tmp_path / "sim.cfg"

@@ -6,8 +6,9 @@ where `sde` draws its noise and builds its step, so that one kernel runs
 every chain on one Euler-Maruyama step, where `criterion` computes its
 gains, so that the point and the grid share one arithmetic, that `spectra`
 solves a linear system in one place only, that both routes read the noise
-levels through their one check, and that no module of the package or of
-the tests imports a name it never uses.
+levels through their one check, that one builder forms the drift and its
+couplings, and that no module of the package or of the tests imports a
+name it never uses.
 """
 
 import ast
@@ -98,6 +99,27 @@ def test_one_solve_in_spectra():
     # The adjoint solve of the response is the only linear solve of the
     # spectral route; every spectrum and inference goes through it.
     assert callers("spectra", "np.linalg.solve") == ["output_response"]
+
+
+def test_one_model_builder():
+    # The drift, with its couplings, is built in one place; the realization
+    # solves its one steady state outside the gamma_m loop, and no module
+    # keeps a separate couplings layer.
+    assert sorted(callers("spectra", "state_space_matrices")) == [
+        "build_state_space", "realize_dimensionless"]
+    assert callers("spectra", "steady_state") == ["realize_dimensionless"]
+    realize = next(top for top in ast.parse((PACKAGE / "spectra.py").read_text()).body
+                   if getattr(top, "name", None) == "realize_dimensionless")
+    assert not [node for loop in ast.walk(realize)
+                if isinstance(loop, (ast.For, ast.While))
+                for node in ast.walk(loop)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "steady_state"]
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                assert node.name.lower() != "couplings", path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert "couplings" not in [a.name.lower() for a in node.names], path.name
 
 
 def test_one_noise_rule():

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from optoepr import (DimensionlessParams, NumericalError, ParameterError,
-                     PhysicalParams, couplings, drive_kappa, locality_check,
-                     steady_state, steady_state_residual, to_dimensionless)
+                     PhysicalParams, drive_kappa, locality_check,
+                     state_space_matrices, steady_state, steady_state_residual,
+                     to_dimensionless)
 from optoepr.constants import C_LIGHT, HBAR, K_B
 
 
@@ -206,22 +207,29 @@ class TestSteadyState:
             steady_state(params)
 
 
+# Where the couplings sit in the drift: the radiation-pressure force on the
+# mirror momentum from each mode's amplitude quadrature, and the phase rate
+# of each mode's phase quadrature from the mirror displacement.
+G_FORCE_ENTRIES = ((1, 2), (1, 4))
+G_PHASE_ENTRIES = ((3, 0), (5, 0))
+
+
 class TestCouplings:
     def test_zero_amplitude_zero_couplings(self, textbook_lab_params):
         params = replace_params(textbook_lab_params, input_power=0.0)
         ss = steady_state(params)[0]
-        g = couplings(params, ss)
-        assert g.g_force == 0.0
-        assert g.g_phase == 0.0
+        a, _, _, _ = state_space_matrices(params, ss)
+        assert all(a[ij] == 0.0 for ij in G_FORCE_ENTRIES)
+        assert all(a[ij] == 0.0 for ij in G_PHASE_ENTRIES)
 
     def test_linearity_in_amplitude(self, textbook_lab_params):
         ss = steady_state(textbook_lab_params)[0]
-        g1 = couplings(textbook_lab_params, ss)
+        a1, _, _, _ = state_space_matrices(textbook_lab_params, ss)
         doubled = type(ss)(x=ss.x, y=ss.y, alpha=2 * ss.alpha,
                            alpha_in=ss.alpha_in, delta=ss.delta)
-        g2 = couplings(textbook_lab_params, doubled)
-        assert g2.g_force == pytest.approx(2 * g1.g_force, rel=1e-15)
-        assert g2.g_phase == pytest.approx(2 * g1.g_phase, rel=1e-15)
+        a2, _, _, _ = state_space_matrices(textbook_lab_params, doubled)
+        for ij in G_FORCE_ENTRIES + G_PHASE_ENTRIES:
+            assert a2[ij] == pytest.approx(2 * a1[ij], rel=1e-15)
 
     def test_power_reconstruction_at_headline_detuning(self, textbook_lab_params):
         kappa = drive_kappa(textbook_lab_params)

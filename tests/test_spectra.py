@@ -94,20 +94,22 @@ class TestStateSpace:
 
     def test_drift_rows_follow_equations_of_motion(self, headline_model):
         params, ss, model, _ = headline_model
-        from optoepr import couplings
-        g = couplings(params, ss)
         a = model.drift
+        assert np.array_equal(a, state_space_matrices(params, ss)[0])
         m, om, gm, gc, d = (params.mass, params.omega_m, params.gamma_m,
                             params.gamma_c, ss.delta)
+        # The couplings, from the steady-state amplitude.
+        g_force = HBAR * params.omega_c * abs(ss.alpha) / params.cavity_length
+        g_phase = 2.0 * params.omega_c * abs(ss.alpha) / params.cavity_length
         assert a[0, 1] == pytest.approx(1.0 / m)
         assert a[1, 0] == pytest.approx(-m * om ** 2)
         assert a[1, 1] == pytest.approx(-2.0 * gm)
-        assert a[1, 2] == a[1, 4] == pytest.approx(g.g_force)
+        assert a[1, 2] == a[1, 4] == pytest.approx(g_force)
         for ix, iy in ((2, 3), (4, 5)):
             assert a[ix, ix] == a[iy, iy] == pytest.approx(-gc / 2)
             assert a[ix, iy] == pytest.approx(-d * gc)
             assert a[iy, ix] == pytest.approx(d * gc)
-            assert a[iy, 0] == pytest.approx(g.g_phase)
+            assert a[iy, 0] == pytest.approx(g_phase)
         # output rows: out = gamma_c * state - input
         assert np.all(model.output_map[:, 2:] == gc * np.eye(4))
         assert np.all(model.feedthrough[:, 1:] == -np.eye(4))
@@ -119,9 +121,13 @@ class TestStateSpace:
 
     def test_marginal_undamped_oscillator_rejected(self):
         # gamma_m = 0 with no drive: mechanical eigenvalues +-i omega_m.
-        a, _, _, _ = state_space_matrices(mass=1.0, omega_m=1.0, gamma_m=0.0,
-                                          gamma_c=1.0, delta=0.3,
-                                          g_force=0.0, g_phase=0.0)
+        # PhysicalParams refuses gamma_m = 0, so the drift is built by hand:
+        # unit mass, omega_m and gamma_c, no coupling, delta = 0.3.
+        a = np.zeros((6, 6))
+        a[0, 1], a[1, 0] = 1.0, -1.0
+        for ix, iy in ((2, 3), (4, 5)):
+            a[ix, ix] = a[iy, iy] = -0.5
+            a[ix, iy], a[iy, ix] = -0.3, 0.3
         with pytest.raises(InstabilityError):
             require_stable(a)
 
@@ -181,6 +187,12 @@ class TestRealizationDomain:
         # at -4.6e-8 for these two detunings.
         with pytest.raises(NumericalError, match="landed at"):
             realize_dimensionless(DimensionlessParams(0.003, 0.1, delta))
+
+    def test_missed_detuning_diagnosed_before_damping(self):
+        # The root lands at 3.746e-5, not 1e-5.  That is the diagnosis, not
+        # a drift that no damping could stabilize (InstabilityError).
+        with pytest.raises(NumericalError, match="steady state landed"):
+            realize_dimensionless(DimensionlessParams(100.0, 0.1, 1e-5))
 
     def test_non_positive_drive_frequency_refused(self):
         # The bare detuning -5e9 linewidths puts omega_0 below zero.
