@@ -10,12 +10,11 @@ the run takes about 0.25 s including start-up (2-core x86 host, one BLAS
 thread), and the acceptance suite runs the full-precision version.
 """
 
-import math
 import time
 
 from optoepr import (DimensionlessParams, build_state_space,
                      default_sim_config, epr_lhs, epr_product_estimate,
-                     inferred_variance_at, noise_psd, realize_dimensionless)
+                     noise_psd, realize_dimensionless)
 
 point = DimensionlessParams(p_cal=0.17, t_cal=0.1, delta=0.18)
 params, ss = realize_dimensionless(point)

@@ -261,12 +261,11 @@ def _real_roots(delta0: float, kappa: float) -> list[float]:
         if not (_cubic(d_lo, delta0, kappa) < 0.0 or _cubic(d_hi, delta0, kappa) > 0.0):
             cuts = [d_lo, d_hi]   # f(d_lo) > 0 > f(d_hi): three crossings
     # Otherwise a single crossing: a monotone cubic, or one clear of the fold.
+    # These edges need no widening.  kappa = drive_kappa >= 0, as
+    # PhysicalParams refuses a negative power, so f(lo) < 0 at lo < delta0;
+    # hi - delta0 >= kappa^(1/3) and |hi| > kappa^(1/3) give f(hi) > 0.
     lo = (cuts[0] if cuts else delta0) - span
-    while _cubic(lo, delta0, kappa) > 0.0:
-        lo -= span
     hi = (cuts[-1] if cuts else delta0) + span
-    while _cubic(hi, delta0, kappa) < 0.0:
-        hi += span
     edges = [lo, *cuts, hi]
     return sorted(_polish(_bisect(a, b, delta0, kappa), delta0, kappa)
                   for a, b in zip(edges, edges[1:]))

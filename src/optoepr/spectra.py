@@ -22,11 +22,18 @@ at T = 0.  With these normalizations the output spectral matrix is
     S(omega) = Re[ R(omega) diag(N(omega)) R(omega)^dag ],
     R(omega) = C (-i omega I - A)^{-1} B + D,
 
-for the phi-quadratures X(phi) = x cos(phi) + y sin(phi).  C and D are
-projected onto those two quadratures before the solve, and R comes from the
-adjoint system (-i omega I - A)^T Y = C^T, so each omega carries one
-right-hand side per reported quadrature.  The inference variance is read
-off the same factors, as sum_k N_k |R_1k - g R_2k|^2.
+for the phi-quadratures X(phi) = x cos(phi) + y sin(phi).  Before the solve
+the model is written on the sums and differences of the two modes, states
+(q, p, x1 + x2, y1 + y2, x1 - x2, y1 - y2) and inputs (xi, x1_in +- x2_in,
+y1_in +- y2_in) at twice the vacuum level, and C and D are projected onto
+the two reported quadratures.  R comes from the adjoint system
+(-i omega I - A)^T Y = C^T, so each omega carries one right-hand side per
+reported quadrature.  The mirror feels only x1 + x2 and writes the same
+phase on y1 and y2, so the difference mode is an empty cavity: for
+identical modes the sum of the two rows of R is exactly zero on the
+difference inputs and their difference exactly zero on the others.  The
+inference variance det(S)/S_22 is read off that sum and difference, with
+no cross term left to cancel and no gain in it.
 
 No further calibration constant is needed: the empty cavity returns exactly
 S_11 = gamma_c at every frequency and the omega = 0 commutator norm between
@@ -66,7 +73,8 @@ class StateSpace:
 
     ``drift`` is 6x6 and ``input_map`` 6x5; ``output_map`` is kx6 and
     ``feedthrough`` kx5 for k outputs: the 4 output field quadratures as
-    built, or 2 once projected onto the phi-quadratures of the two modes.
+    built, or the phi-quadratures of the two modes once
+    `output_spectral_matrix` has projected it.
     ``gamma_c`` is carried along so spectra can be normalized without
     re-threading the physical parameters.  Treat instances (and their
     arrays) as immutable.
@@ -135,19 +143,27 @@ class SpectralMatrix:
             object.__setattr__(self, "s", 0.5 * (s + s.swapaxes(-1, -2)))
 
     def inference(self):
-        """(sum_k N_k |r_1k - g r_2k|^2, g) at the optimal gain g = s12/s22.
+        """(det s / s22, s12 / s22): the minimized inference variance and its gain.
 
-        The variance, in units of ``s``, equals s11 - 2 g s12 + g^2 s22 in
-        exact arithmetic, but as a sum of non-negative terms it cannot
-        cancel when common-mode noise dominates both entries.  It is the
-        variance at the returned gain, whose rounding adds about
-        s22 (2^-53 g)^2 to the minimum.  Elementwise over the leading axes
-        of ``s``; scalars for one matrix.
+        With m and h the half-sum and half-difference of the two rows of
+        ``response``, det s = 4 (S_m S_h - X^2), where S_u = sum_k N_k |u_k|^2
+        and X = Re sum_k N_k m_k h_k^*; this holds for any factor.  On the
+        sum and difference inputs of `output_spectral_matrix`, for identical
+        modes, m and h are exact and X is exactly 0, so the variance is a
+        product of sums of non-negative terms: nothing cancels however
+        strongly common-mode noise dominates ``s``.  Elementwise over the
+        leading axes of ``s``; scalars for one matrix.
         """
-        r = self.response
-        gain = self.s[..., 0, 1] / self.s[..., 1, 1]
-        d = r[..., 0, :] - gain[..., None] * r[..., 1, :]
-        variance = (self.levels * (d * d.conj()).real).sum(axis=-1)
+        r1, r2 = self.response[..., 0, :], self.response[..., 1, :]
+        m, h = 0.5 * (r1 + r2), 0.5 * (r1 - r2)   # each one rounding of exact halves
+
+        def power(u, v):   # Re sum_k N_k u_k v_k^*
+            return (self.levels * (u * v.conj()).real).sum(axis=-1)
+
+        s22, cross = self.s[..., 1, 1], power(m, h)
+        # Each product is divided by s22 first, so none leaves the double range.
+        variance = 4.0 * (power(m, m) / s22 * power(h, h) - cross / s22 * cross)
+        gain = self.s[..., 0, 1] / s22
         # [()] makes the values of a single matrix numpy scalars, not 0-d arrays.
         return variance[()], gain[()]
 
@@ -267,36 +283,51 @@ def output_response(model: StateSpace, omega) -> np.ndarray:
     return yb.swapaxes(-1, -2) + model.feedthrough
 
 
-def _projector(phi: float) -> np.ndarray:
+def _sum_difference(model: StateSpace, phi: float) -> StateSpace:
+    """``model`` on the sums and differences of the two modes, projected onto
+    the phi-quadratures X1(phi), X2(phi).
+
+    The states become (q, p, x1 + x2, y1 + y2, x1 - x2, y1 - y2) and the
+    inputs (xi, x1_in + x2_in, y1_in + y2_in, x1_in - x2_in, y1_in - y2_in).
+    The basis changes carry only the coefficients 0, +-1 and 1/2, so every
+    product is exact, with or without fused multiply-add: for identical
+    modes the blocks coupling sums to differences are exact zeros.
+    """
     if not math.isfinite(phi):
         raise ParameterError(f"phi must be finite, got {phi!r}")
-    p = np.zeros((2, N_OUTPUTS))
-    p[0, 0] = p[1, 2] = math.cos(phi)
-    p[0, 1] = p[1, 3] = math.sin(phi)
-    return p
+    p = np.kron(np.eye(2), [[math.cos(phi), math.sin(phi)]])
+    # (x1, y1, x2, y2) -> (x1 + x2, y1 + y2, x1 - x2, y1 - y2), and back.
+    pair = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2))
+    to_states, from_states = np.eye(N_STATES), np.eye(N_STATES)
+    to_states[2:, 2:], from_states[2:, 2:] = pair, 0.5 * pair
+    # The inputs (xi, fields) change basis as the states (p, fields) do.
+    return replace(model, drift=to_states @ model.drift @ from_states,
+                   input_map=to_states @ model.input_map @ from_states[1:, 1:],
+                   output_map=p @ model.output_map @ from_states,
+                   feedthrough=p @ model.feedthrough @ from_states[1:, 1:])
 
 
 def output_spectral_matrix(model: StateSpace, noise: NoisePsd, omega,
                            phi: float) -> SpectralMatrix:
     """Symmetrized 2x2 output spectra of the phi-quadratures at each ``omega``.
 
-    The model is projected onto the two phi-quadratures before the solve,
-    so `output_response` carries two right-hand sides.  ``omega`` is a
-    float or an array; the returned ``s`` has shape
-    ``(*np.shape(omega), 2, 2)``.  The levels are checked by
-    `NoisePsd.levels`, so ``s`` is positive semidefinite; a matrix is
-    accepted only if every entry is finite and s22 > 0, so that
+    The model is written on the sums and differences of the two modes and
+    projected onto the two phi-quadratures before the solve, so
+    `output_response` carries two right-hand sides; the returned factors are
+    those of xi and of the sums and differences of the field inputs, whose
+    levels are twice the vacuum level.  ``omega`` is a float or an array;
+    the returned ``s`` has shape ``(*np.shape(omega), 2, 2)``.  The levels
+    are checked by `NoisePsd.levels`, so ``s`` is positive semidefinite; a
+    matrix is accepted only if every entry is finite and s22 > 0, so that
     `SpectralMatrix.inference` is defined on it.  Otherwise NumericalError
     names the first omega that fails.
     """
     w = np.asarray(omega, dtype=float)
-    p = _projector(phi)
-    levels = noise.levels(w)   # refuses a bad level before the solve
-    projected = replace(model, output_map=p @ model.output_map,
-                        feedthrough=p @ model.feedthrough)
-    spec = SpectralMatrix(response=output_response(projected, w), levels=levels)
-    s = spec.s
-    ok = np.isfinite(s).all(axis=(-2, -1)) & (s[..., 1, 1] > 0.0)
+    rotated = _sum_difference(model, phi)
+    # Checked before the solve; a sum or difference of two vacua has twice the level.
+    levels = noise.levels(w) * [1.0, 2.0, 2.0, 2.0, 2.0]
+    spec = SpectralMatrix(response=output_response(rotated, w), levels=levels)
+    ok = np.isfinite(spec.s).all(axis=(-2, -1)) & (spec.s[..., 1, 1] > 0.0)
     if not ok.all():
         raise NumericalError("output spectral matrix has a non-finite entry or "
                              f"s22 <= 0 at omega={float(w[~ok].flat[0])!r}")
@@ -309,6 +340,9 @@ def inferred_variance_at(model: StateSpace, noise: NoisePsd, omega: float,
 
     At omega = 0 this reproduces the closed form in `criterion` exactly; at
     other sideband frequencies it generalizes the criterion off the carrier.
+    In a bath hot enough that common-mode noise dominates, it tends to the
+    difference mode's vacuum level 2 at every omega and phi, and returns 2
+    to rounding.
     """
     variance, gain = output_spectral_matrix(model, noise, omega, phi).inference()
     return variance / model.gamma_c, gain

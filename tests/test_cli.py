@@ -132,6 +132,32 @@ class TestCriterion:
                       "--delta", "0.18")
         assert code == EXIT_IO
 
+    @pytest.mark.parametrize("text, flags, message", [
+        (TEXTBOOK_PHYSICAL.replace("mass_kg        = 3e-5\n", ""), ["--delta", "0.18"],
+         "physical block incomplete, missing ['mass_kg']"),
+        (TEXTBOOK_PHYSICAL + "detuning0 = 0.1\n", ["--delta", "0.18"],
+         "exactly one of omega_0_rad_s or detuning0"),
+        (TEXTBOOK_PHYSICAL.replace("omega_0_rad_s  = 2e15\n", ""), ["--delta", "0.18"],
+         "exactly one of omega_0_rad_s or detuning0"),
+        ("p_cal = 0.17\nt_cal = 0.1\n", [],
+         "dimensionless block incomplete, missing ['delta']"),
+        (TEXTBOOK_PHYSICAL, [], "physical config requires --delta"),
+        (None, [], "no parameters given"),
+    ])
+    def test_refused_parameters_exit_config(self, capsys, tmp_path, text, flags,
+                                            message):
+        out_path = tmp_path / "c.out"
+        argv = ["criterion", *flags, "--output", str(out_path)]
+        if text is not None:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(text)
+            argv += ["--config", str(cfg)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert message in err and len(err.splitlines()) == 1
+        assert not out_path.exists()
+
     def test_underflowing_t_cal_denominator_exits_numerical(self, capsys,
                                                             realized_headline_config):
         # hbar omega_m^2 underflows to 0 where p_cal's denominator does not:
@@ -498,6 +524,23 @@ class TestSpectrum:
         assert "frequency axis" in capsys.readouterr().err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("text, flags, message", [
+        (TEXTBOOK_PHYSICAL.replace("input_power_w  = 0.03", "input_power_w  = 0"),
+         ["--branch", "5"], "--branch 5 out of range; cubic has 1 root(s)"),
+        (DIMLESS, [], "spectrum requires a physical config block"),
+    ])
+    def test_refused_block_exits_config(self, capsys, tmp_path, text, flags, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        out_path = tmp_path / "s.csv"
+        code = main(["spectrum", "--config", str(cfg), "--omega-min", "0",
+                     "--omega-max", "4e6", "--points", "3", *flags,
+                     "--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert message in err and len(err.splitlines()) == 1
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("phi", ["inf", "-inf", "nan"])
     def test_non_finite_angle_exits_config(self, capsys, tmp_path,
                                            realized_headline_config, phi):
@@ -680,6 +723,16 @@ class TestSteadyState:
         cfg.write_text(TEXTBOOK_PHYSICAL)
         code, _ = run(capsys, "steady-state", "--config", str(cfg))
         assert code == EXIT_CONFIG
+
+    def test_dimensionless_block_exits_config(self, capsys, tmp_path):
+        cfg = tmp_path / "ss.cfg"
+        cfg.write_text(DIMLESS)
+        out_path = tmp_path / "ss.out"
+        code = main(["steady-state", "--config", str(cfg), "--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert "steady-state requires a physical config block" in err
+        assert not out_path.exists()
 
 
 class TestSimulate:
@@ -916,6 +969,16 @@ class TestConfigParsing:
         cfg = tmp_path / "c.cfg"
         cfg.write_text("p_cal = 0.1\np_cal = 0.2\n")
         with pytest.raises(Exception):
+            parse_config(str(cfg))
+
+    @pytest.mark.parametrize("line, message", [
+        ("p_cal 0.17", "expected 'key = value'"),
+        ("p_cal = 0.1x", "invalid number for 'p_cal'"),
+    ])
+    def test_rejects_malformed_line(self, tmp_path, line, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"# point\n{line}\n")
+        with pytest.raises(errors.ParameterError, match=re.escape(f"{cfg}:2: {message}")):
             parse_config(str(cfg))
 
 

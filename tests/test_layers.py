@@ -7,8 +7,8 @@ every chain on one Euler-Maruyama step, where `criterion` computes its
 gains, so that the point and the grid share one arithmetic, that `spectra`
 solves a linear system in one place only, that both routes read the noise
 levels through their one check, that one builder forms the drift and its
-couplings, and that no module of the package or of the tests imports a
-name it never uses.
+couplings, and that no module of the package, the tests or the demos
+imports a name it never uses.
 """
 
 import ast
@@ -20,6 +20,7 @@ import optoepr
 
 PACKAGE = Path(optoepr.__file__).parent
 TESTS = Path(__file__).parent
+DEMOS = TESTS.parent / "demos"
 
 FORBIDDEN = {
     "model": {"criterion", "spectra", "sde", "cli"},
@@ -159,7 +160,8 @@ def test_unused_import_reader():
     assert unused_imports(source) == {"os", "c"}
 
 
-@pytest.mark.parametrize("path", sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")]),
+@pytest.mark.parametrize("path", sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py"),
+                                         *DEMOS.glob("*.py")]),
                          ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_unused_imports(path):
     assert not unused_imports(path.read_text())

@@ -51,6 +51,10 @@ class TestParamValidation:
         with pytest.raises(ParameterError):
             DimensionlessParams(-0.1, 0.1, 0.18)
 
+    def test_dimensionless_rejects_negative_t_cal(self):
+        with pytest.raises(ParameterError, match="t_cal must be >= 0, got -0.1"):
+            DimensionlessParams(0.1, -0.1, 0.18)
+
     def test_detuning_square_must_be_normal(self, textbook_lab_params):
         # The criterion divides by 2 delta^2: a delta whose square is zero or
         # subnormal is refused, the smallest delta with a normal square is not.

@@ -598,6 +598,14 @@ class TestSimConfig:
                 SimConfig(dt=1.0, tau=tau, n_segments=1, n_trajectories=1,
                           seed=0, burn_in=0.0)
 
+    def test_rejects_negative_burn_in_and_no_segments(self):
+        with pytest.raises(ParameterError, match="burn_in must be >= 0, got -0.001"):
+            SimConfig(dt=1e-3, tau=0.5, n_segments=4, n_trajectories=1, seed=0,
+                      burn_in=-1e-3)
+        with pytest.raises(ParameterError, match="n_segments and n_trajectories"):
+            SimConfig(dt=1e-3, tau=0.5, n_segments=0, n_trajectories=1, seed=0,
+                      burn_in=0.0)
+
     @pytest.mark.parametrize("field", ["tau", "burn_in"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_times(self, field, value):
@@ -713,6 +721,11 @@ class TestWindowedTransform:
         inc = np.zeros((50, 4))
         with pytest.raises(ParameterError):
             windowed_transform(inc, 1e-3, 0.1)
+
+    @pytest.mark.parametrize("shape", [(400,), (400, 2), (400, 4, 1)])
+    def test_record_not_n_by_4_refused(self, shape):
+        with pytest.raises(ParameterError, match=re.escape("shape (n_steps, 4)")):
+            windowed_transform(np.zeros(shape), 1e-3, 0.1)
 
 
 def reference_transform(increments, dt, tau, omega, phi):

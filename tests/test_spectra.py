@@ -286,6 +286,29 @@ class TestOutputSpectra:
                 assert var[k].tobytes() == np.float64(one_var).tobytes()
                 assert gain[k].tobytes() == np.float64(one_gain).tobytes()
 
+    @pytest.mark.parametrize("draw", [None, 0, 1])
+    def test_hot_bath_variance_is_the_difference_vacuum(self, headline_model, draw):
+        # Where common-mode mirror noise swamps both modes, the inference
+        # variance is the vacuum level of the difference mode, 2 in gamma_c
+        # units, at every omega and phi.  It is read off the exact sum and
+        # difference of the two modes, so no rounded gain enters it: at the
+        # headline and at the two realizations drawn above.
+        if draw is None:
+            params, _, model, _ = headline_model
+        else:
+            rng = np.random.default_rng(4100 + draw)
+            dp = DimensionlessParams(p_cal=float(rng.uniform(0.05, 1.5)),
+                                     t_cal=float(rng.uniform(0.0, 0.8)),
+                                     delta=float(rng.uniform(0.1, 1.0)))
+            params, ss = realize_dimensionless(dp)
+            model = build_state_space(params, ss)
+        for temperature in (1e25, 1e40):
+            hot = noise_psd(replace(params, temperature=temperature))
+            for phi in (0.0, math.pi / 2):
+                for w in (0.0, 0.3, 2.0):
+                    var, _ = inferred_variance_at(model, hot, w * model.gamma_c, phi)
+                    assert var == pytest.approx(2.0, rel=1e-12), (temperature, phi, w)
+
     def test_stack_names_the_first_non_psd_omega(self, headline_model):
         # A mirror noise PSD that is negative at two frequencies of the
         # stack: the refusal names the first of them.
@@ -526,6 +549,11 @@ class TestCommutatorNorm:
         _, _, model, _ = headline_model
         assert commutator_norm_check(model, (1, 2)) == pytest.approx(0.0, abs=1e-12)
         assert commutator_norm_check(model, (2, 1)) == pytest.approx(0.0, abs=1e-12)
+
+    def test_mode_index_outside_one_and_two_refused(self, headline_model):
+        _, _, model, _ = headline_model
+        with pytest.raises(ParameterError, match=re.escape("got (0, 1)")):
+            commutator_norm_check(model, modes=(0, 1))
 
 
 class TestParseval:
