@@ -74,36 +74,30 @@ class ScanGrid:
 def _closed_form(p, t, delta):
     """(eps(0), eps(pi/2), g_x, g_y) at float or broadcasting-array
     (p_cal, t_cal), with the optimal inference gains g = eps/(1 + eps) whose
-    inference variances are 1 + g.  Floats and arrays run the same
+    inference variances are 1 + g.  Floats and arrays run the same numpy
     operations in the same order, so a `scan` cell holds the bits of
-    `epr_lhs` at its point."""
-    d2 = delta * delta
-    s = d2 + p + 0.25
-    denom = s * s   # not ** 2, which on a float rounds through libm's pow
-    # An overflowing denom would divide finite numerators down to 0; as NaN
-    # it leaves both eps non-finite, so the point or grid is refused.
-    if isinstance(denom, np.ndarray):
-        denom[~np.isfinite(denom)] = np.nan
-    elif not math.isfinite(denom):
-        denom = math.nan
-    e0 = 0.5 * (t - 1.0) * p / denom
-    eh = (d2 + p + 0.25 * t) / (2.0 * d2) * p / denom
-    # The first quotient overflows at t_cal far above delta^2 even where
-    # eps(pi/2) is a finite double; only there the product is reordered, so
-    # every finite value keeps its bits.
-    alt = p / denom * (d2 + p + 0.25 * t) / (2.0 * d2)
-    if isinstance(eh, np.ndarray):
-        eh = np.where(np.isfinite(eh), eh, alt)
-    elif not math.isfinite(eh):
-        eh = alt
-    return e0, eh, e0 / (1.0 + e0), eh / (1.0 + eh)
+    `epr_lhs` at its point; what overflows is left non-finite, silently."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d2 = delta * delta
+        s = d2 + p + 0.25
+        denom = s * s   # not ** 2, which on a float rounds through libm's pow
+        # An overflowing denom would divide finite numerators down to 0; as
+        # NaN it leaves both eps non-finite, so the point or grid is refused.
+        denom = np.where(np.isfinite(denom), denom, np.nan)
+        e0 = 0.5 * (t - 1.0) * p / denom
+        eh = (d2 + p + 0.25 * t) / (2.0 * d2) * p / denom
+        # The first quotient overflows at t_cal far above delta^2 even where
+        # eps(pi/2) is a finite double; only there the product is reordered,
+        # so every finite value keeps its bits.
+        eh = np.where(np.isfinite(eh), eh, p / denom * (d2 + p + 0.25 * t) / (2.0 * d2))
+        return e0, eh, e0 / (1.0 + e0), eh / (1.0 + eh)
 
 
 def epr_lhs(dp: DimensionlessParams) -> EprResult:
     """Evaluate the full criterion at one reduced parameter point; an
     overflowing eps raises ParameterError, eps(0) <= EPS_FLOOR (a
     non-positive variance) InvalidRegimeError."""
-    e0, eh, gx, gy = _closed_form(dp.p_cal, dp.t_cal, dp.delta)
+    e0, eh, gx, gy = map(float, _closed_form(dp.p_cal, dp.t_cal, dp.delta))
     if not (math.isfinite(e0) and math.isfinite(eh)):
         raise ParameterError(f"closed form overflows at {dp}")
     if e0 <= EPS_FLOOR:
@@ -135,10 +129,7 @@ def scan(p_range: tuple[float, float], t_range: tuple[float, float],
     `DimensionlessParams`.  A grid on which eps(0) or eps(pi/2) overflows
     anywhere, or whose work arrays could pass SCAN_BUDGET_BYTES, is refused.
     """
-    if isinstance(resolution, int):
-        res_p = res_t = resolution
-    else:
-        res_p, res_t = resolution
+    res_p, res_t = (resolution, resolution) if np.ndim(resolution) == 0 else resolution
     if max(res_p, 0) * max(res_t, 0) * _SCAN_CELL_BYTES > SCAN_BUDGET_BYTES:
         raise ParameterError(
             f"a {res_p} x {res_t} scan grid could need more than the "
@@ -146,8 +137,7 @@ def scan(p_range: tuple[float, float], t_range: tuple[float, float],
     DimensionlessParams(0.0, 0.0, delta)   # the detuning rule
     p_axis = _axis(*map(float, p_range), res_p)
     t_axis = _axis(*map(float, t_range), res_t)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        e0, eh, gx, gy = _closed_form(p_axis[np.newaxis, :], t_axis[:, np.newaxis], delta)
+    e0, eh, gx, gy = _closed_form(p_axis[np.newaxis, :], t_axis[:, np.newaxis], delta)
     if not (np.isfinite(e0).all() and np.isfinite(eh).all()):
         raise ParameterError(
             f"closed form overflows on the scan grid at delta = {delta!r}")
@@ -162,14 +152,16 @@ def scan(p_range: tuple[float, float], t_range: tuple[float, float],
 def _row_crossings(f: np.ndarray, x: np.ndarray, touch: bool):
     """(row, position on ``x``) of each sign change of f along its rows, in
     row-major order; edges with a non-finite end are skipped.  With ``touch``
-    an edge whose left end is exactly zero also counts, at that end."""
+    an edge whose left end is exactly zero also counts, at that end.  The
+    ends' signs are compared rather than multiplied and a zero left end is
+    not divided, so no product overflows and no 0/0 arises."""
     a, b = f[:, :-1], f[:, 1:]
-    with np.errstate(all="ignore"):
-        hit = np.isfinite(a) & np.isfinite(b) & ((a * b < 0.0) | (touch & (a == 0.0)))
-        rows, cols = np.nonzero(hit)
-        a, b = a[rows, cols], b[rows, cols]
-        pos = x[cols] + a / (a - b) * (x[cols + 1] - x[cols])
-    return rows, np.where(a == 0.0, x[cols], pos)
+    opposite = ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
+    hit = np.isfinite(a) & np.isfinite(b) & (opposite | (touch & (a == 0.0)))
+    rows, cols = np.nonzero(hit)
+    a, b = a[rows, cols], b[rows, cols]
+    frac = np.divide(a, a - b, out=np.zeros_like(a), where=a != 0.0)
+    return rows, np.where(a == 0.0, x[cols], x[cols] + frac * (x[cols + 1] - x[cols]))
 
 
 def paradox_boundary(grid: ScanGrid) -> np.ndarray:

@@ -77,10 +77,16 @@ DT_SAFETY = 0.08
 DT_LIMIT = 0.1
 
 # integrate() refuses output records larger than this many bytes, and both
-# estimators refuse plans whose draws, as doubles, exceed it.  The estimators
-# stream their draws in blocks, so for them it bounds the run time, not an
-# allocation.
+# estimators refuse plans whose draws, as doubles, exceed it; every check
+# also charges each trajectory its noise stream, held for the whole run.
+# The estimators stream their draws in blocks, so for them it bounds the run
+# time and the streams' memory, not an allocation of the draws.
 RECORD_BUDGET_BYTES = 2**30
+
+# What one trajectory's noise stream holds: a `Generator` on a `PCG64` from
+# `_streams` took 760-830 B of resident memory each, over 50 000 to 200 000
+# streams (Python 3.11, numpy 2.4); rounded up to 1 KiB.
+_STREAM_BYTES = 1024
 
 # `SimConfig` refuses a tau or burn_in longer than this many steps, so that
 # every step count of a plan is exact as a double.
@@ -238,12 +244,13 @@ def _check_plan(model: StateSpace, cfg: SimConfig) -> tuple[int, int, int]:
 
 
 def _check_budget(what: str, n_traj: int, per_traj: int, advice: str) -> None:
-    """Refuse an array of n_traj x per_traj doubles above the budget."""
-    n_bytes = 8.0 * n_traj * per_traj   # inf when the product overflows
+    """Refuse n_traj trajectories of per_traj doubles and a noise stream
+    each above the budget."""
+    n_bytes = n_traj * (8.0 * per_traj + _STREAM_BYTES)   # inf when it overflows
     if n_bytes > RECORD_BUDGET_BYTES:
         raise ParameterError(
-            f"{what} of {n_traj:.6g} trajectories x {per_traj:.6g} doubles needs "
-            f"{n_bytes / 2**30:.6g} GiB, above the "
+            f"{what} of {n_traj:.6g} trajectories x ({per_traj:.6g} doubles and a "
+            f"stream) needs {n_bytes / 2**30:.6g} GiB, above the "
             f"{RECORD_BUDGET_BYTES / 2**30:.0f} GiB budget; {advice}")
 
 
@@ -448,9 +455,9 @@ def integrate(model: StateSpace, noise: NoisePsd, cfg: SimConfig,
     Simulates the plan's steps, the burn-in plus n_segments whole windows,
     for every trajectory and returns the integrated output increments
     (burn-in included; the estimators skip it).  Memory is
-    O(n_trajectories * n_steps), and a record above RECORD_BUDGET_BYTES is
-    refused before anything is allocated; use the streaming estimators for
-    production window counts.
+    O(n_trajectories * n_steps), and a record whose doubles and streams
+    pass RECORD_BUDGET_BYTES is refused before anything is allocated; use
+    the streaming estimators for production window counts.
 
     `_propagate` runs `_step`'s chain and writes every block's outputs into
     the record in place.  The result equals the per-step recursion up to rounding.
@@ -539,11 +546,11 @@ def estimate_inference_variance(model: StateSpace, noise: NoisePsd,
     `_propagate`, whose per-step output is the step's term of the window
     sum, and streams the window sums instead of materializing records, so
     memory is O(n_trajectories) and time O(n_trajectories * steps); plans
-    whose draws exceed RECORD_BUDGET_BYTES are refused before any stream is
-    spawned.  The transform has zero mean by construction and the uncentred
-    second moment over all windows is the variance estimator; the standard
-    error is the jackknife (equivalently the standard error of the
-    per-trajectory means), which is robust to any residual correlation
+    whose draws and streams exceed RECORD_BUDGET_BYTES are refused before
+    any stream is spawned.  The transform has zero mean by construction and
+    the uncentred second moment over all windows is the variance estimator;
+    the standard error is the jackknife (equivalently the standard error of
+    the per-trajectory means), which is robust to any residual correlation
     between windows of one trajectory.
     """
     burn_steps, window_steps, n_steps = _check_plan(model, cfg)
@@ -626,10 +633,10 @@ def sample_inference_variance(model: StateSpace, noise: NoisePsd,
     the windows run through `_propagate` as the steps of the window chain,
     whose output is the window sum.  Time is O(n_trajectories * n_segments)
     whatever the step count, memory O(n_trajectories), and plans whose
-    draws exceed RECORD_BUDGET_BYTES are refused before any stream is
-    spawned.  The distribution is the step chain's (same dt, same burn-in),
-    the draws are not, and the estimate and its jackknife error are formed
-    the same way.
+    draws and streams exceed RECORD_BUDGET_BYTES are refused before any
+    stream is spawned.  The distribution is the step chain's (same dt, same
+    burn-in), the draws are not, and the estimate and its jackknife error
+    are formed the same way.
     """
     burn_steps, window_steps, _ = _check_plan(model, cfg)
     n_traj, n_seg, n = cfg.n_trajectories, cfg.n_segments, spectra.N_STATES

@@ -283,6 +283,13 @@ def output_response(model: StateSpace, omega) -> np.ndarray:
     return yb.swapaxes(-1, -2) + model.feedthrough
 
 
+# The fixed maps of `_sum_difference`: (x1, y1, x2, y2) -> (x1 + x2, y1 + y2,
+# x1 - x2, y1 - y2) on the modes of the states, and back.
+_PAIR = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2))
+_TO_SUM_DIFFERENCE, _FROM_SUM_DIFFERENCE = np.eye(N_STATES), np.eye(N_STATES)
+_TO_SUM_DIFFERENCE[2:, 2:], _FROM_SUM_DIFFERENCE[2:, 2:] = _PAIR, 0.5 * _PAIR
+
+
 def _sum_difference(model: StateSpace, phi: float) -> StateSpace:
     """``model`` on the sums and differences of the two modes, projected onto
     the phi-quadratures X1(phi), X2(phi).
@@ -295,11 +302,9 @@ def _sum_difference(model: StateSpace, phi: float) -> StateSpace:
     """
     if not math.isfinite(phi):
         raise ParameterError(f"phi must be finite, got {phi!r}")
-    p = np.kron(np.eye(2), [[math.cos(phi), math.sin(phi)]])
-    # (x1, y1, x2, y2) -> (x1 + x2, y1 + y2, x1 - x2, y1 - y2), and back.
-    pair = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2))
-    to_states, from_states = np.eye(N_STATES), np.eye(N_STATES)
-    to_states[2:, 2:], from_states[2:, 2:] = pair, 0.5 * pair
+    c, s = math.cos(phi), math.sin(phi)
+    p = np.array([[c, s, 0.0, 0.0], [0.0, 0.0, c, s]])
+    to_states, from_states = _TO_SUM_DIFFERENCE, _FROM_SUM_DIFFERENCE
     # The inputs (xi, fields) change basis as the states (p, fields) do.
     return replace(model, drift=to_states @ model.drift @ from_states,
                    input_map=to_states @ model.input_map @ from_states[1:, 1:],

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from optoepr import cli, criterion, epr_lhs, errors, model, spectra
+from optoepr import cli, criterion, epr_lhs, errors, model, sde, spectra
 from optoepr.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main,
                          parse_config)
 
@@ -806,6 +806,23 @@ class TestSimulate:
         assert "budget" in capsys.readouterr().err
         assert not out_path.exists()
         assert elapsed < 1.0
+
+    def test_stream_budget_refused_before_streams(self, capsys, tmp_path, monkeypatch):
+        # 1e7 trajectories of one window: the draws fit the budget, the
+        # trajectories' generators (~8 GB) do not; refused before any stream
+        # is spawned.
+        def no_streams(*args):
+            raise AssertionError("streams spawned before the budget check")
+
+        monkeypatch.setattr(sde, "_streams", no_streams)
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(DIMLESS + "trajectories = 10000000\nsegments = 1\n")
+        out_path = tmp_path / "sim.out"
+        code = main(["simulate", "--config", str(cfg), "--output", str(out_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert len(err.splitlines()) == 1 and "budget" in err
+        assert not out_path.exists()
 
     @pytest.mark.parametrize("keys", [
         "tau = 1e300\n",

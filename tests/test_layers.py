@@ -4,11 +4,12 @@ Read from the import statements of each module's source, so a violation
 fails here even where no test exercises the import.  The same reader pins
 where `sde` draws its noise and builds its step, so that one kernel runs
 every chain on one Euler-Maruyama step, where `criterion` computes its
-gains, so that the point and the grid share one arithmetic, that `spectra`
-solves a linear system in one place only, that both routes read the noise
-levels through their one check, that one builder forms the drift and its
-couplings, and that no module of the package, the tests or the demos
-imports a name it never uses.
+gains, so that the point and the grid share one arithmetic with no type
+fork, that `spectra` solves a linear system in one place only and builds
+its fixed basis maps once, that both routes read the noise levels through
+their one check, that one builder forms the drift and its couplings, and
+that no module of the package, the tests or the demos imports a name it
+never uses.
 """
 
 import ast
@@ -96,10 +97,24 @@ def test_one_closed_form_in_criterion():
     assert sorted(callers("criterion", "_closed_form")) == ["epr_lhs", "scan"]
 
 
+def test_one_closed_form_path_in_criterion():
+    # Floats and arrays take the same numpy operations: no type fork, and
+    # the one floating-point error state is the closed form's own.
+    assert callers("criterion", "isinstance") == []
+    assert callers("criterion", "np.errstate") == ["_closed_form"]
+
+
 def test_one_solve_in_spectra():
     # The adjoint solve of the response is the only linear solve of the
     # spectral route; every spectrum and inference goes through it.
     assert callers("spectra", "np.linalg.solve") == ["output_response"]
+
+
+def test_fixed_basis_maps_built_once():
+    # The sum/difference maps are module constants and the phi projection is
+    # written out, so no map is built per spectral call.
+    assert "_sum_difference" not in callers("spectra", "np.kron")
+    assert "_sum_difference" not in callers("spectra", "np.eye")
 
 
 def test_one_model_builder():

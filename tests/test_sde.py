@@ -454,6 +454,21 @@ class TestWindowSampler:
         with pytest.raises(ParameterError, match="budget"):
             sample_inference_variance(model, noise, cfg, 0.0, 0.0)
 
+    def test_stream_budget_refused_before_streams(self, headline, monkeypatch):
+        # 1e7 trajectories of one window draw only 104 B each, 1.04e9 B in
+        # all, but their generators would hold ~8 GB: each trajectory is
+        # charged its stream too, before any stream is spawned.
+        _, model, noise = headline
+        cfg = default_sim_config(model, n_trajectories=10_000_000, n_segments=1)
+        assert 10_000_000 * (6 + 7) * 8 < RECORD_BUDGET_BYTES
+
+        def no_streams(*args):
+            raise AssertionError("streams spawned before the budget check")
+
+        monkeypatch.setattr(sde, "_streams", no_streams)
+        with pytest.raises(ParameterError, match="budget"):
+            sample_inference_variance(model, noise, cfg, 0.0, 0.0)
+
     def test_factor_resolves_every_scale(self, headline):
         # The headline window covariance spans 38 decades on its diagonal
         # (mirror position in metres against the window sum); its factor
