@@ -139,38 +139,40 @@ def physical_from_config(values: dict[str, float]) -> model.PhysicalParams:
         temperature=values["temperature_k"], input_power=values["input_power_w"])
 
 
-def dimensionless_from_config(values: dict[str, float]) -> model.DimensionlessParams:
+def _read_config(args, physical: bool = False):
+    """(values, block) of ``--config``: its key values and its parameter
+    block, a `PhysicalParams`, a `DimensionlessParams` or None when it holds
+    neither.  With ``physical``, any block but a physical one is refused."""
+    values = parse_config(args.config) if args.config else {}
+    if values.keys() & PHYSICAL_KEYS:
+        return values, physical_from_config(values)
+    if physical:
+        raise ParameterError(f"{args.command} requires a physical config block")
+    if not values.keys() & DIMENSIONLESS_KEYS:
+        return values, None
     missing = sorted(DIMENSIONLESS_KEYS - values.keys())
     if missing:
         raise ParameterError(f"dimensionless block incomplete, missing {missing}")
-    return model.DimensionlessParams(p_cal=values["p_cal"], t_cal=values["t_cal"],
-                                     delta=values["delta"])
+    return values, model.DimensionlessParams(values["p_cal"], values["t_cal"],
+                                             values["delta"])
 
 
-def _load_config(args) -> dict[str, float]:
-    if args.config:
-        return parse_config(args.config)
-    return {}
-
-
-def _resolve_dimensionless(args, values) -> model.DimensionlessParams:
-    """Reduced parameters from flags or config."""
+def _resolve_dimensionless(args, block) -> model.DimensionlessParams:
+    """Reduced parameters from flags or the config's block."""
     flags = [args.p is not None, args.t is not None]
     if any(flags):
         if not all(flags) or args.delta is None:
             raise ParameterError("--p, --t and --delta must be given together")
         return model.DimensionlessParams(args.p, args.t, args.delta)
-    if values.keys() & DIMENSIONLESS_KEYS:
-        dp = dimensionless_from_config(values)
-        if args.delta is not None:
-            dp = model.DimensionlessParams(dp.p_cal, dp.t_cal, args.delta)
-        return dp
-    if values.keys() & PHYSICAL_KEYS:
+    if block is None:
+        raise ParameterError("no parameters given (use --config or --p/--t/--delta)")
+    if isinstance(block, model.PhysicalParams):
         if args.delta is None:
             raise ParameterError("physical config requires --delta")
-        params = physical_from_config(values)
-        return model.to_dimensionless(params, args.delta)
-    raise ParameterError("no parameters given (use --config or --p/--t/--delta)")
+        return model.to_dimensionless(block, args.delta)
+    if args.delta is not None:
+        return model.DimensionlessParams(block.p_cal, block.t_cal, args.delta)
+    return block
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:
@@ -183,8 +185,8 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def cmd_criterion(args) -> int:
-    values = _load_config(args)
-    dp = _resolve_dimensionless(args, values)
+    _, block = _read_config(args)
+    dp = _resolve_dimensionless(args, block)
     result = criterion.epr_lhs(dp)
     fields = [
         ("p_cal", dp.p_cal), ("t_cal", dp.t_cal), ("delta", dp.delta),
@@ -230,28 +232,27 @@ def cmd_scan(args) -> int:
     return EXIT_OK
 
 
-def _load_model(values, branch: int):
-    """(params, state space) of the config's parameter block.
+def _load_model(block, branch: int):
+    """(state space, noise) of a config's parameter block.
 
     A physical block runs on root ``branch`` of its cubic; a dimensionless
     block is realized on the root at its own detuning, so only branch 0.
     """
-    if values.keys() & PHYSICAL_KEYS:
-        params = physical_from_config(values)
-        roots = model.steady_state(params)
+    if isinstance(block, model.PhysicalParams):
+        roots = model.steady_state(block)
         if not 0 <= branch < len(roots):
             raise ParameterError(
                 f"--branch {branch} out of range; cubic has {len(roots)} root(s)")
-        ss = roots[branch]
-    elif values.keys() & DIMENSIONLESS_KEYS:
+        params, ss = block, roots[branch]
+    elif block is not None:
         if branch != 0:
             raise ParameterError(
                 f"--branch {branch} needs a physical block; a dimensionless "
                 "block is realized on one root, branch 0")
-        params, ss = spectra.realize_dimensionless(dimensionless_from_config(values))
+        params, ss = spectra.realize_dimensionless(block)
     else:
         raise ParameterError("no parameter block in the config")
-    return params, spectra.build_state_space(params, ss)
+    return spectra.build_state_space(params, ss), spectra.noise_psd(params)
 
 
 def _spectrum_block(sm, noise, omegas: np.ndarray, phi: float) -> str:
@@ -271,11 +272,8 @@ def cmd_spectrum(args) -> int:
             f"frequency axis ({lo!r}, {hi!r}) at {n!r} points: need finite ends "
             "with omega-min < omega-max at >= 2 points, or equal ends at 1 point")
     _check_csv_budget(n, 6)
-    values = _load_config(args)
-    if not values.keys() & PHYSICAL_KEYS:
-        raise ParameterError("spectrum requires a physical config block")
-    params, sm = _load_model(values, args.branch)
-    noise = spectra.noise_psd(params)
+    _, block = _read_config(args, physical=True)
+    sm, noise = _load_model(block, args.branch)
     omegas = np.linspace(lo, hi, n)
     lines = ["omega,s11,s12,s22,inferred_variance,gain"]
     for start in range(0, n, SPECTRUM_BLOCK):
@@ -300,9 +298,8 @@ def _sim_config_from(values, sm) -> sde.SimConfig:
 
 
 def cmd_simulate(args) -> int:
-    values = _load_config(args)
-    params, sm = _load_model(values, args.branch)
-    noise = spectra.noise_psd(params)
+    values, block = _read_config(args)
+    sm, noise = _load_model(block, args.branch)
     cfg = _sim_config_from(values, sm)
 
     analytic = [spectra.inferred_variance_at(sm, noise, 0.0, phi)[0]
@@ -328,12 +325,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_steady_state(args) -> int:
-    values = _load_config(args)
-    if not values.keys() & PHYSICAL_KEYS:
-        raise ParameterError("steady-state requires a physical config block")
+    values, params = _read_config(args, physical=True)
     if "detuning0" not in values:
         raise ParameterError("steady-state requires the bare detuning key detuning0")
-    params = physical_from_config(values)
     lines = []
     for ss in model.steady_state(params):
         residual = model.steady_state_residual(params, ss)
@@ -412,7 +406,3 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"optoepr: i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

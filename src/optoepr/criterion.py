@@ -154,13 +154,16 @@ def _row_crossings(f: np.ndarray, x: np.ndarray, touch: bool):
     row-major order; edges with a non-finite end are skipped.  With ``touch``
     an edge whose left end is exactly zero also counts, at that end.  The
     ends' signs are compared rather than multiplied and a zero left end is
-    not divided, so no product overflows and no 0/0 arises."""
+    not divided, so no product overflows and no 0/0 arises.  The ends are
+    halved before they are subtracted, so their difference cannot overflow;
+    halving a normal double is exact, so the fraction keeps every bit."""
     a, b = f[:, :-1], f[:, 1:]
     opposite = ((a < 0.0) & (b > 0.0)) | ((a > 0.0) & (b < 0.0))
     hit = np.isfinite(a) & np.isfinite(b) & (opposite | (touch & (a == 0.0)))
     rows, cols = np.nonzero(hit)
     a, b = a[rows, cols], b[rows, cols]
-    frac = np.divide(a, a - b, out=np.zeros_like(a), where=a != 0.0)
+    half_a = a / 2
+    frac = np.divide(half_a, half_a - b / 2, out=np.zeros_like(a), where=a != 0.0)
     return rows, np.where(a == 0.0, x[cols], x[cols] + frac * (x[cols + 1] - x[cols]))
 
 

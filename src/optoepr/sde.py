@@ -54,6 +54,7 @@ are batched.
 
 from __future__ import annotations
 
+import decimal
 import functools
 import math
 import operator
@@ -243,14 +244,25 @@ def _check_plan(model: StateSpace, cfg: SimConfig) -> tuple[int, int, int]:
     return steps
 
 
+def _g(n: int, unit: int = 1) -> str:
+    """n / unit as %.6g, also past the double range, where `Decimal`
+    rounds the exact quotient to the same 6 digits."""
+    try:
+        return format(n / unit, ".6g")
+    except OverflowError:
+        six = decimal.Context(prec=6)
+        return format(six.normalize(six.divide(n, unit)), "g")
+
+
 def _check_budget(what: str, n_traj: int, per_traj: int, advice: str) -> None:
     """Refuse n_traj trajectories of per_traj doubles and a noise stream
-    each above the budget."""
-    n_bytes = n_traj * (8.0 * per_traj + _STREAM_BYTES)   # inf when it overflows
+    each above the budget.  The counts are exact ints, so a plan of any
+    size is compared and reported without a float overflow."""
+    n_bytes = n_traj * (8 * per_traj + _STREAM_BYTES)
     if n_bytes > RECORD_BUDGET_BYTES:
         raise ParameterError(
-            f"{what} of {n_traj:.6g} trajectories x ({per_traj:.6g} doubles and a "
-            f"stream) needs {n_bytes / 2**30:.6g} GiB, above the "
+            f"{what} of {_g(n_traj)} trajectories x ({_g(per_traj)} doubles and a "
+            f"stream) needs {_g(n_bytes, 2**30)} GiB, above the "
             f"{RECORD_BUDGET_BYTES / 2**30:.0f} GiB budget; {advice}")
 
 

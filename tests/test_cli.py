@@ -112,6 +112,17 @@ class TestCriterion:
         assert code == EXIT_OK
         assert float(kv(out)["lhs"]) == pytest.approx(0.7032628, abs=1e-6)
 
+    def test_delta_flag_overrides_dimensionless_config(self, capsys, tmp_path):
+        # --delta replaces the block's delta: the same report as all three flags.
+        cfg = tmp_path / "point.cfg"
+        cfg.write_text(DIMLESS)
+        code_c, out_c = run(capsys, "criterion", "--config", str(cfg), "--delta", "0.3")
+        code_f, out_f = run(capsys, "criterion", "--p", "0.17", "--t", "0.1",
+                            "--delta", "0.3")
+        assert code_c == code_f == EXIT_OK
+        assert out_c == out_f
+        assert kv(out_c)["delta"] == "0.3"
+
     def test_csv_mode(self, capsys):
         code, out = run(capsys, "criterion", "--p", "0.17", "--t", "0.1",
                         "--delta", "0.18", "--csv")
@@ -847,10 +858,12 @@ class TestSimulate:
     @pytest.mark.parametrize("keys", [
         "segments = 1e300\n", "trajectories = 1e300\n",
         "segments = 1e300\ntrajectories = 1e300\n",
-    ], ids=["segments", "trajectories", "both"])
+        "segments = 1e308\ntrajectories = 1e300\n",
+    ], ids=["segments", "trajectories", "both", "doubles-past-double-range"])
     def test_huge_plan_budget_message_is_readable(self, capsys, tmp_path, keys):
-        # The counts and GiB print as %.6g numbers, not 300-digit integers;
-        # with both keys the byte count overflows a double and reads inf.
+        # The counts and GiB print as %.6g numbers, not 300-digit integers,
+        # also where they overflow a double (the byte count with both keys,
+        # the doubles per trajectory at 1e308 segments).
         cfg = tmp_path / "sim.cfg"
         cfg.write_text(DIMLESS + keys)
         out_path = tmp_path / "sim.out"

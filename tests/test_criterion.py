@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -339,6 +340,18 @@ class TestParadoxBoundary:
             if j < _BASE.p_axis.size - 1:
                 hit = (on_bound == [_BASE.p_axis[j], _BASE.t_axis[i]]).all(axis=1)
                 assert hit.sum() == 1
+
+    def test_crossing_between_extreme_ends(self):
+        # lhs - 1 = +-1.7e308 across an edge: the difference of the ends
+        # overflows a double, the crossing is still mid-edge, with no warning.
+        big = 1.7e308
+        grid = replace(scan((0.0, 1.0), (0.0, 1.0), 0.18, 2),
+                       lhs_values=np.array([[big, -big], [-big, -big]]))
+        assert grid.lhs_values[0, 0] - 1.0 == big
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pts = paradox_boundary(grid)
+        assert pts.tolist() == [[0.5, 0.0], [0.0, 0.5]]
 
     def test_hot_grid_has_no_contour(self):
         grid = scan((0.01, 1.0), (1.0, 2.0), 0.18, 32)

@@ -7,9 +7,9 @@ every chain on one Euler-Maruyama step, where `criterion` computes its
 gains, so that the point and the grid share one arithmetic with no type
 fork, that `spectra` solves a linear system in one place only and builds
 its fixed basis maps once, that both routes read the noise levels through
-their one check, that one builder forms the drift and its couplings, and
-that no module of the package, the tests or the demos imports a name it
-never uses.
+their one check, that one builder forms the drift and its couplings, that
+the CLI reads a config's parameter block in one place, and that no module
+of the package, the tests or the demos imports a name it never uses.
 """
 
 import ast
@@ -145,6 +145,17 @@ def test_one_noise_rule():
     assert callers("spectra", "noise.levels") == ["output_spectral_matrix"]
     assert not [path.name for path in PACKAGE.glob("*.py")
                 if "PSD_TOL" in path.read_text()]
+
+
+def test_one_config_reader_in_cli():
+    # Every command reads its config's parameter block through one reader,
+    # and builds the model and its noise in one place; the module is no
+    # entry point of its own (``python -m optoepr`` runs ``__main__``).
+    assert callers("cli", "parse_config") == ["_read_config"]
+    assert callers("cli", "physical_from_config") == ["_read_config"]
+    assert callers("cli", "spectra.noise_psd") == ["_load_model"]
+    assert not [node for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+                if isinstance(node, ast.If) and "__name__" in ast.unparse(node.test)]
 
 
 def unused_imports(source: str) -> set[str]:

@@ -249,6 +249,29 @@ class TestBlockedKernel:
             estimate_inference_variance(model, noise, cfg, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("run, n_segments", [
+    (lambda model, noise, cfg: sample_inference_variance(model, noise, cfg, 0.0, 0.0),
+     10**308),
+    (lambda model, noise, cfg: estimate_inference_variance(model, noise, cfg, 0.0, 0.0),
+     10**304),
+    (lambda model, noise, cfg: integrate(model, noise, cfg), 10**304),
+], ids=["sample", "estimate", "integrate"])
+def test_plan_past_double_range_refused_before_streams(headline, monkeypatch, run,
+                                                        n_segments):
+    # Each trajectory's doubles outgrow the double range: the budget compares
+    # and reports them exactly, before any stream is spawned.
+    _, model, noise = headline
+    cfg = default_sim_config(model, n_segments=n_segments)
+
+    def no_streams(*args):
+        raise AssertionError("streams spawned before the budget check")
+
+    monkeypatch.setattr(sde, "_streams", no_streams)
+    with pytest.raises(ParameterError, match=r"budget") as info:
+        run(model, noise, cfg)
+    assert re.search(r"\de\+30\d doubles", str(info.value))
+
+
 def numpy_derived_seed(seed, index):
     """`_derived_seed` through numpy's own SeedSequence."""
     child = np.random.SeedSequence(seed).spawn(2)[index]
