@@ -46,8 +46,8 @@ DIMENSIONLESS_KEYS = {"p_cal", "t_cal", "delta"}
 SIM_KEYS = {"dt", "tau", "segments", "trajectories", "seed", "burn_in"}
 
 # Frequencies per stacked spectral solve in `spectrum`.  The solve and its
-# formatting hold about 1.7 KB per frequency at their peak (7 MB a block),
-# so blocks keep that bounded whatever --points is.
+# formatting hold about 0.65 KB per frequency at their peak (2.7 MB a
+# block), so blocks keep that bounded whatever --points is.
 SPECTRUM_BLOCK = 4096
 
 
@@ -211,17 +211,16 @@ def cmd_scan(args) -> int:
     values = grid.lhs_values
     paradox = np.isfinite(values) & (values < 1.0)
     p_text = [_fmt(p) for p in grid.p_axis.tolist()]
-    flag_text = (_fmt(False), _fmt(True))
-    # A grid row's template is the p column joined by the row's t text; one
-    # `%` fills in the row's (lhs, paradox) pairs.
-    cell = f",{FLOAT_FORMAT},%s"
-    pieces = [p_text[0] + ","] + [f"{cell}\n{p}," for p in p_text[1:]] + [cell]
-    pairs = [None] * (2 * len(p_text))
+    # Each cell has a template per paradox flag, ending in the flag's text
+    # and the next cell's p text; a row joins its cells' picks with its t
+    # text, and one `%` fills in the row's lhs values.
+    ends = [f"\n{p}" for p in p_text[1:]] + [""]
+    cells = [tuple(f",{FLOAT_FORMAT},{_fmt(flag)}{end}" for flag in (False, True))
+             for end in ends]
     lines = ["p_cal,t_cal,lhs,paradox"]
     for t, row, flags in zip(grid.t_axis.tolist(), values, paradox):
-        pairs[0::2] = row.tolist()
-        pairs[1::2] = [flag_text[f] for f in flags.tolist()]
-        lines.append(_fmt(t).join(pieces) % tuple(pairs))
+        picks = [cell[flag] for cell, flag in zip(cells, flags.tolist())]
+        lines.append(f",{_fmt(t)}".join([p_text[0]] + picks) % tuple(row.tolist()))
     _write_lines(args.output, lines)
     if args.contour is not None:
         pts = criterion.paradox_boundary(grid)
@@ -266,11 +265,14 @@ def _spectrum_block(sm, noise, omegas: np.ndarray, phi: float) -> str:
 
 def cmd_spectrum(args) -> int:
     lo, hi, n = args.omega_min, args.omega_max, args.points
-    if not (math.isfinite(lo) and math.isfinite(hi)
+    # hi - lo is finite only for finite ends less than the double range
+    # apart; a wider span would turn the axis into nan.
+    if not (math.isfinite(hi - lo)
             and ((lo < hi and n >= 2) or (lo == hi and n == 1))):
         raise ParameterError(
             f"frequency axis ({lo!r}, {hi!r}) at {n!r} points: need finite ends "
-            "with omega-min < omega-max at >= 2 points, or equal ends at 1 point")
+            "less than the double range apart, with omega-min < omega-max at "
+            ">= 2 points, or equal ends at 1 point")
     _check_csv_budget(n, 6)
     _, block = _read_config(args, physical=True)
     sm, noise = _load_model(block, args.branch)

@@ -26,14 +26,17 @@ for the phi-quadratures X(phi) = x cos(phi) + y sin(phi).  Before the solve
 the model is written on the sums and differences of the two modes, states
 (q, p, x1 + x2, y1 + y2, x1 - x2, y1 - y2) and inputs (xi, x1_in +- x2_in,
 y1_in +- y2_in) at twice the vacuum level, and C and D are projected onto
-the two reported quadratures.  R comes from the adjoint system
-(-i omega I - A)^T Y = C^T, so each omega carries one right-hand side per
-reported quadrature.  The mirror feels only x1 + x2 and writes the same
-phase on y1 and y2, so the difference mode is an empty cavity: for
-identical modes the sum of the two rows of R is exactly zero on the
-difference inputs and their difference exactly zero on the others.  The
-inference variance det(S)/S_22 is read off that sum and difference, with
-no cross term left to cancel and no gain in it.
+the two reported quadratures.  The mirror feels only x1 + x2 and writes the
+same phase on y1 and y2, so for identical modes the model splits exactly
+into two uncoupled blocks: the sum mode with the mirror, states (q, p,
+x1 + x2, y1 + y2) on inputs (xi, x1_in + x2_in, y1_in + y2_in), which the
+half-sum of the two reported quadratures reads, and the difference mode,
+an empty cavity on its own vacuum, which their half-difference reads.  The
+sum block's response comes from the adjoint system (-i omega I - A)^T Y =
+C^T, one right-hand side per omega; the difference block's is the
+adjugate of its 2x2 drift block over its determinant.  The inference
+variance det(S)/S_22 is read off the two responses, with no cross term
+left to cancel and no gain in it.
 
 No further calibration constant is needed: the empty cavity returns exactly
 S_11 = gamma_c at every frequency and the omega = 0 commutator norm between
@@ -92,27 +95,27 @@ class NoisePsd:
     """Symmetrized input noise spectral densities.
 
     ``vacuum_level`` is the flat PSD of every input field quadrature
-    (= gamma_c in the adopted normalization); ``brownian`` maps omega to the
-    symmetrized PSD of the mirror force noise.  Both are checked where they
-    are read, by `levels`; a noiseless run is ``NoisePsd(0.0, lambda w: 0.0)``.
+    (= gamma_c in the adopted normalization); ``brownian`` maps an array of
+    omega to the symmetrized PSD of the mirror force noise at each, or to
+    one level for all of them.  Both are checked where they are read, by
+    `levels`; a noiseless run is ``NoisePsd(0.0, lambda w: 0.0)``.
     """
 
     vacuum_level: float
-    brownian: Callable[[float], float]
+    brownian: Callable[[np.ndarray], np.ndarray]
 
     def levels(self, omega) -> np.ndarray:
         """Diagonal of the 5x5 noise spectral matrix at each ``omega``.
 
         ``omega`` is a float or an array; the result has shape
-        ``(*np.shape(omega), 5)``.  ``brownian`` is called once per omega,
-        with a Python float.  Every level must be finite and non-negative
-        (zero is a noiseless input); otherwise NumericalError names the
-        first omega that fails.
+        ``(*np.shape(omega), 5)``.  ``brownian`` is called once, on the
+        whole array (0-d for a float).  Every level must be finite and
+        non-negative (zero is a noiseless input); otherwise NumericalError
+        names the first omega that fails.
         """
         w = np.asarray(omega, dtype=float)
         out = np.full(w.shape + (N_NOISES,), self.vacuum_level)
-        out[..., 0] = np.fromiter((self.brownian(float(x)) for x in w.flat),
-                                  float, w.size).reshape(w.shape)
+        out[..., 0] = self.brownian(w)
         bad = ~(np.isfinite(out) & (out >= 0.0)).all(axis=-1)
         if bad.any():
             raise NumericalError("noise level is not finite and non-negative "
@@ -128,61 +131,73 @@ class SpectralMatrix:
     phi-quadratures to K uncorrelated inputs, whose symmetrized PSDs
     ``levels`` has shape ``(..., K)``.  ``s = Re[r diag(N) r^dag]`` has
     shape ``(..., 2, 2)``: one matrix per omega of the solve, or ``(2, 2)``
-    for a scalar omega.
+    for a scalar omega.  It is read off three sums of the half-sum m and
+    the half-difference h of the two rows: S_u = sum_k N_k |u_k|^2 and
+    X = Re sum_k N_k m_k h_k^*, with s11 = S_m + S_h + 2X,
+    s22 = S_m + S_h - 2X and s12 = S_m - S_h.
     """
 
     response: np.ndarray
     levels: np.ndarray
     s: np.ndarray = field(init=False)
+    _sums: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        r = self.response
-        with np.errstate(over="ignore", invalid="ignore"):   # refused by the caller's check
-            rn = r * self.levels[..., None, :]
-            s = (rn[..., :, None, :] * r[..., None, :, :].conj()).real.sum(axis=-1)
-            object.__setattr__(self, "s", 0.5 * (s + s.swapaxes(-1, -2)))
-
-    def inference(self):
-        """(det s / s22, s12 / s22): the minimized inference variance and its gain.
-
-        With m and h the half-sum and half-difference of the two rows of
-        ``response``, det s = 4 (S_m S_h - X^2), where S_u = sum_k N_k |u_k|^2
-        and X = Re sum_k N_k m_k h_k^*; this holds for any factor.  On the
-        sum and difference inputs of `output_spectral_matrix`, for identical
-        modes, m and h are exact and X is exactly 0, so the variance is a
-        product of sums of non-negative terms: nothing cancels however
-        strongly common-mode noise dominates ``s``.  Elementwise over the
-        leading axes of ``s``; scalars for one matrix.
-        """
         r1, r2 = self.response[..., 0, :], self.response[..., 1, :]
         m, h = 0.5 * (r1 + r2), 0.5 * (r1 - r2)   # each one rounding of exact halves
 
         def power(u, v):   # Re sum_k N_k u_k v_k^*
             return (self.levels * (u * v.conj()).real).sum(axis=-1)
 
-        s22, cross = self.s[..., 1, 1], power(m, h)
+        with np.errstate(over="ignore", invalid="ignore"):   # refused by the caller's check
+            s_m, s_h, cross = power(m, m), power(h, h), power(m, h)
+            s = np.empty(s_m.shape + (2, 2))
+            s[..., 0, 0] = s_m + s_h + 2.0 * cross
+            s[..., 1, 1] = s_m + s_h - 2.0 * cross
+            s[..., 0, 1] = s[..., 1, 0] = s_m - s_h
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "_sums", (s_m, s_h, cross))
+
+    def inference(self):
+        """(det s / s22, s12 / s22): the minimized inference variance and its gain.
+
+        det s = 4 (S_m S_h - X^2) for any factor.  On the sum and difference
+        inputs of `output_spectral_matrix`, m and h have disjoint supports,
+        so X is exactly 0 and the variance is a product of sums of
+        non-negative terms: nothing cancels however strongly common-mode
+        noise dominates ``s``.  Elementwise over the leading axes of ``s``;
+        scalars for one matrix.
+        """
+        s_m, s_h, cross = self._sums
+        s22 = self.s[..., 1, 1]
         # Each product is divided by s22 first, so none leaves the double range.
-        variance = 4.0 * (power(m, m) / s22 * power(h, h) - cross / s22 * cross)
+        variance = 4.0 * (s_m / s22 * s_h - cross / s22 * cross)
         gain = self.s[..., 0, 1] / s22
         # [()] makes the values of a single matrix numpy scalars, not 0-d arrays.
         return variance[()], gain[()]
 
 
-def brownian_psd(omega: float, params: PhysicalParams) -> float:
+def brownian_psd(omega, params: PhysicalParams):
     """Symmetrized quantum Brownian force PSD, 2 m gamma_m hbar omega coth(...).
 
-    Even in omega.  Returns the analytic limit 4 m gamma_m k_B T at
-    omega = 0 and 2 m gamma_m hbar |omega| at T = 0.
+    Elementwise on a float or an array of omega; a float gives a numpy
+    float.  Even in omega.  Returns the analytic limit 4 m gamma_m k_B T at
+    omega = 0, by a series where |hbar omega / 2 k_B T| < 1e-8, and
+    2 m gamma_m hbar |omega| at T = 0.
     """
+    w = np.asarray(omega, dtype=float)
     pref = 2.0 * params.mass * params.gamma_m
     if params.temperature == 0.0:
-        return pref * HBAR * abs(omega)
+        return pref * HBAR * np.abs(w)
     kt2 = 2.0 * K_B * params.temperature
-    x = HBAR * omega / kt2
-    if abs(x) < 1e-8:
-        # hbar omega coth(x) = kt2 * x coth(x) = kt2 (1 + x^2/3 + ...)
-        return pref * kt2 * (1.0 + x * x / 3.0)
-    return pref * HBAR * omega / math.tanh(x)
+    with np.errstate(over="ignore"):   # x = inf past the double range: coth(x) = 1
+        x = HBAR * w / kt2
+    small = np.abs(x) < 1e-8
+    # hbar omega coth(x) = kt2 * x coth(x) = kt2 (1 + x^2/3 + ...); each branch
+    # sees a harmless stand-in where the other is taken.
+    xs = np.where(small, x, 0.0)
+    series = pref * kt2 * (1.0 + xs * xs / 3.0)
+    return np.where(small, series, pref * HBAR * w / np.tanh(np.where(small, 1.0, x)))[()]
 
 
 def noise_psd(params: PhysicalParams) -> NoisePsd:
@@ -266,13 +281,14 @@ def output_response(model: StateSpace, omega) -> np.ndarray:
     Solved as the adjoint system (-i omega I - A)^T Y = C^T, with
     R = Y^T B + D: one right-hand side per output, not one per input.
     ``omega`` is a float or an array of sideband frequencies; for a model
-    with k outputs the result has shape ``(*np.shape(omega), k, 5)``, from
-    one stacked solve.
+    with k outputs and l inputs, on any number of states, the result has
+    shape ``(*np.shape(omega), k, l)``, from one stacked solve.
     """
     w = np.asarray(omega, dtype=float)
-    m = np.empty(w.shape + (N_STATES, N_STATES), dtype=complex)
+    n = len(model.drift)
+    m = np.empty(w.shape + (n, n), dtype=complex)
     m[...] = -model.drift.T
-    m.reshape(w.shape + (N_STATES * N_STATES,))[..., ::N_STATES + 1] -= 1j * w[..., None]
+    m.reshape(w.shape + (n * n,))[..., ::n + 1] -= 1j * w[..., None]
     try:
         y = np.linalg.solve(m, model.output_map.T)   # C^T broadcasts over the stack
     except np.linalg.LinAlgError as exc:   # cannot occur for stable A, real omega
@@ -288,6 +304,13 @@ def output_response(model: StateSpace, omega) -> np.ndarray:
 _PAIR = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2))
 _TO_SUM_DIFFERENCE, _FROM_SUM_DIFFERENCE = np.eye(N_STATES), np.eye(N_STATES)
 _TO_SUM_DIFFERENCE[2:, 2:], _FROM_SUM_DIFFERENCE[2:, 2:] = _PAIR, 0.5 * _PAIR
+# The two blocks of a model from `_sum_difference`: the sum mode with the
+# mirror, states (q, p, x1 + x2, y1 + y2) on inputs (xi, x1_in + x2_in,
+# y1_in + y2_in), and the difference mode, states (x1 - x2, y1 - y2) on
+# inputs (x1_in - x2_in, y1_in - y2_in); and the map from its two outputs
+# to their half-sum and half-difference, which read one block each.
+_SUM, _SUM_IN, _DIFF, _DIFF_IN = slice(0, 4), slice(0, 3), slice(4, 6), slice(3, 5)
+_HALVES = np.array([[0.5, 0.5], [0.5, -0.5]])
 
 
 def _sum_difference(model: StateSpace, phi: float) -> StateSpace:
@@ -312,26 +335,75 @@ def _sum_difference(model: StateSpace, phi: float) -> StateSpace:
                    feedthrough=p @ model.feedthrough @ from_states[1:, 1:])
 
 
+def _twin_blocks(rotated: StateSpace) -> tuple[StateSpace, StateSpace]:
+    """The sum and the difference block of a model from `_sum_difference`,
+    with one output each: the half-sum and the half-difference of the
+    model's two outputs.
+
+    The split is exact because every entry coupling the two blocks is an
+    exact zero for identical modes; a model with any such entry non-zero is
+    refused with ParameterError.
+    """
+    a, b = rotated.drift, rotated.input_map
+    c, d = _HALVES @ rotated.output_map, _HALVES @ rotated.feedthrough
+    cross = (a[_SUM, _DIFF], a[_DIFF, _SUM], b[_SUM, _DIFF_IN], b[_DIFF, _SUM_IN],
+             c[0, _DIFF], c[1, _SUM], d[0, _DIFF_IN], d[1, _SUM_IN])
+    if any(block.any() for block in cross):
+        raise ParameterError(
+            "the two modes are not twins: the model couples the sum and the "
+            "difference of the modes, so its spectra do not split")
+    return (replace(rotated, drift=a[_SUM, _SUM], input_map=b[_SUM, _SUM_IN],
+                    output_map=c[:1, _SUM], feedthrough=d[:1, _SUM_IN]),
+            replace(rotated, drift=a[_DIFF, _DIFF], input_map=b[_DIFF, _DIFF_IN],
+                    output_map=c[1:, _DIFF], feedthrough=d[1:, _DIFF_IN]))
+
+
+def _difference_response(block: StateSpace, w: np.ndarray) -> np.ndarray:
+    """Response C adj(M) B / det(M) + D of a 2-state, 1-output block at each
+    ``w``, with M = -i omega I - A: its one row, shape ``(*w.shape, 2)``.
+
+    M is first scaled by t = 1 / (|omega| + sum |A|), which bounds its
+    entries by 1, so its determinant stays in the double range at every
+    finite omega; the scale cancels in adj(M) / det(M).
+    """
+    a, (c0, c1) = block.drift, block.output_map[0]
+    t = 1.0 / (np.abs(w) + np.abs(a).sum())
+    a01, a10 = t * a[0, 1], t * a[1, 0]
+    m00, m11 = -t * a[0, 0] - 1j * (t * w), -t * a[1, 1] - 1j * (t * w)
+    row = np.stack([c0 * m11 + c1 * a10, c0 * a01 + c1 * m00], axis=-1)   # C adj(t M)
+    scaled = row * (t / (m00 * m11 - a01 * a10))[..., None]
+    return scaled @ block.input_map + block.feedthrough[0]
+
+
 def output_spectral_matrix(model: StateSpace, noise: NoisePsd, omega,
                            phi: float) -> SpectralMatrix:
     """Symmetrized 2x2 output spectra of the phi-quadratures at each ``omega``.
 
     The model is written on the sums and differences of the two modes and
-    projected onto the two phi-quadratures before the solve, so
-    `output_response` carries two right-hand sides; the returned factors are
-    those of xi and of the sums and differences of the field inputs, whose
-    levels are twice the vacuum level.  ``omega`` is a float or an array;
-    the returned ``s`` has shape ``(*np.shape(omega), 2, 2)``.  The levels
-    are checked by `NoisePsd.levels`, so ``s`` is positive semidefinite; a
-    matrix is accepted only if every entry is finite and s22 > 0, so that
-    `SpectralMatrix.inference` is defined on it.  Otherwise NumericalError
-    names the first omega that fails.
+    projected onto the two phi-quadratures, then split into its sum and
+    difference blocks: `output_response` solves the 4-state sum block for
+    the half-sum of the two quadratures, one right-hand side per omega, and
+    the 2-state difference block gives the half-difference in closed form.
+    A model whose blocks are coupled, by modes that are not identical, is
+    refused with ParameterError.  The returned factors are those of the two
+    quadratures on xi and on the sums and differences of the field inputs,
+    whose levels are twice the vacuum level.  ``omega`` is a float or an
+    array; the returned ``s`` has shape ``(*np.shape(omega), 2, 2)``.  The
+    levels are checked by `NoisePsd.levels`, so ``s`` is positive
+    semidefinite; a matrix is accepted only if every entry is finite and
+    s22 > 0, so that `SpectralMatrix.inference` is defined on it.
+    Otherwise NumericalError names the first omega that fails.
     """
     w = np.asarray(omega, dtype=float)
-    rotated = _sum_difference(model, phi)
+    sum_block, difference_block = _twin_blocks(_sum_difference(model, phi))
     # Checked before the solve; a sum or difference of two vacua has twice the level.
     levels = noise.levels(w) * [1.0, 2.0, 2.0, 2.0, 2.0]
-    spec = SpectralMatrix(response=output_response(rotated, w), levels=levels)
+    # The quadratures are the half-sum plus and minus the half-difference.
+    response = np.empty(w.shape + (2, N_NOISES), dtype=complex)
+    response[..., _SUM_IN] = output_response(sum_block, w)
+    h = _difference_response(difference_block, w)
+    response[..., 0, _DIFF_IN], response[..., 1, _DIFF_IN] = h, -h
+    spec = SpectralMatrix(response=response, levels=levels)
     ok = np.isfinite(spec.s).all(axis=(-2, -1)) & (spec.s[..., 1, 1] > 0.0)
     if not ok.all():
         raise NumericalError("output spectral matrix has a non-finite entry or "

@@ -524,6 +524,8 @@ class TestSpectrum:
         ["--omega-min", "0", "--omega-max", "inf", "--points", "3"],
         ["--omega-min", "nan", "--omega-max", "4e6", "--points", "3"],
         ["--omega-min=-inf", "--omega-max", "0", "--points", "3"],
+        ["--omega-min=-1e308", "--omega-max=1e308", "--points", "3"],
+        ["--omega-min=-1.7e308", "--omega-max=1.7e308", "--points", "2"],
     ])
     def test_refused_frequency_axis_exits_config(self, capsys, tmp_path, axis):
         cfg = tmp_path / "empty.cfg"

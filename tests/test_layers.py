@@ -5,11 +5,12 @@ fails here even where no test exercises the import.  The same reader pins
 where `sde` draws its noise and builds its step, so that one kernel runs
 every chain on one Euler-Maruyama step, where `criterion` computes its
 gains, so that the point and the grid share one arithmetic with no type
-fork, that `spectra` solves a linear system in one place only and builds
-its fixed basis maps once, that both routes read the noise levels through
-their one check, that one builder forms the drift and its couplings, that
-the CLI reads a config's parameter block in one place, and that no module
-of the package, the tests or the demos imports a name it never uses.
+fork, that `spectra` solves a linear system in one place only, once per
+spectral block, and builds its fixed basis maps once, that both routes
+read the noise levels through their one check, that one builder forms the
+drift and its couplings, that the CLI reads a config's parameter block in
+one place, and that no module of the package, the tests or the demos
+imports a name it never uses.
 """
 
 import ast
@@ -108,6 +109,22 @@ def test_one_solve_in_spectra():
     # The adjoint solve of the response is the only linear solve of the
     # spectral route; every spectrum and inference goes through it.
     assert callers("spectra", "np.linalg.solve") == ["output_response"]
+
+
+def test_one_solve_per_spectral_block():
+    # A spectral block solves the sum block once and reads the noise
+    # levels once; `levels` hands the whole frequency array to the force
+    # PSD in one call, not one call per frequency.
+    assert callers("spectra", "output_response").count("output_spectral_matrix") == 1
+    assert callers("spectra", "noise.levels").count("output_spectral_matrix") == 1
+    assert callers("spectra", "self.brownian") == ["NoisePsd"]
+    noise_class = next(top for top in ast.parse((PACKAGE / "spectra.py").read_text()).body
+                       if getattr(top, "name", None) == "NoisePsd")
+    assert not [node for loop in ast.walk(noise_class)
+                if isinstance(loop, (ast.For, ast.While, ast.GeneratorExp, ast.ListComp,
+                                     ast.SetComp, ast.DictComp))
+                for node in ast.walk(loop)
+                if isinstance(node, ast.Call) and ast.unparse(node.func) == "self.brownian"]
 
 
 def test_fixed_basis_maps_built_once():

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_continuous_lyapunov
 
 from optoepr import (DimensionlessParams, InstabilityError, K_B, NoisePsd,
-                     NumericalError, ParameterError, StateSpace,
+                     NumericalError, ParameterError, SpectralMatrix, StateSpace,
                      build_state_space, commutator_norm_check, epr_lhs,
                      inferred_variance_at, noise_psd, output_response,
                      output_spectral_matrix,
@@ -79,6 +79,51 @@ class TestBrownianPsd:
             assert brownian_psd(w, textbook_lab_params) == pytest.approx(
                 brownian_psd(-w, textbook_lab_params), rel=1e-12)
             assert brownian_psd(w, textbook_lab_params) >= 0.0
+
+
+def scalar_brownian(omega, params):
+    """The force PSD at one float omega, written out with math.tanh: the
+    per-float formula that the array form replaced."""
+    pref = 2.0 * params.mass * params.gamma_m
+    if params.temperature == 0.0:
+        return pref * HBAR * abs(omega)
+    kt2 = 2.0 * K_B * params.temperature
+    x = HBAR * omega / kt2
+    if abs(x) < 1e-8:
+        return pref * kt2 * (1.0 + x * x / 3.0)
+    return pref * HBAR * omega / math.tanh(x)
+
+
+class TestBrownianArray:
+    # 12 002 frequencies: zero, the smallest subnormal, the double range's
+    # ends and 2 x 5999 log-spaced ones from 1e-3 to 1e16 rad/s, where
+    # x = hbar omega / 2 k_B T runs from the series into coth = 1 at 4 K.
+    OMEGAS = np.concatenate([[0.0, 5e-324, -1.7e308, 1.7e308],
+                             np.geomspace(1e-3, 1e16, 5999), -np.geomspace(1e-3, 1e16, 5999)])
+
+    @pytest.mark.parametrize("temperature", [4.0, 0.0, 1e-290])
+    def test_array_matches_per_float_calls(self, textbook_lab_params, temperature):
+        # One call on the array, without a warning at omega = 0 or at the
+        # ends of the double range, is within 1 ulp of the per-float formula
+        # (np.tanh and math.tanh may differ in the last bit) and of the
+        # function's own per-float calls; exactly equal on the series and at
+        # T = 0.  At 1e-290 K, x leaves the double range.
+        from optoepr import brownian_psd
+        from test_model import replace_params
+        params = replace_params(textbook_lab_params, temperature=temperature)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = brownian_psd(self.OMEGAS, params)
+            one = np.array([brownian_psd(w, params) for w in self.OMEGAS.tolist()])
+        want = np.array([scalar_brownian(w, params) for w in self.OMEGAS.tolist()])
+        assert got.shape == self.OMEGAS.shape
+        for other in (want, one):
+            assert np.all(np.abs(got - other) <= np.spacing(other))
+        kt2 = 2.0 * K_B * temperature
+        exact = np.array([not temperature or abs(HBAR * w / kt2) < 1e-8
+                          for w in self.OMEGAS.tolist()])
+        assert exact.any()
+        assert got[exact].tobytes() == want[exact].tobytes()
 
 
 class TestStateSpace:
@@ -316,8 +361,8 @@ class TestOutputSpectra:
         omegas = np.linspace(-2.0, 2.0, 9) * params.gamma_c
         bad = {omegas[5], omegas[7]}
         broken = NoisePsd(vacuum_level=noise.vacuum_level,
-                          brownian=lambda w: -1e6 * noise.brownian(w) if w in bad
-                          else noise.brownian(w))
+                          brownian=lambda w: np.where(np.isin(w, list(bad)), -1e6, 1.0)
+                          * noise.brownian(w))
         with pytest.raises(NumericalError,
                            match=re.escape(f"omega={float(omegas[5])!r}")):
             output_spectral_matrix(model, broken, omegas, 0.0)
@@ -329,7 +374,7 @@ class TestOutputSpectra:
         params, _, model, noise = headline_model
         omegas = np.linspace(-2.0, 2.0, 9) * params.gamma_c
         broken = NoisePsd(vacuum_level=noise.vacuum_level,
-                          brownian=lambda w: math.nan if w > 0.0 else noise.brownian(w))
+                          brownian=lambda w: np.where(w > 0.0, math.nan, noise.brownian(w)))
         with pytest.raises(NumericalError,
                            match=re.escape(f"omega={float(omegas[5])!r}")):
             output_spectral_matrix(model, broken, omegas, 0.0)
@@ -342,7 +387,7 @@ class TestOutputSpectra:
         params, _, model, noise = headline_model
         omegas = np.linspace(-2.0, 2.0, 9) * params.gamma_c
         broken = NoisePsd(vacuum_level=noise.vacuum_level,
-                          brownian=lambda w: math.inf if w > 0.0 else noise.brownian(w))
+                          brownian=lambda w: np.where(w > 0.0, math.inf, noise.brownian(w)))
 
         def no_solve(*args):
             raise AssertionError("solved before the levels were checked")
@@ -447,6 +492,79 @@ class TestAgainstDirectSolve:
             assert_matches_reference(model, noise, 0.0, phi)
 
 
+def six_state_spectral_matrix(model, noise, omega, phi):
+    """The spectral matrix of one 6-state solve on the whole rotated model,
+    two right-hand sides per omega, before its split into twin blocks."""
+    w = np.asarray(omega, dtype=float)
+    return SpectralMatrix(output_response(spectra._sum_difference(model, phi), w),
+                          noise.levels(w) * [1.0, 2.0, 2.0, 2.0, 2.0])
+
+
+def assert_matches_six_state(model, noise, omega, phi):
+    """s, variance and gain against the 6-state solve, each within 1e-12
+    of the largest entry of the reference matrix at every omega."""
+    spec = output_spectral_matrix(model, noise, omega, phi)
+    ref = six_state_spectral_matrix(model, noise, omega, phi)
+    scale = np.abs(ref.s).max(axis=(-2, -1))
+    assert np.all(np.abs(spec.s - ref.s).max(axis=(-2, -1)) <= 1e-12 * scale)
+    (var, gain), (ref_var, ref_gain) = spec.inference(), ref.inference()
+    assert np.all(np.abs(var - ref_var) <= 1e-12 * scale)
+    assert np.all(np.abs(gain - ref_gain) <= 1e-12 * scale / ref.s[..., 1, 1])
+
+
+class TestAgainstSixStateSolve:
+    """The 4-state solve of the sum block and the closed-form difference
+    block against the one 6-state solve of the model they split."""
+
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 2, 0.7])
+    def test_realized_headline(self, headline_model, phi):
+        _, _, model, noise = headline_model
+        assert_matches_six_state(model, noise,
+                                 np.linspace(-8.0, 8.0, 2001) * model.gamma_c, phi)
+        assert_matches_six_state(model, noise, 0.0, phi)
+
+    @settings(max_examples=40, derandomize=True, database=None, deadline=None)
+    @given(p_cal=ZERO_OR_LOG, t_cal=ZERO_OR_LOG,
+           delta=st.floats(-3.0, 1.0).map(lambda e: 10.0 ** e))
+    def test_drawn_triples(self, p_cal, t_cal, delta):
+        try:
+            params, ss = realize_dimensionless(DimensionlessParams(p_cal, t_cal, delta))
+        except NumericalError:   # InstabilityError included
+            return
+        model, noise = build_state_space(params, ss), noise_psd(params)
+        for phi in (0.0, math.pi / 2, 0.7):
+            assert_matches_six_state(model, noise,
+                                     np.linspace(-8.0, 8.0, 65) * model.gamma_c, phi)
+            assert_matches_six_state(model, noise, 0.0, phi)
+
+    def test_frequencies_near_the_double_range(self, headline_model):
+        # The closed form scales the difference block before its
+        # determinant, which would overflow unscaled past |omega| ~ 1e154.
+        _, _, model, noise = headline_model
+        omegas = np.array([-1.7e308, -8e307, -1e200, 1e155, 1e200, 8e307, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for phi in (0.0, math.pi / 2, 0.7):
+                assert_matches_six_state(model, noise, omegas, phi)
+
+    @pytest.mark.parametrize("matrix, entry", [
+        ("drift", (4, 4)), ("input_map", (5, 4)), ("output_map", (3, 5)),
+        ("feedthrough", (2, 3))])
+    def test_modes_not_twins_refused(self, headline_model, matrix, entry):
+        # The split is exact only while every entry coupling the blocks is
+        # an exact zero.  Perturbing one entry of the second mode, here its
+        # damping, input, detection or reflection, couples them.
+        _, _, model, noise = headline_model
+        output_spectral_matrix(model, noise, 0.0, 0.7)
+        perturbed = getattr(model, matrix).copy()
+        perturbed[entry] *= 1.001
+        lopsided = replace(model, **{matrix: perturbed})
+        with pytest.raises(ParameterError, match="the two modes are not twins"):
+            output_spectral_matrix(lopsided, noise, np.array([0.0, 1e6]), 0.7)
+        with pytest.raises(ParameterError, match="the two modes are not twins"):
+            inferred_variance_at(lopsided, noise, 0.0, 0.7)
+
+
 def common_mode(n0):
     """Spectra at omega = 0, 1, ... of a state space with no dynamics:
     outputs x1 and x2 each carry their own vacuum input plus the mirror
@@ -457,7 +575,7 @@ def common_mode(n0):
     d[0, [0, 1]] = d[2, [0, 3]] = 1.0
     model = StateSpace(drift=-np.eye(6), input_map=np.zeros((6, 5)),
                        output_map=np.zeros((4, 6)), feedthrough=d, gamma_c=1.0)
-    noise = NoisePsd(vacuum_level=1.0, brownian=lambda w: n0[int(w)])
+    noise = NoisePsd(vacuum_level=1.0, brownian=lambda w: np.asarray(n0)[w.astype(int)])
     return output_spectral_matrix(model, noise, np.arange(len(n0), dtype=float), 0.0)
 
 
