@@ -49,7 +49,9 @@ Trajectory i of a run seeded with ``seed`` draws from child i of numpy's
 ``SeedSequence(seed)``, bit for bit; `_seed_words` runs numpy's seeding
 hash for every child in one vectorized pass.  So reruns are
 bit-reproducible and a trajectory's draws do not depend on how trajectories
-are batched.
+are batched.  A large block's rows may be filled on up to one thread per
+usable core, each stream in order into its own row, so the draws and every
+output are the same as on one thread.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ import decimal
 import functools
 import math
 import operator
+import os
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 
@@ -96,10 +99,23 @@ MAX_STEPS = 2**53
 # Steps per piece in `_propagate`; divides NOISE_BLOCK.  A piece's products
 # cost O(length) per step, the end-state scan O(log2(pieces)) per piece.
 # At 4 trajectories x 51 626 headline steps (one BLAS thread, 2-core x86,
-# median of 40 interleaved runs, normals ~23 ms of it) integrate() takes
-# ~36 ms at 8 steps against ~38 ms at 4 and at 16, ~43 ms at 32 and ~52 ms
-# at 64.
+# median of 40 interleaved runs, the block draws ~12.5 ms of it on two
+# threads against ~22 ms on one) integrate() takes ~24 ms at 8 steps against
+# ~25 ms at 4, ~28 ms at 16 and ~33 ms at 32.
 _RECORD_PIECE = 8
+
+# `_draw_block` fills a block's rows on up to _SLICES threads, the usable
+# cores, when the block holds at least _SPLIT_NORMALS normals in rows of at
+# least _SPLIT_ROW; numpy's `standard_normal(out=...)` releases the GIL while
+# it fills a row.  A split costs a thread wake-up per block and GIL
+# hand-offs per row, so smaller blocks are drawn serially.  On two threads
+# against one (2-core x86, median of 100 interleaved draws): 4 rows of 1280
+# normals 1.00 of the serial time, of 8200 normals 0.82, of 20 480 0.66;
+# 180 rows of 252 normals 1.80, of 511 1.05, of 700 0.72, of 1050 0.64.
+_SLICES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
+_SPLIT_NORMALS = 2**15
+_SPLIT_ROW = 2**10
 
 # numpy's SeedSequence pool size and hash constants
 # (numpy/random/bit_generator.pyx), which `_seed_words` reproduces.
@@ -336,11 +352,43 @@ def _streams(seed: int, n: int) -> list[np.random.Generator]:
     return [np.random.Generator(np.random.PCG64(given(w))) for w in _seed_words(seed, n)]
 
 
-def _draw_block(rngs: list[np.random.Generator], nb: int,
-                width: int = spectra.N_NOISES) -> np.ndarray:
-    z = np.empty((len(rngs), nb, width))
+@functools.cache
+def _pool():
+    """The threads that fill a split block's slices past the first.  Built
+    on first use: importing the package starts no thread.  A forked child
+    inherits the pool but not its threads, so it builds its own."""
+    from concurrent.futures import ThreadPoolExecutor
+    if hasattr(os, "register_at_fork"):   # absent where there is no fork
+        os.register_at_fork(after_in_child=_pool.cache_clear)
+    return ThreadPoolExecutor(max_workers=_SLICES - 1,
+                              thread_name_prefix="optoepr-draw")
+
+
+def _fill(rngs: list[np.random.Generator], z: np.ndarray) -> None:
+    """Fill row i of ``z`` with the next normals of stream i."""
     for rng, row in zip(rngs, z):
         rng.standard_normal(out=row)
+
+
+def _draw_block(rngs: list[np.random.Generator], nb: int,
+                width: int = spectra.N_NOISES) -> np.ndarray:
+    """The next (nb, width) unit normals of every stream in ``rngs``, row i
+    from stream i.  A block of at least _SPLIT_NORMALS normals, in rows of
+    at least _SPLIT_ROW, is cut into up to _SLICES contiguous slices of
+    rows: the calling thread fills the first, `_pool` the rest.  Each
+    stream is drawn in order into its own row, so the bits do not depend on
+    the split."""
+    z = np.empty((len(rngs), nb, width))
+    slices = min(_SLICES, len(rngs))
+    if slices < 2 or z.size < _SPLIT_NORMALS or nb * width < _SPLIT_ROW:
+        _fill(rngs, z)
+        return z
+    cuts = [len(rngs) * k // slices for k in range(slices + 1)]
+    rest = [_pool().submit(_fill, rngs[a:b], z[a:b])
+            for a, b in zip(cuts[1:-1], cuts[2:])]
+    _fill(rngs[:cuts[1]], z[:cuts[1]])
+    for slice_done in rest:
+        slice_done.result()
     return z
 
 

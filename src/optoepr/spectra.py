@@ -70,7 +70,7 @@ N_NOISES = 5
 N_OUTPUTS = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateSpace:
     """Real state-space model (A, B, C, D) of the fluctuation dynamics.
 
@@ -80,7 +80,8 @@ class StateSpace:
     `output_spectral_matrix` has projected it.
     ``gamma_c`` is carried along so spectra can be normalized without
     re-threading the physical parameters.  Treat instances (and their
-    arrays) as immutable.
+    arrays) as immutable.  Instances compare by identity, as their arrays
+    have no single truth value.
     """
 
     drift: np.ndarray
@@ -123,7 +124,7 @@ class NoisePsd:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralMatrix:
     """Symmetrized 2x2 mode-indexed output spectra at one phi, with their factors.
 
@@ -134,7 +135,7 @@ class SpectralMatrix:
     for a scalar omega.  It is read off three sums of the half-sum m and
     the half-difference h of the two rows: S_u = sum_k N_k |u_k|^2 and
     X = Re sum_k N_k m_k h_k^*, with s11 = S_m + S_h + 2X,
-    s22 = S_m + S_h - 2X and s12 = S_m - S_h.
+    s22 = S_m + S_h - 2X and s12 = S_m - S_h.  Instances compare by identity.
     """
 
     response: np.ndarray

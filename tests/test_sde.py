@@ -6,6 +6,8 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
+import threading
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -198,11 +200,54 @@ class TestBlockedKernel:
     def test_draw_block_is_the_per_stream_sequence(self):
         # The noise stream every kernel and reference_records rest on: block k
         # of trajectory n is the next standard_normal((nb, N_NOISES)) draw of
-        # stream n, a partial last block included.
-        rngs, refs = _streams(5, 3), _streams(5, 3)
-        for nb in (NOISE_BLOCK, 1000, 7):
-            want = np.stack([r.standard_normal((nb, N_NOISES)) for r in refs])
-            assert _draw_block(rngs, nb).tobytes() == want.tobytes()
+        # stream n, a partial last block included.  A full block of 3 or 5
+        # streams is past the split thresholds (5 streams cut unevenly on
+        # every core count above 1); one stream is never cut.
+        assert 3 * NOISE_BLOCK * N_NOISES >= sde._SPLIT_NORMALS
+        assert NOISE_BLOCK * N_NOISES >= sde._SPLIT_ROW
+        for n_streams in (3, 5, 1):
+            rngs, refs = _streams(5, n_streams), _streams(5, n_streams)
+            for nb in (NOISE_BLOCK, 1000, 7):
+                want = np.stack([r.standard_normal((nb, N_NOISES)) for r in refs])
+                assert _draw_block(rngs, nb).tobytes() == want.tobytes()
+
+    def test_large_block_is_cut_into_slices(self, monkeypatch):
+        # With 3 slices, 5 streams' full block is cut into rows [0, 1), [1, 3)
+        # and [3, 5): the calling thread fills the first, pool threads the
+        # rest.  integrate's 4 x NOISE_BLOCK x 5 block is cut; the window
+        # sampler's 180 x 1 x 6 burn-in draw and a block of 180 short rows
+        # are filled in one pass on the calling thread.
+        monkeypatch.setattr(sde, "_SLICES", 3)
+        fills = []
+
+        def spy(rngs, z):
+            fills.append((len(rngs), threading.current_thread() is threading.main_thread()))
+            fill(rngs, z)
+
+        fill = sde._fill
+        monkeypatch.setattr(sde, "_fill", spy)
+        for shape, want in (((5, NOISE_BLOCK, N_NOISES), [(1, True), (2, False), (2, False)]),
+                            ((4, NOISE_BLOCK, N_NOISES), [(1, True), (1, False), (2, False)]),
+                            ((180, 1, 6), [(180, True)]),
+                            ((180, 30, 7), [(180, True)])):
+            fills.clear()
+            n_streams, nb, width = shape
+            rngs, refs = _streams(7, n_streams), _streams(7, n_streams)
+            got = _draw_block(rngs, nb, width)
+            assert sorted(fills, key=lambda f: (not f[1], f[0])) == want
+            want_z = np.stack([r.standard_normal((nb, width)) for r in refs])
+            assert got.tobytes() == want_z.tobytes()
+
+    @pytest.mark.parametrize("slices", [1, 3])
+    def test_integrate_independent_of_slice_count(self, headline, monkeypatch, slices):
+        # The same record whether a block is drawn on one thread or cut into
+        # 3 slices, whatever the host's core count.
+        _, model, noise = headline
+        cfg = small_cfg(model, n_traj=5, n_seg=2, tau_lifetimes=120.0, seed=9)
+        assert sde._check_step(model, cfg)[2] > NOISE_BLOCK
+        want = integrate(model, noise, cfg).increments.tobytes()
+        monkeypatch.setattr(sde, "_SLICES", slices)
+        assert integrate(model, noise, cfg).increments.tobytes() == want
 
     def test_record_budget_refused_before_work(self, headline):
         # Both configurations trip the guard before anything is allocated:
@@ -284,6 +329,19 @@ STREAM_SEEDS = [0, 1, 5, 2**32 - 1, 2**32, 2**64 - 1, numpy_derived_seed(0, 0),
                 numpy_derived_seed(0, 1), 2**200 + 12345]
 
 
+def run_python(code):
+    """Run ``code`` in a fresh interpreter on this checkout's package and
+    return its stripped standard output."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
 class TestStreams:
     @pytest.mark.parametrize("n", [1, 2, 180, 1000])
     @pytest.mark.parametrize("seed", STREAM_SEEDS)
@@ -305,15 +363,41 @@ class TestStreams:
     def test_import_does_not_load_numpy_random(self):
         # numpy.random costs every scan and spectrum start ~5 MB; only the
         # oracle's first stream loads it.
-        root = Path(__file__).resolve().parent.parent
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
         code = "import sys, optoepr; print('numpy.random' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert run_python(code) == "False"
+
+    def test_import_starts_no_thread(self):
+        # The draw threads are built by the first split draw, not by import.
+        code = ("import sys, threading, optoepr; print(threading.active_count(), "
+                "'concurrent.futures' in sys.modules)")
+        assert run_python(code) == "1 False"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+    def test_forked_child_draws_a_split_block(self):
+        # A child forked after a split draw inherits the pool without its
+        # threads; its own split draw must build a new pool, not wait forever.
+        code = textwrap.dedent("""
+            import os, time
+            from optoepr import sde
+            sde._SLICES = 2
+            rngs = sde._streams(0, 4)
+            sde._draw_block(rngs, sde.NOISE_BLOCK)
+            pid = os.fork()
+            if pid == 0:
+                sde._draw_block(rngs, sde.NOISE_BLOCK)
+                os._exit(0)
+            for _ in range(400):
+                done, status = os.waitpid(pid, os.WNOHANG)
+                if done:
+                    print(os.waitstatus_to_exitcode(status))
+                    break
+                time.sleep(0.05)
+            else:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                print("hung")
+        """)
+        assert run_python(code) == "0"
 
 
 def window_one_step(model, noise, cfg, phi, gain):

@@ -191,6 +191,19 @@ class TestStateSpace:
             build_state_space(params, ss)
 
 
+def test_array_dataclasses_compare_by_identity(headline_model):
+    # A generated __eq__ would compare the arrays as tuples and raise on
+    # their truth value; equal values are two objects, each equal to itself.
+    _, _, model, _ = headline_model
+    pairs = [(SpectralMatrix(np.ones((2, 2)), np.ones(2)),
+              SpectralMatrix(np.ones((2, 2)), np.ones(2))),
+             (model, replace(model))]
+    for a, b in pairs:
+        assert (a == b) is False
+        assert a == a and a != b
+        assert len({a, b}) == 2
+
+
 class TestRealizationDomain:
     def test_log_grid_realized_or_unstable(self):
         # Every triple of a log grid reaching far into small detuning and high
