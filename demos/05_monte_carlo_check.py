@@ -29,7 +29,7 @@ print(f"sampling {cfg.n_trajectories} trajectories x {cfg.n_segments} windows "
       f"{cfg.tau * params.gamma_c:.0f} cavity lifetimes)")
 
 t0 = time.time()
-est_x, est_y, prod = epr_product_estimate(model, noise, cfg)
+est_x, est_y, prod, _ = epr_product_estimate(model, noise, cfg)
 print(f"done in {time.time() - t0:.2f} s\n")
 
 ref = epr_lhs(point)

@@ -304,9 +304,7 @@ def cmd_simulate(args) -> int:
     sm, noise = _load_model(block, args.branch)
     cfg = _sim_config_from(values, sm)
 
-    analytic = [spectra.inferred_variance_at(sm, noise, 0.0, phi)[0]
-                for phi in (0.0, math.pi / 2)]
-    est_x, est_y, prod = sde.epr_product_estimate(sm, noise, cfg)
+    est_x, est_y, prod, analytic = sde.epr_product_estimate(sm, noise, cfg)
     z_scores = [(est.mean - ref) / est.std_err
                 for est, ref in zip((est_x, est_y), analytic)]
     lines = []

@@ -198,12 +198,10 @@ class SimulationRecords:
 
     ``increments`` has shape (n_trajectories, n_steps, 4) and holds the
     time-integrated output quadratures (x1, y1, x2, y2) over each step;
-    divide by the step for averaged instantaneous values.  ``final_states``
-    has shape (n_trajectories, 6).
+    divide by the step for averaged instantaneous values.
     """
 
     increments: np.ndarray
-    final_states: np.ndarray
 
 
 def default_sim_config(model: StateSpace, *, n_trajectories: int = 180,
@@ -251,7 +249,7 @@ def _check_plan(model: StateSpace, cfg: SimConfig) -> tuple[int, int, int]:
     if cfg.n_trajectories < 2:
         raise ParameterError(
             f"the estimators need n_trajectories >= 2, got {cfg.n_trajectories!r}")
-    # Stationarity floor; raw `integrate` runs (transient studies) are exempt.
+    # Stationarity floor; `integrate`, which records the burn-in, is exempt.
     gamma_m = -0.5 * model.drift[1, 1]
     if gamma_m > 0.0 and cfg.burn_in < 5.0 / gamma_m:
         raise ParameterError(
@@ -508,13 +506,12 @@ def _propagate(rngs: list[np.random.Generator], x: np.ndarray, n_steps: int,
         yield start, out, x
 
 
-def integrate(model: StateSpace, noise: NoisePsd, cfg: SimConfig,
-              initial_state: np.ndarray | None = None) -> SimulationRecords:
+def integrate(model: StateSpace, noise: NoisePsd, cfg: SimConfig) -> SimulationRecords:
     """Euler-Maruyama trajectories with pathwise output records.
 
     Simulates the plan's steps, the burn-in plus n_segments whole windows,
-    for every trajectory and returns the integrated output increments
-    (burn-in included; the estimators skip it).  Memory is
+    for every trajectory from the zero state and returns the integrated
+    output increments (burn-in included; the estimators skip it).  Memory is
     O(n_trajectories * n_steps), and a record whose doubles and streams
     pass RECORD_BUDGET_BYTES is refused before anything is allocated; use
     the streaming estimators for production window counts.
@@ -526,14 +523,11 @@ def integrate(model: StateSpace, noise: NoisePsd, cfg: SimConfig,
     n_traj = cfg.n_trajectories
     _check_budget("record", n_traj, n_steps * spectra.N_OUTPUTS,
                   "use the streaming estimators")
-    x = np.zeros((n_traj, spectra.N_STATES))
-    if initial_state is not None:
-        x[:] = np.asarray(initial_state, dtype=float)
     out = np.empty((n_traj, n_steps, spectra.N_OUTPUTS))
-    for _, _, x in _propagate(_streams(cfg.seed, n_traj), x, n_steps,
-                              *_step(model, noise, cfg.dt), record=out):
+    for _ in _propagate(_streams(cfg.seed, n_traj), np.zeros((n_traj, spectra.N_STATES)),
+                        n_steps, *_step(model, noise, cfg.dt), record=out):
         pass
-    return SimulationRecords(increments=out, final_states=x)
+    return SimulationRecords(increments=out)
 
 
 def windowed_transform(increments: np.ndarray, dt: float, tau: float,
@@ -725,23 +719,25 @@ def _derived_seed(seed: int, index: int) -> int:
     return int(_seed_words(seed, 2)[index, 0])
 
 
-def epr_product_estimate(model: StateSpace, noise: NoisePsd,
-                         cfg: SimConfig) -> tuple[Estimate, Estimate, Estimate]:
+def epr_product_estimate(model: StateSpace, noise: NoisePsd, cfg: SimConfig
+                         ) -> tuple[Estimate, Estimate, Estimate, tuple[float, float]]:
     """Monte Carlo criterion: both inference variances and their product.
 
     Runs one window-level sample (`sample_inference_variance`) per
     quadrature angle with the analytically optimal gain and an independent
     noise stream per angle, then propagates the two standard errors into
-    the product to first order.  Returns
-    (estimate at phi=0, estimate at phi=pi/2, product estimate).
+    the product to first order.  Returns (estimate at phi=0, estimate at
+    phi=pi/2, product estimate, (var_x, var_y)), the last the spectral
+    variances that came with the gains, in gamma_c units.
     """
-    results = []
+    runs = []
     for idx, phi in enumerate((0.0, math.pi / 2)):
-        _, gain = spectra.inferred_variance_at(model, noise, 0.0, phi)
+        var, gain = spectra.inferred_variance_at(model, noise, 0.0, phi)
         run_cfg = replace(cfg, seed=_derived_seed(cfg.seed, idx))
-        results.append(sample_inference_variance(model, noise, run_cfg, phi, gain))
-    est_x, est_y = results
+        runs.append((sample_inference_variance(model, noise, run_cfg, phi, gain), var))
+    (est_x, var_x), (est_y, var_y) = runs
     product = est_x.mean * est_y.mean
     prod_err = math.hypot(est_y.mean * est_x.std_err, est_x.mean * est_y.std_err)
-    return est_x, est_y, Estimate(mean=product, std_err=prod_err,
-                                  n_samples=est_x.n_samples + est_y.n_samples)
+    prod = Estimate(mean=product, std_err=prod_err,
+                    n_samples=est_x.n_samples + est_y.n_samples)
+    return est_x, est_y, prod, (var_x, var_y)

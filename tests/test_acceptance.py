@@ -178,7 +178,7 @@ def test_a4_monte_carlo_validation():
         analytic = [inferred_variance_at(model, noise, 0.0, phi)[0]
                     for phi in (0.0, math.pi / 2)]
         cfg = default_sim_config(model, seed=2026)
-        est_x, est_y, prod = epr_product_estimate(model, noise, cfg)
+        est_x, est_y, prod, _ = epr_product_estimate(model, noise, cfg)
         for est, want in zip((est_x, est_y), analytic):
             assert est.std_err <= 0.02
             assert abs(est.mean - want) < 3.0 * est.std_err

@@ -1,16 +1,17 @@
 """The four routes stay independent: which package modules each may import.
 
 Read from the import statements of each module's source, so a violation
-fails here even where no test exercises the import.  The same reader pins
-where `sde` draws its noise and builds its step, so that one kernel runs
-every chain on one Euler-Maruyama step, where `criterion` computes its
+fails here even where no test exercises the import.  The same reader
+pins where `sde` draws its noise and builds its step, so that one kernel
+runs every chain on one Euler-Maruyama step, that `simulate` solves
+each angle's spectral reference once, where `criterion` computes its
 gains, so that the point and the grid share one arithmetic with no type
 fork, that `spectra` solves a linear system in one place only, once per
 spectral block, and builds its fixed basis maps once, that both routes
-read the noise levels through their one check, that one builder forms the
-drift and its couplings, that the CLI reads a config's parameter block in
-one place, and that no module of the package, the tests or the demos
-imports a name it never uses.
+read the noise levels through their one check, that one builder forms
+the drift and its couplings, that the CLI reads a config's parameter
+block in one place, and that no module of the package, the tests or the
+demos imports a name it never uses.
 """
 
 import ast
@@ -90,6 +91,13 @@ def test_one_euler_step_in_sde():
     assert sorted(callers("sde", "_step")) == ["_window_step", "integrate"]
     assert sorted(callers("sde", "_window_step")) == [
         "estimate_inference_variance", "sample_inference_variance"]
+
+
+def test_one_spectral_solve_per_angle_in_simulate():
+    # The oracle's criterion solves each angle's spectral reference once and
+    # returns its variance with the estimates; the CLI prints that.
+    assert callers("cli", "spectra.inferred_variance_at") == []
+    assert callers("sde", "spectra.inferred_variance_at") == ["epr_product_estimate"]
 
 
 def test_one_closed_form_in_criterion():

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from optoepr import (DimensionlessParams, NumericalError, ParameterError,
-                     PhysicalParams, drive_kappa, locality_check,
-                     state_space_matrices, steady_state, steady_state_residual,
-                     to_dimensionless)
+from optoepr import (ConvergenceError, DimensionlessParams, NumericalError,
+                     ParameterError, PhysicalParams, drive_kappa, locality_check,
+                     model, state_space_matrices, steady_state,
+                     steady_state_residual, to_dimensionless)
 from optoepr.constants import C_LIGHT, HBAR, K_B
 
 
@@ -116,6 +116,22 @@ class TestSteadyState:
         assert ss.alpha == 0.0
         assert ss.y == 0.0
         assert ss.stable
+
+    def test_zero_power_on_resonance_has_zero_residual(self, textbook_lab_params):
+        # delta0 = kappa = 0: the one root is delta = 0, where the cubic's
+        # residual has no scale and is the plain value, 0.
+        params = replace_params(textbook_lab_params, input_power=0.0,
+                                omega_0=textbook_lab_params.omega_c)
+        roots = steady_state(params)
+        assert len(roots) == 1
+        assert roots[0].delta == 0.0
+        assert steady_state_residual(params, roots[0]) == 0.0
+
+    def test_polish_that_stalls_raises(self):
+        # Newton from delta = 1e100 stalls far from the root of
+        # delta (1/4 + delta^2) = 1 within its 60 steps.
+        with pytest.raises(ConvergenceError, match="stalled at delta="):
+            model._polish(1e100, 0.0, 1.0)
 
     def test_root_at_requested_detuning(self, textbook_lab_params):
         # Choose the bare detuning so a root lands at delta = 0.18, then check

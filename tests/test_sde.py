@@ -69,6 +69,20 @@ def reference_records(model, noise, cfg, x0=None):
     return out, x
 
 
+def kernel_records(model, noise, cfg, x0=None):
+    """`_propagate` on `_step`'s chain over the plan's steps from x0 (zero
+    when None), on the oracle's noise stream: the yielded blocks joined, and
+    the last end state.  Returns (increments, final states), as
+    `reference_records` does."""
+    n_steps = sde._check_step(model, cfg)[2]
+    x = np.zeros((cfg.n_trajectories, 6)) + (0.0 if x0 is None else x0)
+    out = np.empty((cfg.n_trajectories, n_steps, 4))
+    for start, block, x in sde._propagate(_streams(cfg.seed, cfg.n_trajectories), x,
+                                          n_steps, *sde._step(model, noise, cfg.dt)):
+        out[:, start:start + block.shape[1]] = block
+    return out, x
+
+
 def max_rel_diff(a, b):
     return np.max(np.abs(a - b)) / np.max(np.abs(b))
 
@@ -116,10 +130,10 @@ class TestBlockedKernel:
     def test_integrate_matches_per_step_recursion(self, headline, ragged_cfg):
         _, model, noise = headline
         x0 = np.array([0.3, -0.2, 1.0, -0.5, 0.25, 0.8])
-        res = integrate(model, noise, ragged_cfg, initial_state=x0)
+        got, got_x = kernel_records(model, noise, ragged_cfg, x0)
         out, x = reference_records(model, noise, ragged_cfg, x0)
-        assert max_rel_diff(res.increments, out) < 1e-12
-        assert max_rel_diff(res.final_states, x) < 1e-12
+        assert max_rel_diff(got, out) < 1e-12
+        assert max_rel_diff(got_x, x) < 1e-12
 
     @pytest.mark.parametrize("plan", ["ragged_cfg", "edge_cfg", "long_burn_cfg"])
     def test_estimator_matches_per_step_recursion(self, headline, plan, request):
@@ -143,10 +157,10 @@ class TestBlockedKernel:
         # matrix products.
         _, model, noise = headline
         wide = small_cfg(model, n_traj=24, n_seg=2, tau_lifetimes=120.0, seed=4)
-        a = integrate(model, noise, wide)
-        b = integrate(model, noise, replace(wide, n_trajectories=3))
-        assert max_rel_diff(a.increments[:3], b.increments) < 1e-12
-        assert max_rel_diff(a.final_states[:3], b.final_states) < 1e-12
+        a, a_x = kernel_records(model, noise, wide)
+        b, b_x = kernel_records(model, noise, replace(wide, n_trajectories=3))
+        assert max_rel_diff(a[:3], b) < 1e-12
+        assert max_rel_diff(a_x[:3], b_x) < 1e-12
 
     @pytest.mark.parametrize("n_traj", [1, 5])
     @pytest.mark.parametrize("tail", ["partial", "one-step", "no-whole-piece"])
@@ -164,10 +178,10 @@ class TestBlockedKernel:
                         n_trajectories=n_traj, seed=29, burn_in=0.0)
         assert sde._check_step(model, cfg)[2] == n_steps
         x0 = np.array([0.3, -0.2, 1.0, -0.5, 0.25, 0.8])
-        res = integrate(model, noise, cfg, initial_state=x0)
+        got, got_x = kernel_records(model, noise, cfg, x0)
         out, x = reference_records(model, noise, cfg, x0)
-        assert max_rel_diff(res.increments, out) < 1e-12
-        assert max_rel_diff(res.final_states, x) < 1e-12
+        assert max_rel_diff(got, out) < 1e-12
+        assert max_rel_diff(got_x, x) < 1e-12
 
     @pytest.mark.parametrize("pieces", [1, 2, 3, 4])
     def test_integrate_scan_edges_match_per_step_recursion(self, headline, pieces):
@@ -183,19 +197,19 @@ class TestBlockedKernel:
         cfg = SimConfig(dt=dt, tau=n_steps * dt, n_segments=1,
                         n_trajectories=3, seed=31, burn_in=0.0)
         x0 = np.array([0.3, -0.2, 1.0, -0.5, 0.25, 0.8])
-        res = integrate(model, noise, cfg, initial_state=x0)
+        got, got_x = kernel_records(model, noise, cfg, x0)
         out, x = reference_records(model, noise, cfg, x0)
-        assert max_rel_diff(res.increments, out) < 1e-12
-        assert max_rel_diff(res.final_states, x) < 1e-12
+        assert max_rel_diff(got, out) < 1e-12
+        assert max_rel_diff(got_x, x) < 1e-12
 
     def test_integrate_final_state_bit_equal_across_batching(self, headline):
         # The README's claim: a trajectory's final state does not depend, to
         # the bit, on how many trajectories share its products.
         _, model, noise = headline
         wide = small_cfg(model, n_traj=24, n_seg=2, tau_lifetimes=120.0, seed=4)
-        a = integrate(model, noise, wide)
-        b = integrate(model, noise, replace(wide, n_trajectories=3))
-        assert a.final_states[:3].tobytes() == b.final_states.tobytes()
+        _, a_x = kernel_records(model, noise, wide)
+        _, b_x = kernel_records(model, noise, replace(wide, n_trajectories=3))
+        assert a_x[:3].tobytes() == b_x.tobytes()
 
     def test_draw_block_is_the_per_stream_sequence(self):
         # The noise stream every kernel and reference_records rest on: block k
@@ -621,8 +635,26 @@ class TestWindowSampler:
 
         monkeypatch.setattr(sde, "estimate_inference_variance", no_steps)
         cfg = small_cfg(model, n_traj=4, n_seg=2)
-        est_x, est_y, _ = epr_product_estimate(model, noise, cfg)
+        est_x, est_y, _, _ = epr_product_estimate(model, noise, cfg)
         assert est_x.n_samples == est_y.n_samples == 8
+
+    def test_product_estimate_returns_its_spectral_variances(self, headline, monkeypatch):
+        # One spectral solve per angle gives both the gain and the variance
+        # returned beside the estimates.
+        _, model, noise = headline
+        want = [inferred_variance_at(model, noise, 0.0, phi)[0]
+                for phi in (0.0, math.pi / 2)]
+        solves = []
+
+        def counted(*args):
+            solves.append(args[3])
+            return inferred_variance_at(*args)
+
+        monkeypatch.setattr(sde.spectra, "inferred_variance_at", counted)
+        cfg = small_cfg(model, n_traj=4, n_seg=2)
+        *_, analytic = epr_product_estimate(model, noise, cfg)
+        assert analytic == tuple(want)
+        assert solves == [0.0, math.pi / 2]
 
 
 class TestIntegrate:
@@ -637,9 +669,9 @@ class TestIntegrate:
         cfg = SimConfig(dt=dt, tau=duration, n_segments=1, n_trajectories=1,
                         seed=1, burn_in=0.0)
         x0 = np.array([0.0, 0.0, 1.0, -0.5, 0.25, 0.8])
-        res = integrate(model, NoisePsd(0.0, lambda w: 0.0), cfg, initial_state=x0)
+        _, x = kernel_records(model, NoisePsd(0.0, lambda w: 0.0), cfg, x0)
         exact = expm(model.drift * (n_steps * dt)) @ x0
-        err = np.linalg.norm(res.final_states[0] - exact) / np.linalg.norm(exact)
+        err = np.linalg.norm(x[0] - exact) / np.linalg.norm(exact)
         assert err < 1e-6
 
     def test_empty_cavity_state_variance_matches_lyapunov(self, empty_cavity):
@@ -651,8 +683,8 @@ class TestIntegrate:
         # run to stationarity, then take one x1 sample per trajectory
         cfg = SimConfig(dt=dt, tau=round(burn / dt) * dt, n_segments=1,
                         n_trajectories=n_traj, seed=7, burn_in=0.0)
-        res = integrate(model, noise, cfg)
-        x1 = res.final_states[:, 2]
+        _, x = kernel_records(model, noise, cfg)
+        x1 = x[:, 2]
         sample_var = x1.var(ddof=1)
         levels = noise.levels(0.0)
         q = model.input_map @ np.diag(levels) @ model.input_map.T
@@ -663,10 +695,10 @@ class TestIntegrate:
     def test_identical_seed_bit_identical(self, headline):
         _, model, noise = headline
         cfg = small_cfg(model, n_traj=4, n_seg=2, tau_lifetimes=120.0, seed=42)
-        a = integrate(model, noise, cfg)
-        b = integrate(model, noise, cfg)
-        assert np.array_equal(a.increments, b.increments)
-        assert np.array_equal(a.final_states, b.final_states)
+        a, a_x = kernel_records(model, noise, cfg)
+        b, b_x = kernel_records(model, noise, cfg)
+        assert np.array_equal(a, b)
+        assert np.array_equal(a_x, b_x)
 
     def test_step_size_guard(self, headline):
         _, model, noise = headline
@@ -967,7 +999,7 @@ class TestEstimators:
     def test_product_estimate_composition(self, headline):
         _, model, noise = headline
         cfg = small_cfg(model, n_traj=24, n_seg=16, tau_lifetimes=800.0, seed=21)
-        est_x, est_y, prod = epr_product_estimate(model, noise, cfg)
+        est_x, est_y, prod, _ = epr_product_estimate(model, noise, cfg)
         assert prod.mean == pytest.approx(est_x.mean * est_y.mean, rel=1e-12)
         expect_err = math.hypot(est_y.mean * est_x.std_err,
                                 est_x.mean * est_y.std_err)
