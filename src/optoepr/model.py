@@ -131,15 +131,14 @@ class DimensionlessParams:
 class SteadyState:
     """One working point of the radiation-pressure self-consistency.
 
-    ``x`` is the mean mirror displacement [m], ``y`` the mean momentum
-    (identically zero), ``alpha`` the common intracavity amplitude of the two
-    modes, ``alpha_in`` the classical input amplitude (real positive by
-    phase convention), ``delta`` the self-consistent detuning in cavity
-    linewidths, and ``stable`` the static stability of the branch.
+    ``x`` is the mean mirror displacement [m], ``alpha`` the common
+    intracavity amplitude of the two modes, ``alpha_in`` the classical input
+    amplitude (real positive by phase convention), ``delta`` the
+    self-consistent detuning in cavity linewidths, and ``stable`` the static
+    stability of the branch.
     """
 
     x: float
-    y: float
     alpha: complex
     alpha_in: complex
     delta: float
@@ -301,7 +300,7 @@ def steady_state(params: PhysicalParams) -> list[SteadyState]:
                     f"steady-state {name} is {value!r}, outside the double range "
                     f"(detuning0={delta0!r}, kappa={kappa!r})")
         states.append(SteadyState(
-            x=x, y=0.0, alpha=alpha, alpha_in=complex(ain, 0.0),
+            x=x, alpha=alpha, alpha_in=complex(ain, 0.0),
             delta=root, stable=_cubic_deriv(root, delta0) > 0.0))
     return states
 
@@ -319,7 +318,7 @@ def steady_state_residual(params: PhysicalParams, ss: SteadyState) -> float:
     alpha_back = ss.alpha_in / denom
     scale = max(abs(ss.alpha), abs(alpha_back))
     r_alpha = abs(alpha_back - ss.alpha) / scale if scale > 0.0 else 0.0
-    return max(r_cubic, r_delta, r_alpha, abs(ss.y))
+    return max(r_cubic, r_delta, r_alpha)
 
 
 def locality_check(tau: float, distance: float) -> bool:

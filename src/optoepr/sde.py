@@ -56,7 +56,6 @@ output are the same as on one thread.
 
 from __future__ import annotations
 
-import decimal
 import functools
 import math
 import operator
@@ -98,11 +97,12 @@ MAX_STEPS = 2**53
 
 # Steps per piece in `_propagate`; divides NOISE_BLOCK.  A piece's products
 # cost O(length) per step, the end-state scan O(log2(pieces)) per piece.
-# At 4 trajectories x 51 626 headline steps (one BLAS thread, 2-core x86,
-# median of 40 interleaved runs, the block draws ~12.5 ms of it on two
-# threads against ~22 ms on one) integrate() takes ~24 ms at 8 steps against
-# ~25 ms at 4, ~28 ms at 16 and ~33 ms at 32.
-_RECORD_PIECE = 8
+# Another length moves the outputs by rounding, so 8 stays.  Medians of 100
+# interleaved runs at 4, 8 and 16 steps, two sessions (one BLAS thread,
+# 2-core x86): integrate() at 4 trajectories x 51 626 headline steps
+# 14.6-15.2, 13.9-14.4 and 15.8-16.3 ms; sample_inference_variance() at
+# 180 trajectories x 150 windows 3.6-3.9, 3.9 and 3.6-3.8 ms.
+_PIECE_STEPS = 8
 
 # `_draw_block` fills a block's rows on up to _SLICES threads, the usable
 # cores, when the block holds at least _SPLIT_NORMALS normals in rows of at
@@ -260,10 +260,12 @@ def _check_plan(model: StateSpace, cfg: SimConfig) -> tuple[int, int, int]:
 
 def _g(n: int, unit: int = 1) -> str:
     """n / unit as %.6g, also past the double range, where `Decimal`
-    rounds the exact quotient to the same 6 digits."""
+    rounds the exact quotient to the same 6 digits.  `decimal` is imported
+    there: importing the package does not load it."""
     try:
         return format(n / unit, ".6g")
     except OverflowError:
+        import decimal
         six = decimal.Context(prec=6)
         return format(six.normalize(six.divide(n, unit)), "g")
 
@@ -439,15 +441,14 @@ def _piece_map(step: np.ndarray, b: np.ndarray, out_map: np.ndarray,
 
 def _propagate(rngs: list[np.random.Generator], x: np.ndarray, n_steps: int,
                step: np.ndarray, b: np.ndarray, out_map: np.ndarray,
-               feed: np.ndarray, record: np.ndarray | None = None
-               ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+               feed: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """Run the chain x' = S x + B z with outputs C x + D z over n_steps steps
     from the start states x (n_traj, n); ``step`` is S, ``b`` B, ``out_map``
     C and ``feed`` D.
 
     Draws B.shape[1] unit normals per step from each trajectory's stream in
     ``rngs``, in NOISE_BLOCK blocks, freeing each block before the next
-    draw.  Each block is cut into _RECORD_PIECE-step pieces, whose
+    draw.  Each block is cut into _PIECE_STEPS-step pieces, whose
     `_piece_map` takes a piece's start state and normals to its end state
     and every step's outputs.  Per block, one product with the map's
     end-state columns gives every piece's noise term u_p.  The states after
@@ -457,31 +458,29 @@ def _propagate(rngs: list[np.random.Generator], x: np.ndarray, n_steps: int,
     before it times (S^T)^(kL).  The products of the normals and of the
     pieces' start states with the output columns are then summed into the
     block's outputs in place.  Only the last block can end in a shorter
-    piece, since _RECORD_PIECE divides NOISE_BLOCK; it takes its own single
+    piece, since _PIECE_STEPS divides NOISE_BLOCK; it takes its own single
     product.  The maps and scan squarings a run needs are built once.
 
-    The outputs are written into ``record`` (n_traj, n_steps, n_out) when
-    given, else into a one-block buffer that the next block overwrites.
-    Yields (first step, the block's outputs, the end states) per block.
+    Yields (first step, the block's outputs, the end states) per block; the
+    outputs are a one-block buffer that the next block overwrites.
     """
     n_traj, n = x.shape
-    most = min(NOISE_BLOCK, n_steps) // _RECORD_PIECE   # pieces in the largest block
+    most = min(NOISE_BLOCK, n_steps) // _PIECE_STEPS   # pieces in the largest block
     if most:
-        x_map, z_map = _piece_map(step, b, out_map, feed, _RECORD_PIECE)
-    rest = n_steps % _RECORD_PIECE
+        x_map, z_map = _piece_map(step, b, out_map, feed, _PIECE_STEPS)
+    rest = n_steps % _PIECE_STEPS
     if rest:
         last_x, last_z = _piece_map(step, b, out_map, feed, rest)
     hops = []   # hops[j] = (S^T)^(L 2^j), the map over 2^j pieces
     for _ in range(most.bit_length()):
         hops.append(hops[-1] @ hops[-1] if hops else x_map[:, :n])
-    if record is None:
-        buffer = np.empty((n_traj, min(NOISE_BLOCK, n_steps), len(feed)))
+    buffer = np.empty((n_traj, min(NOISE_BLOCK, n_steps), len(feed)))
     for start in range(0, n_steps, NOISE_BLOCK):
         z = _draw_block(rngs, min(NOISE_BLOCK, n_steps - start), b.shape[1])
         nb = z.shape[1]
-        out = buffer[:, :nb] if record is None else record[:, start:start + nb]
-        pieces = nb // _RECORD_PIECE
-        full = pieces * _RECORD_PIECE
+        out = buffer[:, :nb]
+        pieces = nb // _PIECE_STEPS
+        full = pieces * _PIECE_STEPS
         if pieces:
             zp = z[:, :full].reshape(n_traj, pieces, -1)
             # states[:, p] starts as piece p-1's noise term (x for p = 0);
@@ -516,17 +515,18 @@ def integrate(model: StateSpace, noise: NoisePsd, cfg: SimConfig) -> SimulationR
     pass RECORD_BUDGET_BYTES is refused before anything is allocated; use
     the streaming estimators for production window counts.
 
-    `_propagate` runs `_step`'s chain and writes every block's outputs into
-    the record in place.  The result equals the per-step recursion up to rounding.
+    `_propagate` runs `_step`'s chain, and each block's outputs are copied
+    into the record.  The result equals the per-step recursion up to rounding.
     """
     _, _, n_steps = _check_step(model, cfg)
     n_traj = cfg.n_trajectories
     _check_budget("record", n_traj, n_steps * spectra.N_OUTPUTS,
                   "use the streaming estimators")
     out = np.empty((n_traj, n_steps, spectra.N_OUTPUTS))
-    for _ in _propagate(_streams(cfg.seed, n_traj), np.zeros((n_traj, spectra.N_STATES)),
-                        n_steps, *_step(model, noise, cfg.dt), record=out):
-        pass
+    for start, block, _ in _propagate(_streams(cfg.seed, n_traj),
+                                      np.zeros((n_traj, spectra.N_STATES)),
+                                      n_steps, *_step(model, noise, cfg.dt)):
+        out[:, start:start + block.shape[1]] = block
     return SimulationRecords(increments=out)
 
 

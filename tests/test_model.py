@@ -114,7 +114,6 @@ class TestSteadyState:
         assert ss.delta == pytest.approx(0.37, abs=1e-15)
         assert ss.x == 0.0
         assert ss.alpha == 0.0
-        assert ss.y == 0.0
         assert ss.stable
 
     def test_zero_power_on_resonance_has_zero_residual(self, textbook_lab_params):
@@ -245,7 +244,7 @@ class TestCouplings:
     def test_linearity_in_amplitude(self, textbook_lab_params):
         ss = steady_state(textbook_lab_params)[0]
         a1, _, _, _ = state_space_matrices(textbook_lab_params, ss)
-        doubled = type(ss)(x=ss.x, y=ss.y, alpha=2 * ss.alpha,
+        doubled = type(ss)(x=ss.x, alpha=2 * ss.alpha,
                            alpha_in=ss.alpha_in, delta=ss.delta)
         a2, _, _, _ = state_space_matrices(textbook_lab_params, doubled)
         for ij in G_FORCE_ENTRIES + G_PHASE_ENTRIES:

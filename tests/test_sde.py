@@ -69,18 +69,29 @@ def reference_records(model, noise, cfg, x0=None):
     return out, x
 
 
-def kernel_records(model, noise, cfg, x0=None):
+def kernel_blocks(model, noise, cfg, x0=None):
     """`_propagate` on `_step`'s chain over the plan's steps from x0 (zero
-    when None), on the oracle's noise stream: the yielded blocks joined, and
-    the last end state.  Returns (increments, final states), as
-    `reference_records` does."""
+    when None), on the oracle's noise stream."""
     n_steps = sde._check_step(model, cfg)[2]
     x = np.zeros((cfg.n_trajectories, 6)) + (0.0 if x0 is None else x0)
-    out = np.empty((cfg.n_trajectories, n_steps, 4))
-    for start, block, x in sde._propagate(_streams(cfg.seed, cfg.n_trajectories), x,
-                                          n_steps, *sde._step(model, noise, cfg.dt)):
+    return sde._propagate(_streams(cfg.seed, cfg.n_trajectories), x, n_steps,
+                          *sde._step(model, noise, cfg.dt))
+
+
+def kernel_records(model, noise, cfg, x0=None):
+    """The blocks of `kernel_blocks` joined, and the last end state.
+    Returns (increments, final states), as `reference_records` does."""
+    out = np.empty((cfg.n_trajectories, sde._check_step(model, cfg)[2], 4))
+    for start, block, x in kernel_blocks(model, noise, cfg, x0):
         out[:, start:start + block.shape[1]] = block
     return out, x
+
+
+def kernel_end_state(model, noise, cfg, x0=None):
+    """The last end state of `kernel_blocks`, without keeping a record."""
+    for _, _, x in kernel_blocks(model, noise, cfg, x0):
+        pass
+    return x
 
 
 def max_rel_diff(a, b):
@@ -170,7 +181,7 @@ class TestBlockedKernel:
         # piece: whole pieces and 5 steps, whole pieces and one step, or
         # 5 steps alone.
         _, model, noise = headline
-        piece = sde._RECORD_PIECE
+        piece = sde._PIECE_STEPS
         n_steps = NOISE_BLOCK + {"partial": 2 * piece + 5, "one-step": piece + 1,
                                  "no-whole-piece": 5}[tail]
         dt = small_cfg(model).dt
@@ -190,7 +201,7 @@ class TestBlockedKernel:
         # around its edges.  A last block with no whole piece is covered by
         # test_integrate_last_piece_matches_per_step_recursion.
         _, model, noise = headline
-        piece = sde._RECORD_PIECE
+        piece = sde._PIECE_STEPS
         assert (NOISE_BLOCK // piece) & (NOISE_BLOCK // piece - 1) == 0
         n_steps = NOISE_BLOCK + pieces * piece
         dt = small_cfg(model).dt
@@ -228,7 +239,7 @@ class TestBlockedKernel:
     def test_large_block_is_cut_into_slices(self, monkeypatch):
         # With 3 slices, 5 streams' full block is cut into rows [0, 1), [1, 3)
         # and [3, 5): the calling thread fills the first, pool threads the
-        # rest.  integrate's 4 x NOISE_BLOCK x 5 block is cut; the window
+        # rest.  The step chain's 4 x NOISE_BLOCK x 5 block is cut; the window
         # sampler's 180 x 1 x 6 burn-in draw and a block of 180 short rows
         # are filled in one pass on the calling thread.
         monkeypatch.setattr(sde, "_SLICES", 3)
@@ -259,9 +270,9 @@ class TestBlockedKernel:
         _, model, noise = headline
         cfg = small_cfg(model, n_traj=5, n_seg=2, tau_lifetimes=120.0, seed=9)
         assert sde._check_step(model, cfg)[2] > NOISE_BLOCK
-        want = integrate(model, noise, cfg).increments.tobytes()
+        want = kernel_records(model, noise, cfg)[0].tobytes()
         monkeypatch.setattr(sde, "_SLICES", slices)
-        assert integrate(model, noise, cfg).increments.tobytes() == want
+        assert kernel_records(model, noise, cfg)[0].tobytes() == want
 
     def test_record_budget_refused_before_work(self, headline):
         # Both configurations trip the guard before anything is allocated:
@@ -376,9 +387,11 @@ class TestStreams:
 
     def test_import_does_not_load_numpy_random(self):
         # numpy.random costs every scan and spectrum start ~5 MB; only the
-        # oracle's first stream loads it.
-        code = "import sys, optoepr; print('numpy.random' in sys.modules)"
-        assert run_python(code) == "False"
+        # oracle's first stream loads it.  decimal, ~1 ms of import, is
+        # loaded only by a budget message past the double range.
+        code = ("import sys, optoepr; "
+                "print('numpy.random' in sys.modules, 'decimal' in sys.modules)")
+        assert run_python(code) == "False False"
 
     def test_import_starts_no_thread(self):
         # The draw threads are built by the first split draw, not by import.
@@ -455,7 +468,7 @@ class TestWindowSampler:
         # and a full noise block followed by a block of one window.
         params, model, noise = headline
         phi, gain = 0.7, -0.3
-        piece = sde._RECORD_PIECE
+        piece = sde._PIECE_STEPS
         for n_seg in (70, 1, piece - 1, piece, piece + 1, NOISE_BLOCK + 1):
             cfg = small_cfg(model, n_traj=3, n_seg=n_seg, tau_lifetimes=10.0, seed=23)
             est = sample_inference_variance(model, noise, cfg, phi, gain)
@@ -669,7 +682,7 @@ class TestIntegrate:
         cfg = SimConfig(dt=dt, tau=duration, n_segments=1, n_trajectories=1,
                         seed=1, burn_in=0.0)
         x0 = np.array([0.0, 0.0, 1.0, -0.5, 0.25, 0.8])
-        _, x = kernel_records(model, NoisePsd(0.0, lambda w: 0.0), cfg, x0)
+        x = kernel_end_state(model, NoisePsd(0.0, lambda w: 0.0), cfg, x0)
         exact = expm(model.drift * (n_steps * dt)) @ x0
         err = np.linalg.norm(x[0] - exact) / np.linalg.norm(exact)
         assert err < 1e-6
@@ -683,7 +696,7 @@ class TestIntegrate:
         # run to stationarity, then take one x1 sample per trajectory
         cfg = SimConfig(dt=dt, tau=round(burn / dt) * dt, n_segments=1,
                         n_trajectories=n_traj, seed=7, burn_in=0.0)
-        _, x = kernel_records(model, noise, cfg)
+        x = kernel_end_state(model, noise, cfg)
         x1 = x[:, 2]
         sample_var = x1.var(ddof=1)
         levels = noise.levels(0.0)
@@ -701,6 +714,8 @@ class TestIntegrate:
         assert np.array_equal(a_x, b_x)
 
     def test_step_size_guard(self, headline):
+        # `_check_step` refuses the step before the estimators' own plan
+        # checks, which this one-trajectory plan without burn-in also fails.
         _, model, noise = headline
         rho = np.max(np.abs(np.linalg.eigvals(model.drift)))
         dt = 0.5 / rho
@@ -708,6 +723,9 @@ class TestIntegrate:
                         seed=0, burn_in=0.0)
         with pytest.raises(NumericalError):
             integrate(model, noise, cfg)
+        for estimator in (estimate_inference_variance, sample_inference_variance):
+            with pytest.raises(NumericalError):
+                estimator(model, noise, cfg, 0.0, 0.0)
 
     def test_estimators_refuse_one_trajectory(self, headline):
         # The jackknife error of one trajectory is undefined.
@@ -824,6 +842,9 @@ class TestSimConfig:
             default_sim_config(bad)
         with pytest.raises(NumericalError, match="non-finite"):
             integrate(bad, noise, cfg)
+        for estimator in (estimate_inference_variance, sample_inference_variance):
+            with pytest.raises(NumericalError, match="non-finite"):
+                estimator(bad, noise, cfg, 0.0, 0.0)
 
 
 class TestWindowedTransform:
