@@ -46,7 +46,7 @@ DIMENSIONLESS_KEYS = {"p_cal", "t_cal", "delta"}
 SIM_KEYS = {"dt", "tau", "segments", "trajectories", "seed", "burn_in"}
 
 # Frequencies per stacked spectral solve in `spectrum`.  The solve and its
-# formatting hold about 0.65 KB per frequency at their peak (2.7 MB a
+# formatting hold about 0.5 KB per frequency at their peak (2.0 MB a
 # block), so blocks keep that bounded whatever --points is.
 SPECTRUM_BLOCK = 4096
 

@@ -34,9 +34,10 @@ half-sum of the two reported quadratures reads, and the difference mode,
 an empty cavity on its own vacuum, which their half-difference reads.  The
 sum block's response comes from the adjoint system (-i omega I - A)^T Y =
 C^T, one right-hand side per omega; the difference block's is the
-adjugate of its 2x2 drift block over its determinant.  The inference
-variance det(S)/S_22 is read off the two responses, with no cross term
-left to cancel and no gain in it.
+adjugate of its 2x2 drift block over its determinant.  Each response
+gives the power of its half, over its own block's inputs; S is built from
+the two powers, and the inference variance det(S)/S_22 is their product
+over S_22, with no cross term left to cancel and no gain in it.
 
 No further calibration constant is needed: the empty cavity returns exactly
 S_11 = gamma_c at every frequency and the omega = 0 commutator norm between
@@ -126,53 +127,43 @@ class NoisePsd:
 
 @dataclass(frozen=True, eq=False)
 class SpectralMatrix:
-    """Symmetrized 2x2 mode-indexed output spectra at one phi, with their factors.
+    """Symmetrized 2x2 mode-indexed output spectra at one phi, from three powers.
 
-    ``response`` has shape ``(..., 2, K)``: the complex response of the two
-    phi-quadratures to K uncorrelated inputs, whose symmetrized PSDs
-    ``levels`` has shape ``(..., K)``.  ``s = Re[r diag(N) r^dag]`` has
-    shape ``(..., 2, 2)``: one matrix per omega of the solve, or ``(2, 2)``
-    for a scalar omega.  It is read off three sums of the half-sum m and
-    the half-difference h of the two rows: S_u = sum_k N_k |u_k|^2 and
-    X = Re sum_k N_k m_k h_k^*, with s11 = S_m + S_h + 2X,
+    ``sum_power`` S_m and ``difference_power`` S_h are the PSDs of the
+    half-sum m and the half-difference h of the two phi-quadratures, and
+    ``cross`` X is their cross PSD Re S_mh; the three are real and broadcast
+    together.  ``s`` has shape ``(..., 2, 2)``, one matrix per omega of the
+    solve, or ``(2, 2)`` for a scalar omega: s11 = S_m + S_h + 2X,
     s22 = S_m + S_h - 2X and s12 = S_m - S_h.  Instances compare by identity.
     """
 
-    response: np.ndarray
-    levels: np.ndarray
+    sum_power: np.ndarray
+    difference_power: np.ndarray
+    cross: np.ndarray
     s: np.ndarray = field(init=False)
-    _sums: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        r1, r2 = self.response[..., 0, :], self.response[..., 1, :]
-        m, h = 0.5 * (r1 + r2), 0.5 * (r1 - r2)   # each one rounding of exact halves
-
-        def power(u, v):   # Re sum_k N_k u_k v_k^*
-            return (self.levels * (u * v.conj()).real).sum(axis=-1)
-
+        s_m, s_h, cross = self.sum_power, self.difference_power, self.cross
         with np.errstate(over="ignore", invalid="ignore"):   # refused by the caller's check
-            s_m, s_h, cross = power(m, m), power(h, h), power(m, h)
-            s = np.empty(s_m.shape + (2, 2))
+            s = np.empty(np.broadcast(s_m, s_h, cross).shape + (2, 2))
             s[..., 0, 0] = s_m + s_h + 2.0 * cross
             s[..., 1, 1] = s_m + s_h - 2.0 * cross
             s[..., 0, 1] = s[..., 1, 0] = s_m - s_h
         object.__setattr__(self, "s", s)
-        object.__setattr__(self, "_sums", (s_m, s_h, cross))
 
     def inference(self):
         """(det s / s22, s12 / s22): the minimized inference variance and its gain.
 
-        det s = 4 (S_m S_h - X^2) for any factor.  On the sum and difference
-        inputs of `output_spectral_matrix`, m and h have disjoint supports,
-        so X is exactly 0 and the variance is a product of sums of
-        non-negative terms: nothing cancels however strongly common-mode
-        noise dominates ``s``.  Elementwise over the leading axes of ``s``;
-        scalars for one matrix.
+        det s = 4 (S_m S_h - X^2).  `output_spectral_matrix` passes X = 0,
+        as the sum and difference blocks share no input, so the variance is
+        a product of sums of non-negative terms: nothing cancels however
+        strongly common-mode noise dominates ``s``.  Elementwise over the
+        leading axes of ``s``; scalars for one matrix.
         """
-        s_m, s_h, cross = self._sums
         s22 = self.s[..., 1, 1]
         # Each product is divided by s22 first, so none leaves the double range.
-        variance = 4.0 * (s_m / s22 * s_h - cross / s22 * cross)
+        variance = 4.0 * (self.sum_power / s22 * self.difference_power
+                          - self.cross / s22 * self.cross)
         gain = self.s[..., 0, 1] / s22
         # [()] makes the values of a single matrix numpy scalars, not 0-d arrays.
         return variance[()], gain[()]
@@ -386,25 +377,26 @@ def output_spectral_matrix(model: StateSpace, noise: NoisePsd, omega,
     the half-sum of the two quadratures, one right-hand side per omega, and
     the 2-state difference block gives the half-difference in closed form.
     A model whose blocks are coupled, by modes that are not identical, is
-    refused with ParameterError.  The returned factors are those of the two
-    quadratures on xi and on the sums and differences of the field inputs,
-    whose levels are twice the vacuum level.  ``omega`` is a float or an
-    array; the returned ``s`` has shape ``(*np.shape(omega), 2, 2)``.  The
-    levels are checked by `NoisePsd.levels`, so ``s`` is positive
-    semidefinite; a matrix is accepted only if every entry is finite and
-    s22 > 0, so that `SpectralMatrix.inference` is defined on it.
-    Otherwise NumericalError names the first omega that fails.
+    refused with ParameterError.  The half-sum's power is summed over xi and
+    the sums of the field inputs, the half-difference's over the differences
+    of the field inputs, each at twice the vacuum level; the two share no
+    input, so their cross PSD is 0.  ``omega`` is a float or an array; the
+    returned ``s`` has shape ``(*np.shape(omega), 2, 2)``.  The levels are
+    checked by `NoisePsd.levels`, so ``s`` is positive semidefinite; a
+    matrix is accepted only if every entry is finite and s22 > 0, so that
+    `SpectralMatrix.inference` is defined on it.  Otherwise NumericalError
+    names the first omega that fails.
     """
     w = np.asarray(omega, dtype=float)
     sum_block, difference_block = _twin_blocks(_sum_difference(model, phi))
     # Checked before the solve; a sum or difference of two vacua has twice the level.
     levels = noise.levels(w) * [1.0, 2.0, 2.0, 2.0, 2.0]
-    # The quadratures are the half-sum plus and minus the half-difference.
-    response = np.empty(w.shape + (2, N_NOISES), dtype=complex)
-    response[..., _SUM_IN] = output_response(sum_block, w)
+    m = output_response(sum_block, w)[..., 0, :]
     h = _difference_response(difference_block, w)
-    response[..., 0, _DIFF_IN], response[..., 1, _DIFF_IN] = h, -h
-    spec = SpectralMatrix(response=response, levels=levels)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused by the check below
+        sum_power = (levels[..., _SUM_IN] * (m * m.conj()).real).sum(axis=-1)
+        difference_power = (levels[..., _DIFF_IN] * (h * h.conj()).real).sum(axis=-1)
+    spec = SpectralMatrix(sum_power, difference_power, cross=0.0)
     ok = np.isfinite(spec.s).all(axis=(-2, -1)) & (spec.s[..., 1, 1] > 0.0)
     if not ok.all():
         raise NumericalError("output spectral matrix has a non-finite entry or "

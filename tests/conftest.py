@@ -34,14 +34,11 @@ def random_dimensionless(rng: np.random.Generator, *, t_max: float = 2.0):
 
 
 def bare_spectral_matrix(s):
-    """`SpectralMatrix` whose ``s`` is the given 2x2 matrix or stack, which
-    must have s22 > 0 and s12^2 <= s11 s22: two unit-level inputs, the
-    second of which drives only the second quadrature."""
+    """`SpectralMatrix` whose ``s`` is the given 2x2 matrix or stack, to
+    rounding: its powers are S_m, S_h = (s11 + s22 +- 2 s12) / 4 and its
+    cross PSD X = (s11 - s22) / 4."""
     s = np.asarray(s, dtype=float)
     s11, s12, s22 = s[..., 0, 0], s[..., 0, 1], s[..., 1, 1]
-    root = np.sqrt(s22)
-    r = np.zeros(s.shape)
-    r[..., 0, 0] = np.sqrt(np.maximum(s11 - s12 * s12 / s22, 0.0))
-    r[..., 0, 1] = s12 / root
-    r[..., 1, 1] = root
-    return SpectralMatrix(response=r, levels=np.ones(s.shape[:-1]))
+    return SpectralMatrix(sum_power=(s11 + s22 + 2.0 * s12) / 4.0,
+                          difference_power=(s11 + s22 - 2.0 * s12) / 4.0,
+                          cross=(s11 - s22) / 4.0)

@@ -195,8 +195,8 @@ def test_array_dataclasses_compare_by_identity(headline_model):
     # A generated __eq__ would compare the arrays as tuples and raise on
     # their truth value; equal values are two objects, each equal to itself.
     _, _, model, _ = headline_model
-    pairs = [(SpectralMatrix(np.ones((2, 2)), np.ones(2)),
-              SpectralMatrix(np.ones((2, 2)), np.ones(2))),
+    pairs = [(SpectralMatrix(np.ones(2), np.ones(2), np.zeros(2)),
+              SpectralMatrix(np.ones(2), np.ones(2), np.zeros(2))),
              (model, replace(model))]
     for a, b in pairs:
         assert (a == b) is False
@@ -367,6 +367,27 @@ class TestOutputSpectra:
                     var, _ = inferred_variance_at(model, hot, w * model.gamma_c, phi)
                     assert var == pytest.approx(2.0, rel=1e-12), (temperature, phi, w)
 
+    def test_difference_mode_is_the_vacuum(self, headline_model):
+        # The difference mode is an empty cavity on its own vacuum: the
+        # half-difference of the two quadratures has the PSD gamma_c / 2 at
+        # every omega and phi whatever the mirror does, and it shares no
+        # input with the half-sum.  At the headline, at 30 drawn
+        # realizations, out to the double range and in a 1e25 K bath.
+        params, _, model, noise = headline_model
+        rng = np.random.default_rng(30)
+        cases = [(model, noise), (model, noise_psd(replace(params, temperature=1e25)))]
+        for _ in range(30):
+            drawn, ss = realize_dimensionless(random_dimensionless(rng))
+            cases.append((build_state_space(drawn, ss), noise_psd(drawn)))
+        extremes = [0.0, -1e154, 1e154, -1.7e308, 1.7e308]
+        for model, noise in cases:
+            omegas = np.append(np.linspace(-40.0, 40.0, 801) * model.gamma_c, extremes)
+            for phi in (0.0, 0.7, math.pi / 2):
+                spec = output_spectral_matrix(model, noise, omegas, phi)
+                assert np.all(spec.cross == 0.0)
+                vacuum = 0.5 * model.gamma_c
+                assert np.abs(spec.difference_power - vacuum).max() <= 4e-15 * vacuum
+
     def test_stack_names_the_first_non_psd_omega(self, headline_model):
         # A mirror noise PSD that is negative at two frequencies of the
         # stack: the refusal names the first of them.
@@ -507,10 +528,15 @@ class TestAgainstDirectSolve:
 
 def six_state_spectral_matrix(model, noise, omega, phi):
     """The spectral matrix of one 6-state solve on the whole rotated model,
-    two right-hand sides per omega, before its split into twin blocks."""
+    two right-hand sides per omega, before its split into twin blocks: the
+    powers and the cross PSD of the half-sum m and the half-difference h of
+    its two rows, each summed over all five inputs."""
     w = np.asarray(omega, dtype=float)
-    return SpectralMatrix(output_response(spectra._sum_difference(model, phi), w),
-                          noise.levels(w) * [1.0, 2.0, 2.0, 2.0, 2.0])
+    r = output_response(spectra._sum_difference(model, phi), w)
+    levels = noise.levels(w) * [1.0, 2.0, 2.0, 2.0, 2.0]
+    m, h = 0.5 * (r[..., 0, :] + r[..., 1, :]), 0.5 * (r[..., 0, :] - r[..., 1, :])
+    return SpectralMatrix(*((levels * (u * v.conj()).real).sum(axis=-1)
+                            for u, v in ((m, m), (h, h), (m, h))))
 
 
 def assert_matches_six_state(model, noise, omega, phi):
