@@ -49,9 +49,11 @@ Trajectory i of a run seeded with ``seed`` draws from child i of numpy's
 ``SeedSequence(seed)``, bit for bit; `_seed_words` runs numpy's seeding
 hash for every child in one vectorized pass.  So reruns are
 bit-reproducible and a trajectory's draws do not depend on how trajectories
-are batched.  A large block's rows may be filled on up to one thread per
-usable core, each stream in order into its own row, so the draws and every
-output are the same as on one thread.
+are batched.  A large run's trajectories are cut into contiguous slices,
+and each slice's whole chain, its draws, products and window sums or
+record rows, runs on one thread (`_each_slice`).  The cut depends only on
+the plan, never on the core count, so every output is the same bits on
+any number of cores.
 """
 
 from __future__ import annotations
@@ -104,18 +106,25 @@ MAX_STEPS = 2**53
 # 180 trajectories x 150 windows 3.6-3.9, 3.9 and 3.6-3.8 ms.
 _PIECE_STEPS = 8
 
-# `_draw_block` fills a block's rows on up to _SLICES threads, the usable
-# cores, when the block holds at least _SPLIT_NORMALS normals in rows of at
-# least _SPLIT_ROW; numpy's `standard_normal(out=...)` releases the GIL while
-# it fills a row.  A split costs a thread wake-up per block and GIL
-# hand-offs per row, so smaller blocks are drawn serially.  On two threads
-# against one (2-core x86, median of 100 interleaved draws): 4 rows of 1280
-# normals 1.00 of the serial time, of 8200 normals 0.82, of 20 480 0.66;
-# 180 rows of 252 normals 1.80, of 511 1.05, of 700 0.72, of 1050 0.64.
+# `_each_slice` cuts a run's trajectories into _CUT_SLICES slices when its
+# blocks hold at least _CUT_NORMALS normals in rows of at least _CUT_ROW,
+# and runs each slice's whole chain on one of up to _SLICES threads, the
+# usable cores.  numpy releases the GIL while it draws a row or multiplies,
+# but a slice pays a thread wake-up per run and GIL hand-offs per row and
+# per product, so small runs stay whole.  The cut cannot follow the core
+# count: BLAS products of another row count round differently.  Cut against
+# whole, on two threads (2-core x86, one BLAS thread, medians of 6
+# interleaved runs): the window sampler at 180 rows of 252 normals 1.18 of
+# the whole run's time, of 511 1.02-1.06, of 700 0.91, of 1050 0.88, of 2100
+# 0.66; at 20 rows of 2100 1.15, 8 of 4200 1.02, 4 of 14 000 0.94-1.02,
+# 6 of 14 000 0.78; integrate() at 2, 3 and 4 trajectories of 20 480
+# normals 0.81, 0.91 and 0.62.  Three or four slices were no faster than
+# two at 4 x 20 480, 180 x 1050 or 180 x 14 000.
 _SLICES = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
-_SPLIT_NORMALS = 2**15
-_SPLIT_ROW = 2**10
+_CUT_SLICES = 2
+_CUT_NORMALS = 2**15
+_CUT_ROW = 2**10
 
 # numpy's SeedSequence pool size and hash constants
 # (numpy/random/bit_generator.pyx), which `_seed_words` reproduces.
@@ -354,41 +363,53 @@ def _streams(seed: int, n: int) -> list[np.random.Generator]:
 
 @functools.cache
 def _pool():
-    """The threads that fill a split block's slices past the first.  Built
+    """The threads that run the slices the calling thread does not.  Built
     on first use: importing the package starts no thread.  A forked child
     inherits the pool but not its threads, so it builds its own."""
     from concurrent.futures import ThreadPoolExecutor
     if hasattr(os, "register_at_fork"):   # absent where there is no fork
         os.register_at_fork(after_in_child=_pool.cache_clear)
     return ThreadPoolExecutor(max_workers=_SLICES - 1,
-                              thread_name_prefix="optoepr-draw")
+                              thread_name_prefix="optoepr-slice")
 
 
-def _fill(rngs: list[np.random.Generator], z: np.ndarray) -> None:
-    """Fill row i of ``z`` with the next normals of stream i."""
-    for rng, row in zip(rngs, z):
-        rng.standard_normal(out=row)
+def _each_slice(n_traj: int, row_normals: int, run: Callable[[int, int], None]) -> None:
+    """Call ``run(a, b)`` once for each slice [a, b) of a run's n_traj
+    trajectories, each of which draws row_normals normals per noise block.
+
+    A run whose blocks hold at least _CUT_NORMALS normals, in rows of at
+    least _CUT_ROW, is cut into _CUT_SLICES contiguous slices (n_traj
+    permitting), any other is one slice.  The cut depends only on the plan,
+    so every product has the same shape and the bits are the same on any
+    core count; _SLICES decides only which thread runs which slice: with T
+    of them usable, the calling thread runs slices 0, T, 2T, ..., and
+    `_pool` thread t slices t, t + T, ....  No pool is built for one slice.
+    """
+    cut = (n_traj * row_normals >= _CUT_NORMALS and row_normals >= _CUT_ROW)
+    count = min(_CUT_SLICES, n_traj) if cut else 1
+    edges = [n_traj * k // count for k in range(count + 1)]
+    slices = list(zip(edges[:-1], edges[1:]))
+    threads = min(_SLICES, count)
+
+    def take(t: int) -> None:
+        for a, b in slices[t::threads]:
+            run(a, b)
+
+    rest = [_pool().submit(take, t) for t in range(1, threads)]
+    try:
+        take(0)
+    finally:   # the slices share the caller's arrays: wait for every one
+        for slice_done in rest:
+            slice_done.result()
 
 
 def _draw_block(rngs: list[np.random.Generator], nb: int,
                 width: int = spectra.N_NOISES) -> np.ndarray:
     """The next (nb, width) unit normals of every stream in ``rngs``, row i
-    from stream i.  A block of at least _SPLIT_NORMALS normals, in rows of
-    at least _SPLIT_ROW, is cut into up to _SLICES contiguous slices of
-    rows: the calling thread fills the first, `_pool` the rest.  Each
-    stream is drawn in order into its own row, so the bits do not depend on
-    the split."""
+    from stream i."""
     z = np.empty((len(rngs), nb, width))
-    slices = min(_SLICES, len(rngs))
-    if slices < 2 or z.size < _SPLIT_NORMALS or nb * width < _SPLIT_ROW:
-        _fill(rngs, z)
-        return z
-    cuts = [len(rngs) * k // slices for k in range(slices + 1)]
-    rest = [_pool().submit(_fill, rngs[a:b], z[a:b])
-            for a, b in zip(cuts[1:-1], cuts[2:])]
-    _fill(rngs[:cuts[1]], z[:cuts[1]])
-    for slice_done in rest:
-        slice_done.result()
+    for rng, row in zip(rngs, z):
+        rng.standard_normal(out=row)
     return z
 
 
@@ -439,16 +460,39 @@ def _piece_map(step: np.ndarray, b: np.ndarray, out_map: np.ndarray,
     return out[:n], out[n:]
 
 
-def _propagate(rngs: list[np.random.Generator], x: np.ndarray, n_steps: int,
-               step: np.ndarray, b: np.ndarray, out_map: np.ndarray,
-               feed: np.ndarray) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Run the chain x' = S x + B z with outputs C x + D z over n_steps steps
-    from the start states x (n_traj, n); ``step`` is S, ``b`` B, ``out_map``
-    C and ``feed`` D.
+class _Chain:
+    """The chain x' = S x + B z with outputs C x + D z over a run of n_steps
+    steps, as `_propagate` runs it; ``step`` is S, ``b`` B, ``out_map`` C
+    and ``feed`` D.  Its piece maps and scan hops are built here, once per
+    run, and shared by every slice of the run."""
 
-    Draws B.shape[1] unit normals per step from each trajectory's stream in
-    ``rngs``, in NOISE_BLOCK blocks, freeing each block before the next
-    draw.  Each block is cut into _PIECE_STEPS-step pieces, whose
+    def __init__(self, n_steps: int, step: np.ndarray, b: np.ndarray,
+                 out_map: np.ndarray, feed: np.ndarray) -> None:
+        self.n_steps, self.width, self.n_out = n_steps, b.shape[1], len(feed)
+        most = min(NOISE_BLOCK, n_steps) // _PIECE_STEPS   # pieces in the largest block
+        rest = n_steps % _PIECE_STEPS
+        # `_piece_map` of a _PIECE_STEPS-step piece and of the run's shorter
+        # last piece, if any.
+        self.piece = _piece_map(step, b, out_map, feed, _PIECE_STEPS) if most else None
+        self.last = _piece_map(step, b, out_map, feed, rest) if rest else None
+        hops = []   # hops[j] = (S^T)^(L 2^j), the map over 2^j pieces
+        for _ in range(most.bit_length()):
+            hops.append(hops[-1] @ hops[-1] if hops else self.piece[0][:, :len(step)])
+        self.hops = hops
+
+    @property
+    def row_normals(self) -> int:
+        """The normals a trajectory draws for the run's largest block."""
+        return self.width * min(NOISE_BLOCK, self.n_steps)
+
+
+def _propagate(rngs: list[np.random.Generator], x: np.ndarray, chain: _Chain
+               ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Run ``chain`` over its steps from the start states x (n_traj, n).
+
+    Draws the chain's ``width`` unit normals per step from each trajectory's
+    stream in ``rngs``, in NOISE_BLOCK blocks, freeing each block before the
+    next draw.  Each block is cut into _PIECE_STEPS-step pieces, whose
     `_piece_map` takes a piece's start state and normals to its end state
     and every step's outputs.  Per block, one product with the map's
     end-state columns gives every piece's noise term u_p.  The states after
@@ -459,24 +503,21 @@ def _propagate(rngs: list[np.random.Generator], x: np.ndarray, n_steps: int,
     pieces' start states with the output columns are then summed into the
     block's outputs in place.  Only the last block can end in a shorter
     piece, since _PIECE_STEPS divides NOISE_BLOCK; it takes its own single
-    product.  The maps and scan squarings a run needs are built once.
+    product.
 
     Yields (first step, the block's outputs, the end states) per block; the
     outputs are a one-block buffer that the next block overwrites.
     """
     n_traj, n = x.shape
-    most = min(NOISE_BLOCK, n_steps) // _PIECE_STEPS   # pieces in the largest block
-    if most:
-        x_map, z_map = _piece_map(step, b, out_map, feed, _PIECE_STEPS)
+    n_steps, hops = chain.n_steps, chain.hops
+    if chain.piece:
+        x_map, z_map = chain.piece
+    if chain.last:
+        last_x, last_z = chain.last
     rest = n_steps % _PIECE_STEPS
-    if rest:
-        last_x, last_z = _piece_map(step, b, out_map, feed, rest)
-    hops = []   # hops[j] = (S^T)^(L 2^j), the map over 2^j pieces
-    for _ in range(most.bit_length()):
-        hops.append(hops[-1] @ hops[-1] if hops else x_map[:, :n])
-    buffer = np.empty((n_traj, min(NOISE_BLOCK, n_steps), len(feed)))
+    buffer = np.empty((n_traj, min(NOISE_BLOCK, n_steps), chain.n_out))
     for start in range(0, n_steps, NOISE_BLOCK):
-        z = _draw_block(rngs, min(NOISE_BLOCK, n_steps - start), b.shape[1])
+        z = _draw_block(rngs, min(NOISE_BLOCK, n_steps - start), chain.width)
         nb = z.shape[1]
         out = buffer[:, :nb]
         pieces = nb // _PIECE_STEPS
@@ -515,18 +556,24 @@ def integrate(model: StateSpace, noise: NoisePsd, cfg: SimConfig) -> SimulationR
     pass RECORD_BUDGET_BYTES is refused before anything is allocated; use
     the streaming estimators for production window counts.
 
-    `_propagate` runs `_step`'s chain, and each block's outputs are copied
-    into the record.  The result equals the per-step recursion up to rounding.
+    `_propagate` runs `_step`'s chain on each of `_each_slice`'s slices,
+    and each block's outputs are copied into the slice's rows of the
+    record.  The result equals the per-step recursion up to rounding.
     """
     _, _, n_steps = _check_step(model, cfg)
     n_traj = cfg.n_trajectories
     _check_budget("record", n_traj, n_steps * spectra.N_OUTPUTS,
                   "use the streaming estimators")
     out = np.empty((n_traj, n_steps, spectra.N_OUTPUTS))
-    for start, block, _ in _propagate(_streams(cfg.seed, n_traj),
-                                      np.zeros((n_traj, spectra.N_STATES)),
-                                      n_steps, *_step(model, noise, cfg.dt)):
-        out[:, start:start + block.shape[1]] = block
+    rngs = _streams(cfg.seed, n_traj)
+    chain = _Chain(n_steps, *_step(model, noise, cfg.dt))
+
+    def run(lo: int, hi: int) -> None:
+        for start, block, _ in _propagate(rngs[lo:hi], np.zeros((hi - lo, spectra.N_STATES)),
+                                          chain):
+            out[lo:hi, start:start + block.shape[1]] = block
+
+    _each_slice(n_traj, chain.row_normals, run)
     return SimulationRecords(increments=out)
 
 
@@ -611,22 +658,26 @@ def estimate_inference_variance(model: StateSpace, noise: NoisePsd,
     n_traj = cfg.n_trajectories
     _check_budget("step draws", n_traj, n_steps * spectra.N_NOISES,
                   "use fewer trajectories or segments")
-    chain = _window_step(model, noise, cfg.dt, phi, gain)
-    wsum = np.zeros(n_traj)
+    rngs = _streams(cfg.seed, n_traj)
+    chain = _Chain(n_steps, *_window_step(model, noise, cfg.dt, phi, gain))
     sum_sq = np.zeros(n_traj)
+
     # Each step's output is its contribution to the window sum; a block's
     # outputs are summed window by window from the end of the burn-in.
-    for start, out, _ in _propagate(_streams(cfg.seed, n_traj),
-                                    np.zeros((n_traj, spectra.N_STATES)),
-                                    n_steps, *chain):
-        a, end = max(start, burn_steps), start + out.shape[1]
-        while a < end:
-            b = min(end, a + window_steps - (a - burn_steps) % window_steps)
-            wsum += out[:, a - start:b - start, 0].sum(axis=1)
-            if (b - burn_steps) % window_steps == 0:
-                sum_sq += wsum * wsum
-                wsum[:] = 0.0
-            a = b
+    def run(lo: int, hi: int) -> None:
+        wsum = np.zeros(hi - lo)
+        for start, out, _ in _propagate(rngs[lo:hi], np.zeros((hi - lo, spectra.N_STATES)),
+                                        chain):
+            a, end = max(start, burn_steps), start + out.shape[1]
+            while a < end:
+                b = min(end, a + window_steps - (a - burn_steps) % window_steps)
+                wsum += out[:, a - start:b - start, 0].sum(axis=1)
+                if (b - burn_steps) % window_steps == 0:
+                    sum_sq[lo:hi] += wsum * wsum
+                    wsum[:] = 0.0
+                a = b
+
+    _each_slice(n_traj, chain.row_normals, run)
     return _estimate(sum_sq, cfg, window_steps, model.gamma_c)
 
 
@@ -707,10 +758,14 @@ def sample_inference_variance(model: StateSpace, noise: NoisePsd,
     l_win = _factor(q_win)
     rngs = _streams(cfg.seed, n_traj)
     x = _draw_block(rngs, 1, n)[:, 0] @ burn.T
+    chain = _Chain(n_seg, f_win[:n, :n], l_win[:n], f_win[n:, :n], l_win[n:])
     sum_sq = np.zeros(n_traj)
-    for _, out, _ in _propagate(rngs, x, n_seg, f_win[:n, :n], l_win[:n],
-                                f_win[n:, :n], l_win[n:]):
-        sum_sq += np.einsum("ij,ij->i", out[..., 0], out[..., 0])
+
+    def run(lo: int, hi: int) -> None:
+        for _, out, _ in _propagate(rngs[lo:hi], x[lo:hi], chain):
+            sum_sq[lo:hi] += np.einsum("ij,ij->i", out[..., 0], out[..., 0])
+
+    _each_slice(n_traj, chain.row_normals, run)
     return _estimate(sum_sq, cfg, window_steps, model.gamma_c)
 
 

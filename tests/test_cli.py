@@ -1013,6 +1013,34 @@ class TestConfigParsing:
         with pytest.raises(errors.ParameterError, match=re.escape(f"{cfg}:2: {message}")):
             parse_config(str(cfg))
 
+    def test_readme_config_blocks_run(self, tmp_path, capsys):
+        # Every config block the README prints runs as printed: the physical
+        # block through `spectrum` at 3 points, the dimensionless block
+        # through `criterion`, and that block with the simulation block
+        # through `simulate`.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        blocks = {}
+        for info, text in re.findall(r"^```(\w*)\n(.*?)^```$", readme, re.S | re.M):
+            if info:   # a shell example
+                continue
+            cfg = tmp_path / f"block{len(blocks)}.cfg"
+            cfg.write_text(text)
+            keys = parse_config(str(cfg)).keys()
+            kinds = [kind for kind, known in (("physical", cli.PHYSICAL_KEYS),
+                                              ("dimensionless", cli.DIMENSIONLESS_KEYS),
+                                              ("sim", cli.SIM_KEYS)) if keys and keys <= known]
+            assert len(kinds) == 1, text
+            blocks[kinds[0]] = cfg
+        assert sorted(blocks) == ["dimensionless", "physical", "sim"]
+        assert main(["spectrum", "--config", str(blocks["physical"]), "--omega-min=-8e6",
+                     "--omega-max=8e6", "--points", "3"]) == EXIT_OK
+        assert main(["criterion", "--config", str(blocks["dimensionless"])]) == EXIT_OK
+        both = tmp_path / "simulate.cfg"
+        both.write_text(blocks["dimensionless"].read_text() + blocks["sim"].read_text())
+        assert main(["simulate", "--config", str(both)]) == EXIT_OK
+        assert "validation=pass" in capsys.readouterr().out
+
 
 def test_help_lists_subcommands(capsys):
     assert main(["--help"]) == EXIT_OK

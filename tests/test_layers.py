@@ -3,7 +3,8 @@
 Read from the import statements of each module's source, so a violation
 fails here even where no test exercises the import.  The same reader
 pins where `sde` draws its noise and builds its step, so that one kernel
-runs every chain on one Euler-Maruyama step, that `simulate` solves
+runs every chain on one Euler-Maruyama step, always through the slice
+runner, that `simulate` solves
 each angle's spectral reference once, where `criterion` computes its
 gains, so that the point and the grid share one arithmetic with no type
 fork, that `spectra` solves a linear system in one place only, once per
@@ -83,6 +84,25 @@ def test_one_noise_loop_in_sde():
     # is the window sampler's 6 burn-in normals per trajectory.
     assert sorted(callers("sde", "_draw_block")) == [
         "_propagate", "sample_inference_variance"]
+
+
+def test_every_chain_runs_through_the_slice_runner():
+    # Each `_propagate` call sits in a slice body, a function nested in its
+    # caller that the caller hands to `_each_slice`, so every chain's draws
+    # and products run slice by slice.  No other module runs the kernel.
+    in_bodies = []
+    for top in ast.parse((PACKAGE / "sde.py").read_text()).body:
+        bodies = {ast.unparse(node.args[-1]) for node in ast.walk(top)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func) == "_each_slice"}
+        in_bodies += [top.name for body in ast.walk(top)
+                      if isinstance(body, ast.FunctionDef) and body is not top
+                      and body.name in bodies
+                      for node in ast.walk(body)
+                      if isinstance(node, ast.Call) and ast.unparse(node.func) == "_propagate"]
+    assert sorted(in_bodies) == sorted(callers("sde", "_propagate")) == [
+        "estimate_inference_variance", "integrate", "sample_inference_variance"]
+    assert [path.name for path in PACKAGE.glob("*.py")
+            if path.name != "sde.py" and "_propagate" in path.read_text()] == []
 
 
 def test_one_euler_step_in_sde():

@@ -74,8 +74,8 @@ def kernel_blocks(model, noise, cfg, x0=None):
     when None), on the oracle's noise stream."""
     n_steps = sde._check_step(model, cfg)[2]
     x = np.zeros((cfg.n_trajectories, 6)) + (0.0 if x0 is None else x0)
-    return sde._propagate(_streams(cfg.seed, cfg.n_trajectories), x, n_steps,
-                          *sde._step(model, noise, cfg.dt))
+    return sde._propagate(_streams(cfg.seed, cfg.n_trajectories), x,
+                          sde._Chain(n_steps, *sde._step(model, noise, cfg.dt)))
 
 
 def kernel_records(model, noise, cfg, x0=None):
@@ -92,6 +92,24 @@ def kernel_end_state(model, noise, cfg, x0=None):
     for _, _, x in kernel_blocks(model, noise, cfg, x0):
         pass
     return x
+
+
+def log_slices(monkeypatch):
+    """Spy on `sde._each_slice`: returns a list that gains, per call, the
+    list of its slices' (a, b, run on the main thread) as they run."""
+    each_slice, calls = sde._each_slice, []
+
+    def spy(n_traj, row_normals, run):
+        slices = []
+        calls.append(slices)
+
+        def logged(a, b):
+            slices.append((a, b, threading.current_thread() is threading.main_thread()))
+            run(a, b)
+        each_slice(n_traj, row_normals, logged)
+
+    monkeypatch.setattr(sde, "_each_slice", spy)
+    return calls
 
 
 def max_rel_diff(a, b):
@@ -225,54 +243,65 @@ class TestBlockedKernel:
     def test_draw_block_is_the_per_stream_sequence(self):
         # The noise stream every kernel and reference_records rest on: block k
         # of trajectory n is the next standard_normal((nb, N_NOISES)) draw of
-        # stream n, a partial last block included.  A full block of 3 or 5
-        # streams is past the split thresholds (5 streams cut unevenly on
-        # every core count above 1); one stream is never cut.
-        assert 3 * NOISE_BLOCK * N_NOISES >= sde._SPLIT_NORMALS
-        assert NOISE_BLOCK * N_NOISES >= sde._SPLIT_ROW
+        # stream n, a partial last block included.
         for n_streams in (3, 5, 1):
             rngs, refs = _streams(5, n_streams), _streams(5, n_streams)
             for nb in (NOISE_BLOCK, 1000, 7):
                 want = np.stack([r.standard_normal((nb, N_NOISES)) for r in refs])
                 assert _draw_block(rngs, nb).tobytes() == want.tobytes()
 
-    def test_large_block_is_cut_into_slices(self, monkeypatch):
-        # With 3 slices, 5 streams' full block is cut into rows [0, 1), [1, 3)
-        # and [3, 5): the calling thread fills the first, pool threads the
-        # rest.  The step chain's 4 x NOISE_BLOCK x 5 block is cut; the window
-        # sampler's 180 x 1 x 6 burn-in draw and a block of 180 short rows
-        # are filled in one pass on the calling thread.
-        monkeypatch.setattr(sde, "_SLICES", 3)
-        fills = []
-
-        def spy(rngs, z):
-            fills.append((len(rngs), threading.current_thread() is threading.main_thread()))
-            fill(rngs, z)
-
-        fill = sde._fill
-        monkeypatch.setattr(sde, "_fill", spy)
-        for shape, want in (((5, NOISE_BLOCK, N_NOISES), [(1, True), (2, False), (2, False)]),
-                            ((4, NOISE_BLOCK, N_NOISES), [(1, True), (1, False), (2, False)]),
-                            ((180, 1, 6), [(180, True)]),
-                            ((180, 30, 7), [(180, True)])):
-            fills.clear()
-            n_streams, nb, width = shape
-            rngs, refs = _streams(7, n_streams), _streams(7, n_streams)
-            got = _draw_block(rngs, nb, width)
-            assert sorted(fills, key=lambda f: (not f[1], f[0])) == want
-            want_z = np.stack([r.standard_normal((nb, width)) for r in refs])
-            assert got.tobytes() == want_z.tobytes()
-
-    @pytest.mark.parametrize("slices", [1, 3])
-    def test_integrate_independent_of_slice_count(self, headline, monkeypatch, slices):
-        # The same record whether a block is drawn on one thread or cut into
-        # 3 slices, whatever the host's core count.
+    def test_large_block_is_cut_into_slices(self, headline, monkeypatch):
+        # Which slices `_each_slice` runs, and on which thread.  The step
+        # chain's plan of 4 trajectories x NOISE_BLOCK x 5 normals is cut in
+        # two, whatever the core count: on 3 cores the calling thread runs
+        # the first slice and a pool thread the second, on one core the
+        # calling thread runs both, in order.  The window sampler's 180 x 1
+        # plan (7 normals a row) and 180 rows of 511 normals stay one slice
+        # on the calling thread.
         _, model, noise = headline
-        cfg = small_cfg(model, n_traj=5, n_seg=2, tau_lifetimes=120.0, seed=9)
-        assert sde._check_step(model, cfg)[2] > NOISE_BLOCK
-        want = kernel_records(model, noise, cfg)[0].tobytes()
+        runs = log_slices(monkeypatch)
+        steps = small_cfg(model, n_traj=4, n_seg=2, tau_lifetimes=120.0)
+        assert sde._check_step(model, steps)[2] > NOISE_BLOCK
+        windows = default_sim_config(model, n_segments=1)
+        for cores in (3, 1):
+            monkeypatch.setattr(sde, "_SLICES", cores)
+            for call, want in (
+                    (lambda: integrate(model, noise, steps),
+                     [(0, 2, True), (2, 4, cores == 1)]),
+                    (lambda: sample_inference_variance(model, noise, windows, 0.0, 0.5),
+                     [(0, 180, True)]),
+                    (lambda: sde._each_slice(180, 511, lambda a, b: None),
+                     [(0, 180, True)])):
+                runs.clear()
+                call()
+                assert sorted(runs[0]) == want
+                assert cores > 1 or runs[0] == want
+
+    @pytest.mark.parametrize("slices", [1, 2, 3])
+    def test_integrate_independent_of_slice_count(self, headline, monkeypatch, slices):
+        # The same bytes on 1, 2 or 3 usable cores, where the cut is uneven
+        # and has a one-row slice: `integrate`'s record on 3 and 5
+        # trajectories, and `sample_inference_variance` on 3 x 5000 and
+        # 5 x 3000 windows, the first spanning two noise blocks.
+        _, model, noise = headline
+        cut = log_slices(monkeypatch)
+        runs = [(integrate, small_cfg(model, n_traj=n, n_seg=2, tau_lifetimes=120.0, seed=9))
+                for n in (3, 5)]
+        runs += [(lambda *args: sample_inference_variance(*args, 0.7, -0.3),
+                  small_cfg(model, n_traj=n, n_seg=segs, seed=9))
+                 for n, segs in ((3, 5000), (5, 3000))]
+        monkeypatch.setattr(sde, "_SLICES", 1)
+        want = [fn(model, noise, cfg) for fn, cfg in runs]
+        assert [sorted(c[:2] for c in run) for run in cut] == [
+            [(0, 1), (1, 3)], [(0, 2), (2, 5)]] * 2
         monkeypatch.setattr(sde, "_SLICES", slices)
-        assert kernel_records(model, noise, cfg)[0].tobytes() == want
+        cut.clear()
+        got = [fn(model, noise, cfg) for fn, cfg in runs]
+        assert [sorted(c[:2] for c in run) for run in cut] == [
+            [(0, 1), (1, 3)], [(0, 2), (2, 5)]] * 2
+        assert got[0].increments.tobytes() == want[0].increments.tobytes()
+        assert got[1].increments.tobytes() == want[1].increments.tobytes()
+        assert got[2:] == want[2:]
 
     def test_record_budget_refused_before_work(self, headline):
         # Both configurations trip the guard before anything is allocated:
@@ -394,24 +423,27 @@ class TestStreams:
         assert run_python(code) == "False False"
 
     def test_import_starts_no_thread(self):
-        # The draw threads are built by the first split draw, not by import.
+        # The slice threads are built by the first cut run, not by import.
         code = ("import sys, threading, optoepr; print(threading.active_count(), "
                 "'concurrent.futures' in sys.modules)")
         assert run_python(code) == "1 False"
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
     def test_forked_child_draws_a_split_block(self):
-        # A child forked after a split draw inherits the pool without its
-        # threads; its own split draw must build a new pool, not wait forever.
+        # A child forked after a cut run inherits the pool without its
+        # threads; its own cut run must build a new pool, not wait forever.
         code = textwrap.dedent("""
             import os, time
             from optoepr import sde
             sde._SLICES = 2
             rngs = sde._streams(0, 4)
-            sde._draw_block(rngs, sde.NOISE_BLOCK)
+            def draw(a, b):
+                sde._draw_block(rngs[a:b], sde.NOISE_BLOCK)
+            sde._each_slice(4, sde.NOISE_BLOCK * 5, draw)
+            assert sde._pool.cache_info().currsize == 1
             pid = os.fork()
             if pid == 0:
-                sde._draw_block(rngs, sde.NOISE_BLOCK)
+                sde._each_slice(4, sde.NOISE_BLOCK * 5, draw)
                 os._exit(0)
             for _ in range(400):
                 done, status = os.waitpid(pid, os.WNOHANG)
