@@ -23,8 +23,11 @@ Exit codes: 0 ok, 1 config error, 2 numerical failure, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import math
 import sys
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -45,9 +48,11 @@ PHYSICAL_KEYS = {
 DIMENSIONLESS_KEYS = {"p_cal", "t_cal", "delta"}
 SIM_KEYS = {"dt", "tau", "segments", "trajectories", "seed", "burn_in"}
 
-# Frequencies per stacked spectral solve in `spectrum`.  The solve and its
-# formatting hold about 0.5 KB per frequency at their peak (2.0 MB a
-# block), so blocks keep that bounded whatever --points is.
+# Frequencies per stacked spectral solve in `spectrum`.  A solve holds
+# about 0.5 KB per frequency at its peak (2.0 MB a block), and so does the
+# formatting of a block's rows, so blocks keep both bounded whatever
+# --points is; only each block's (rows, 6) result, 48 bytes a frequency, is
+# kept until the CSV is written.
 SPECTRUM_BLOCK = 4096
 
 
@@ -55,10 +60,11 @@ SPECTRUM_BLOCK = 4096
 # built from it, so a block of rows is formatted by one `%` call.
 FLOAT_FORMAT = "%.12g"
 
-# `scan` and `spectrum` build their whole CSV in memory.  A grid whose CSV
-# could pass this many bytes, at 20 per field (the widest FLOAT_FORMAT text,
-# -1.23456789012e-308, and its separator), is refused before anything is
-# allocated.
+# `scan` and `spectrum` write their CSV as they format it, so the budget
+# bounds the file, and for `spectrum` also the arrays held until the write.
+# A grid whose CSV could pass this many bytes, at 20 per field (the widest
+# FLOAT_FORMAT text, -1.23456789012e-308, and its separator), is refused
+# before anything is allocated.
 CSV_BUDGET_BYTES = 2**30
 
 
@@ -175,13 +181,14 @@ def _resolve_dimensionless(args, block) -> model.DimensionlessParams:
     return block
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _write_lines(path: str | None, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a newline to the file ``path``, or to
+    stdout, as the iterable yields it."""
+    with (contextlib.nullcontext(sys.stdout) if path is None
+          else open(path, "w", encoding="utf-8", newline="\n")) as fh:
+        for line in lines:
+            fh.write(line)
+            fh.write("\n")
 
 
 def cmd_criterion(args) -> int:
@@ -217,11 +224,16 @@ def cmd_scan(args) -> int:
     ends = [f"\n{p}" for p in p_text[1:]] + [""]
     cells = [tuple(f",{FLOAT_FORMAT},{_fmt(flag)}{end}" for flag in (False, True))
              for end in ends]
-    lines = ["p_cal,t_cal,lhs,paradox"]
-    for t, row, flags in zip(grid.t_axis.tolist(), values, paradox):
-        picks = [cell[flag] for cell, flag in zip(cells, flags.tolist())]
-        lines.append(f",{_fmt(t)}".join([p_text[0]] + picks) % tuple(row.tolist()))
-    _write_lines(args.output, lines)
+
+    def lines():
+        yield "p_cal,t_cal,lhs,paradox"
+        for t, row, flags in zip(grid.t_axis.tolist(), values, paradox):
+            picks = [cell[flag] for cell, flag in zip(cells, flags.tolist())]
+            yield f",{_fmt(t)}".join([p_text[0]] + picks) % tuple(row.tolist())
+
+    # Nothing from here on can fail but the writing, so each row is written
+    # as it is formatted.
+    _write_lines(args.output, lines())
     if args.contour is not None:
         pts = criterion.paradox_boundary(grid)
         clines = ["p_cal,t_cal"]
@@ -254,13 +266,14 @@ def _load_model(block, branch: int):
     return spectra.build_state_space(params, ss), spectra.noise_psd(params)
 
 
-def _spectrum_block(sm, noise, omegas: np.ndarray, phi: float) -> str:
-    """`spectrum` CSV rows at ``omegas`` as one string, from one stacked solve."""
+def _spectrum_block(sm, noise, omegas: np.ndarray, phi: float) -> np.ndarray:
+    """`spectrum` CSV columns at ``omegas``, a (rows, 6) array, from one
+    stacked solve."""
     spec = spectra.output_spectral_matrix(sm, noise, omegas, phi)
     var, gain = spec.inference()
     s = spec.s
-    return _csv_rows(np.column_stack((omegas, s[:, 0, 0], s[:, 0, 1], s[:, 1, 1],
-                                      var / sm.gamma_c, gain)))
+    return np.column_stack((omegas, s[:, 0, 0], s[:, 0, 1], s[:, 1, 1],
+                            var / sm.gamma_c, gain))
 
 
 def cmd_spectrum(args) -> int:
@@ -277,11 +290,12 @@ def cmd_spectrum(args) -> int:
     _, block = _read_config(args, physical=True)
     sm, noise = _load_model(block, args.branch)
     omegas = np.linspace(lo, hi, n)
-    lines = ["omega,s11,s12,s22,inferred_variance,gain"]
-    for start in range(0, n, SPECTRUM_BLOCK):
-        lines.append(_spectrum_block(sm, noise, omegas[start:start + SPECTRUM_BLOCK],
-                                     args.phi))
-    _write_lines(args.output, lines)
+    # Every block is solved, and so checked, before the file is opened; the
+    # blocks are then formatted one at a time as the file takes them.
+    blocks = [_spectrum_block(sm, noise, omegas[start:start + SPECTRUM_BLOCK], args.phi)
+              for start in range(0, n, SPECTRUM_BLOCK)]
+    _write_lines(args.output, itertools.chain(
+        ["omega,s11,s12,s22,inferred_variance,gain"], map(_csv_rows, blocks)))
     return EXIT_OK
 
 

@@ -340,6 +340,22 @@ class TestScan:
         assert code == EXIT_CONFIG
         assert not grid.exists()
 
+    def test_large_grid_memory_within_scan_cost(self, tmp_path):
+        # The grid CSV is written row by row as it is formatted, so the
+        # traced peak is the scan's own arrays and a fixed MiB; built as one
+        # text it peaked at about 160 bytes a cell.
+        n = 400
+        tracemalloc.start()
+        try:
+            code = main(["scan", "--delta", "0.18", "--p-res", str(n), "--t-res", str(n),
+                         "--output", str(tmp_path / "g.csv"),
+                         "--contour", str(tmp_path / "c.csv")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+        assert peak <= criterion._SCAN_CELL_BYTES * n * n + 2**20
+
 
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--omega-min", "0", "--omega-max", "4e6", "--points", "100000000000000"],
@@ -364,6 +380,35 @@ def test_oversized_grid_refused_before_allocating(capsys, tmp_path, argv):
     assert err.count("\n") == 1 and "budget" in err
     assert not out_path.exists()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("command", ["scan", "spectrum"])
+def test_stdout_matches_output_file(capsys, tmp_path, monkeypatch,
+                                    realized_headline_config, command):
+    # stdout and --output are one writer: the same bytes either way, for a
+    # scan beside its contour file and for a spectrum of three blocks.
+    if command == "scan":
+        argv = ["scan", "--delta", "0.18", "--t-max", "0.9", "--p-res", "37",
+                "--t-res", "23"]
+    else:
+        monkeypatch.setattr(cli, "SPECTRUM_BLOCK", 4)   # 4 + 4 + 3 rows
+        argv = ["spectrum", "--config", str(realized_headline_config),
+                "--omega-min=-1.6e7", "--omega-max=1.6e7", "--points", "11"]
+
+    def contour(name):
+        return ["--contour", str(tmp_path / name)] if command == "scan" else []
+
+    code, out = run(capsys, *argv, *contour("c_stdout.csv"))
+    assert code == EXIT_OK
+    out_path = tmp_path / "out.csv"
+    code, printed = run(capsys, *argv, *contour("c_file.csv"), "--output", str(out_path))
+    assert code == EXIT_OK and printed == ""
+    assert out.count("\n") > 10
+    assert out_path.read_bytes() == out.encode()
+    if command == "scan":
+        boundary = (tmp_path / "c_file.csv").read_bytes()
+        assert boundary.count(b"\n") > 2
+        assert (tmp_path / "c_stdout.csv").read_bytes() == boundary
 
 
 @pytest.mark.parametrize("argv", [["criterion", "--p", "0.1", "--t", "0.1"], ["scan"]])
@@ -499,9 +544,10 @@ class TestSpectrum:
 
     def test_large_axis_memory_within_per_line_cost(self, tmp_path,
                                                     realized_headline_config):
-        # The per-omega loop this command replaced peaked at 310 bytes of
-        # traced memory per output line at 1e5 and 2e5 points; the blocked
-        # solve must stay within that, however many points are asked for.
+        # Only each block's (rows, 6) result is held until the write, and
+        # the blocks are formatted one at a time as the file takes them:
+        # about 74 bytes of traced memory per output line at 1e5 points,
+        # where one whole CSV text took 262 and a per-omega loop 310.
         points = 100_001
         out_path = tmp_path / "big.csv"
         tracemalloc.start()
@@ -513,7 +559,41 @@ class TestSpectrum:
         finally:
             tracemalloc.stop()
         assert code == EXIT_OK
-        assert peak <= 310 * points
+        assert peak <= 100 * points
+
+    @pytest.mark.parametrize("existing", [None, b"an earlier report\n"],
+                             ids=["no-file", "existing-file"])
+    def test_later_block_failure_writes_nothing(self, capsys, tmp_path, monkeypatch,
+                                                realized_headline_config, existing):
+        # Every block is solved, and so checked, before the output is
+        # opened: a failure in the second of three blocks creates no file
+        # and leaves an existing one's bytes as they were.
+        solve = spectra.output_spectral_matrix
+        calls = []
+
+        def fail_second(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise errors.NumericalError("second block failed")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(spectra, "output_spectral_matrix", fail_second)
+        monkeypatch.setattr(cli, "SPECTRUM_BLOCK", 4)
+        out_path = tmp_path / "s.csv"
+        if existing is not None:
+            out_path.write_bytes(existing)
+        code = main(["spectrum", "--config", str(realized_headline_config),
+                     "--omega-min=-1.6e7", "--omega-max=1.6e7", "--points", "9",
+                     "--output", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert len(calls) == 2
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "second block failed" in captured.err
+        if existing is None:
+            assert not out_path.exists()
+        else:
+            assert out_path.read_bytes() == existing
 
     @pytest.mark.parametrize("axis", [
         ["--omega-min", "0", "--omega-max", "4e6", "--points", "-1"],
@@ -1058,15 +1138,38 @@ def test_subcommand_help_enumerates_flags(capsys):
     assert "--config" not in out   # the grid comes from flags alone
 
 
-def test_python_m_runs_the_cli():
+def source_tree_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(root / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_python_m_runs_the_cli():
     proc = subprocess.run([sys.executable, "-m", "optoepr", "scan", "--help"],
-                          env=env, capture_output=True, text=True, timeout=60)
+                          env=source_tree_env(), capture_output=True, text=True,
+                          timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "--delta" in proc.stdout
+
+
+def test_closed_stdout_pipe_exits_io():
+    # A reader that closes the pipe after the header, as `| head -1` does,
+    # is an I/O error: exit 3 with one line, not success on a cut CSV.
+    proc = subprocess.Popen([sys.executable, "-m", "optoepr", "scan", "--delta", "0.18",
+                             "--p-res", "400", "--t-res", "400"], env=source_tree_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == b"p_cal,t_cal,lhs,paradox\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == EXIT_IO
+    finally:
+        proc.kill()
+        proc.wait()
+    assert err.count("\n") == 1 and "i/o error" in err, err
 
 
 def test_every_package_error_has_an_exit_code():
