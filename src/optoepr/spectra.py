@@ -31,11 +31,11 @@ same phase on y1 and y2, so for identical modes the model splits exactly
 into two uncoupled blocks: the sum mode with the mirror, states (q, p,
 x1 + x2, y1 + y2) on inputs (xi, x1_in + x2_in, y1_in + y2_in), which the
 half-sum of the two reported quadratures reads, and the difference mode,
-an empty cavity on its own vacuum, which their half-difference reads.  The
-sum block's response comes from the adjoint system (-i omega I - A)^T Y =
-C^T, one right-hand side per omega; the difference block's is the
-adjugate of its 2x2 drift block over its determinant.  Each response
-gives the power of its half, over its own block's inputs; S is built from
+an empty lossless cavity on its own vacuum, which their half-difference
+reads.  The sum block's response comes from the adjoint system
+(-i omega I - A)^T Y = C^T, one right-hand side per omega, and gives the
+half-sum's power; the difference mode's reflection is all-pass, so the
+half-difference has half the vacuum level by identity.  S is built from
 the two powers, and the inference variance det(S)/S_22 is their product
 over S_22, with no cross term left to cancel and no gain in it.
 
@@ -303,6 +303,7 @@ _TO_SUM_DIFFERENCE[2:, 2:], _FROM_SUM_DIFFERENCE[2:, 2:] = _PAIR, 0.5 * _PAIR
 # to their half-sum and half-difference, which read one block each.
 _SUM, _SUM_IN, _DIFF, _DIFF_IN = slice(0, 4), slice(0, 3), slice(4, 6), slice(3, 5)
 _HALVES = np.array([[0.5, 0.5], [0.5, -0.5]])
+_FIELDS = np.eye(4)   # (x1, y1, x2, y2) on their inputs, for `_sum_block`
 
 
 def _sum_difference(model: StateSpace, phi: float) -> StateSpace:
@@ -327,15 +328,17 @@ def _sum_difference(model: StateSpace, phi: float) -> StateSpace:
                    feedthrough=p @ model.feedthrough @ from_states[1:, 1:])
 
 
-def _twin_blocks(rotated: StateSpace) -> tuple[StateSpace, StateSpace]:
-    """The sum and the difference block of a model from `_sum_difference`,
-    with one output each: the half-sum and the half-difference of the
-    model's two outputs.
+def _sum_block(model: StateSpace, phi: float) -> StateSpace:
+    """The sum block of ``model`` from `_sum_difference`, with one output:
+    the half-sum of the two phi-quadratures.
 
-    The split is exact because every entry coupling the two blocks is an
-    exact zero for identical modes; a model with any such entry non-zero is
-    refused with ParameterError.
+    The difference block is the vacuum by identity if every entry coupling
+    it to the sum block is an exact zero, as for identical modes, and the
+    modes are lossless empty cavities: A + A^T = -gamma_c I, B = I,
+    C = gamma_c I and D = -I on the field block, entries with no rounded
+    product.  Any other model is refused with ParameterError.
     """
+    rotated = _sum_difference(model, phi)
     a, b = rotated.drift, rotated.input_map
     c, d = _HALVES @ rotated.output_map, _HALVES @ rotated.feedthrough
     cross = (a[_SUM, _DIFF], a[_DIFF, _SUM], b[_SUM, _DIFF_IN], b[_DIFF, _SUM_IN],
@@ -344,27 +347,16 @@ def _twin_blocks(rotated: StateSpace) -> tuple[StateSpace, StateSpace]:
         raise ParameterError(
             "the two modes are not twins: the model couples the sum and the "
             "difference of the modes, so its spectra do not split")
-    return (replace(rotated, drift=a[_SUM, _SUM], input_map=b[_SUM, _SUM_IN],
-                    output_map=c[:1, _SUM], feedthrough=d[:1, _SUM_IN]),
-            replace(rotated, drift=a[_DIFF, _DIFF], input_map=b[_DIFF, _DIFF_IN],
-                    output_map=c[1:, _DIFF], feedthrough=d[1:, _DIFF_IN]))
-
-
-def _difference_response(block: StateSpace, w: np.ndarray) -> np.ndarray:
-    """Response C adj(M) B / det(M) + D of a 2-state, 1-output block at each
-    ``w``, with M = -i omega I - A: its one row, shape ``(*w.shape, 2)``.
-
-    M is first scaled by t = 1 / (|omega| + sum |A|), which bounds its
-    entries by 1, so its determinant stays in the double range at every
-    finite omega; the scale cancels in adj(M) / det(M).
-    """
-    a, (c0, c1) = block.drift, block.output_map[0]
-    t = 1.0 / (np.abs(w) + np.abs(a).sum())
-    a01, a10 = t * a[0, 1], t * a[1, 0]
-    m00, m11 = -t * a[0, 0] - 1j * (t * w), -t * a[1, 1] - 1j * (t * w)
-    row = np.stack([c0 * m11 + c1 * a10, c0 * a01 + c1 * m00], axis=-1)   # C adj(t M)
-    scaled = row * (t / (m00 * m11 - a01 * a10))[..., None]
-    return scaled @ block.input_map + block.feedthrough[0]
+    fields = model.drift[2:, 2:]
+    if not (np.array_equal(fields + fields.T, -model.gamma_c * _FIELDS)
+            and np.array_equal(model.input_map[2:, 1:], _FIELDS)
+            and np.array_equal(model.output_map[:, 2:], model.gamma_c * _FIELDS)
+            and np.array_equal(model.feedthrough[:, 1:], -_FIELDS)):
+        raise ParameterError(
+            "the modes are not lossless empty cavities, so the difference "
+            "mode is not the vacuum")
+    return replace(rotated, drift=a[_SUM, _SUM], input_map=b[_SUM, _SUM_IN],
+                   output_map=c[:1, _SUM], feedthrough=d[:1, _SUM_IN])
 
 
 def output_spectral_matrix(model: StateSpace, noise: NoisePsd, omega,
@@ -372,31 +364,30 @@ def output_spectral_matrix(model: StateSpace, noise: NoisePsd, omega,
     """Symmetrized 2x2 output spectra of the phi-quadratures at each ``omega``.
 
     The model is written on the sums and differences of the two modes and
-    projected onto the two phi-quadratures, then split into its sum and
-    difference blocks: `output_response` solves the 4-state sum block for
-    the half-sum of the two quadratures, one right-hand side per omega, and
-    the 2-state difference block gives the half-difference in closed form.
-    A model whose blocks are coupled, by modes that are not identical, is
-    refused with ParameterError.  The half-sum's power is summed over xi and
-    the sums of the field inputs, the half-difference's over the differences
-    of the field inputs, each at twice the vacuum level; the two share no
-    input, so their cross PSD is 0.  ``omega`` is a float or an array; the
-    returned ``s`` has shape ``(*np.shape(omega), 2, 2)``.  The levels are
-    checked by `NoisePsd.levels`, so ``s`` is positive semidefinite; a
-    matrix is accepted only if every entry is finite and s22 > 0, so that
+    projected onto the two phi-quadratures, and `output_response` solves
+    its 4-state sum block for the half-sum of the two quadratures, one
+    right-hand side per omega.  A model whose blocks are coupled, by modes
+    that are not identical, or whose modes are not lossless empty cavities
+    is refused with ParameterError.  The half-sum's power is summed over xi
+    and the sums of the field inputs, the latter at twice the vacuum level;
+    the half-difference's is the difference mode's vacuum, half the vacuum
+    level, and the two share no input, so their cross PSD is 0.  ``omega``
+    is a float or an array; the returned ``s`` has shape
+    ``(*np.shape(omega), 2, 2)``.  The levels are checked by
+    `NoisePsd.levels`, so ``s`` is positive semidefinite; a matrix is
+    accepted only if every entry is finite and s22 > 0, so that
     `SpectralMatrix.inference` is defined on it.  Otherwise NumericalError
     names the first omega that fails.
     """
     w = np.asarray(omega, dtype=float)
-    sum_block, difference_block = _twin_blocks(_sum_difference(model, phi))
+    sum_block = _sum_block(model, phi)
     # Checked before the solve; a sum or difference of two vacua has twice the level.
     levels = noise.levels(w) * [1.0, 2.0, 2.0, 2.0, 2.0]
     m = output_response(sum_block, w)[..., 0, :]
-    h = _difference_response(difference_block, w)
     with np.errstate(over="ignore", invalid="ignore"):   # refused by the check below
         sum_power = (levels[..., _SUM_IN] * (m * m.conj()).real).sum(axis=-1)
-        difference_power = (levels[..., _DIFF_IN] * (h * h.conj()).real).sum(axis=-1)
-    spec = SpectralMatrix(sum_power, difference_power, cross=0.0)
+    # The half-difference of the difference vacuum: twice the level over 4.
+    spec = SpectralMatrix(sum_power, levels[..., 3] / 4.0, cross=0.0)
     ok = np.isfinite(spec.s).all(axis=(-2, -1)) & (spec.s[..., 1, 1] > 0.0)
     if not ok.all():
         raise NumericalError("output spectral matrix has a non-finite entry or "

@@ -11,8 +11,9 @@ fork, that `spectra` solves a linear system in one place only, once per
 spectral block, and builds its fixed basis maps once, that both routes
 read the noise levels through their one check, that one builder forms
 the drift and its couplings, that the CLI reads a config's parameter
-block in one place, and that no module of the package, the tests or the
-demos imports a name it never uses.
+block in one place, that no module of the package, the tests or the
+demos imports a name it never uses, and that no private name of the
+package is left without a reader.
 """
 
 import ast
@@ -156,10 +157,12 @@ def test_one_solve_per_spectral_block():
 
 
 def test_fixed_basis_maps_built_once():
-    # The sum/difference maps are module constants and the phi projection is
-    # written out, so no map is built per spectral call.
-    assert "_sum_difference" not in callers("spectra", "np.kron")
-    assert "_sum_difference" not in callers("spectra", "np.eye")
+    # The sum/difference maps and the lossless field block are module
+    # constants and the phi projection is written out, so no map is built
+    # per spectral call.
+    for name in ("_sum_difference", "_sum_block"):
+        assert name not in callers("spectra", "np.kron")
+        assert name not in callers("spectra", "np.eye")
 
 
 def test_one_model_builder():
@@ -236,3 +239,36 @@ def test_unused_import_reader():
                          ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_unused_imports(path):
     assert not unused_imports(path.read_text())
+
+
+def unread_private_names(source: str) -> set[str]:
+    """Private functions, classes and constants that a module defines at
+    its top level and never reads; dunder names are not private."""
+    tree = ast.parse(source)
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(name.id for target in targets for name in ast.walk(target)
+                           if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return {name for name in defined - read
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def test_unread_private_name_reader():
+    # The check below is only as good as the reader.
+    source = ("_A, _B = 1, 2\n_C: int = 3\n__all__ = ['f']\n"
+              "def _f():\n    return _A\n"
+              "class _K:\n    pass\n"
+              "def f(x):\n    _local = _f()\n    return x\n")
+    assert unread_private_names(source) == {"_B", "_C", "_K"}
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_no_unread_private_names(path):
+    assert not unread_private_names(path.read_text())

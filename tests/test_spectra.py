@@ -368,10 +368,12 @@ class TestOutputSpectra:
                     assert var == pytest.approx(2.0, rel=1e-12), (temperature, phi, w)
 
     def test_difference_mode_is_the_vacuum(self, headline_model):
-        # The difference mode is an empty cavity on its own vacuum: the
-        # half-difference of the two quadratures has the PSD gamma_c / 2 at
-        # every omega and phi whatever the mirror does, and it shares no
-        # input with the half-sum.  At the headline, at 30 drawn
+        # The identity that `output_spectral_matrix` passes instead of a
+        # solve: the difference mode is an empty cavity on its own vacuum,
+        # so the half-difference of the two quadratures has the PSD
+        # gamma_c / 2 at every omega and phi whatever the mirror does, and
+        # it shares no input with the half-sum.  Checked on the 6-state
+        # solve, which still computes both: at the headline, at 30 drawn
         # realizations, out to the double range and in a 1e25 K bath.
         params, _, model, noise = headline_model
         rng = np.random.default_rng(30)
@@ -383,7 +385,7 @@ class TestOutputSpectra:
         for model, noise in cases:
             omegas = np.append(np.linspace(-40.0, 40.0, 801) * model.gamma_c, extremes)
             for phi in (0.0, 0.7, math.pi / 2):
-                spec = output_spectral_matrix(model, noise, omegas, phi)
+                spec = six_state_spectral_matrix(model, noise, omegas, phi)
                 assert np.all(spec.cross == 0.0)
                 vacuum = 0.5 * model.gamma_c
                 assert np.abs(spec.difference_power - vacuum).max() <= 4e-15 * vacuum
@@ -552,8 +554,8 @@ def assert_matches_six_state(model, noise, omega, phi):
 
 
 class TestAgainstSixStateSolve:
-    """The 4-state solve of the sum block and the closed-form difference
-    block against the one 6-state solve of the model they split."""
+    """The 4-state solve of the sum block and the difference mode's vacuum
+    against the one 6-state solve of the model they split."""
 
     @pytest.mark.parametrize("phi", [0.0, math.pi / 2, 0.7])
     def test_realized_headline(self, headline_model, phi):
@@ -577,8 +579,8 @@ class TestAgainstSixStateSolve:
             assert_matches_six_state(model, noise, 0.0, phi)
 
     def test_frequencies_near_the_double_range(self, headline_model):
-        # The closed form scales the difference block before its
-        # determinant, which would overflow unscaled past |omega| ~ 1e154.
+        # The sum block's solve stays finite and warning-free out to the
+        # ends of the double range.
         _, _, model, noise = headline_model
         omegas = np.array([-1.7e308, -8e307, -1e200, 1e155, 1e200, 8e307, 1.7e308])
         with warnings.catch_warnings():
@@ -592,7 +594,9 @@ class TestAgainstSixStateSolve:
     def test_modes_not_twins_refused(self, headline_model, matrix, entry):
         # The split is exact only while every entry coupling the blocks is
         # an exact zero.  Perturbing one entry of the second mode, here its
-        # damping, input, detection or reflection, couples them.
+        # damping, input, detection or reflection, couples them.  The same
+        # entry perturbed on both modes leaves twins, but cavities that are
+        # not lossless and empty, whose difference mode is not the vacuum.
         _, _, model, noise = headline_model
         output_spectral_matrix(model, noise, 0.0, 0.7)
         perturbed = getattr(model, matrix).copy()
@@ -602,18 +606,33 @@ class TestAgainstSixStateSolve:
             output_spectral_matrix(lopsided, noise, np.array([0.0, 1e6]), 0.7)
         with pytest.raises(ParameterError, match="the two modes are not twins"):
             inferred_variance_at(lopsided, noise, 0.0, 0.7)
+        perturbed[entry[0] - 2, entry[1] - 2] *= 1.001   # the same entry of the first mode
+        lossy = replace(model, **{matrix: perturbed})
+        with pytest.raises(ParameterError, match="not lossless empty cavities"):
+            output_spectral_matrix(lossy, noise, np.array([0.0, 1e6]), 0.7)
+        with pytest.raises(ParameterError, match="not lossless empty cavities"):
+            inferred_variance_at(lossy, noise, 0.0, 0.7)
+
+    def test_coupled_twin_modes_refused(self, headline_model):
+        # A damping shared between x1 and x2 leaves the modes twins, but
+        # makes the difference mode lossy: the whole field block is checked.
+        _, _, model, noise = headline_model
+        drift = model.drift.copy()
+        drift[2, 4] = drift[4, 2] = -0.01 * model.gamma_c
+        with pytest.raises(ParameterError, match="not lossless empty cavities"):
+            output_spectral_matrix(replace(model, drift=drift), noise, 0.0, 0.7)
 
 
 def common_mode(n0):
-    """Spectra at omega = 0, 1, ... of a state space with no dynamics:
-    outputs x1 and x2 each carry their own vacuum input plus the mirror
-    noise, which is ``n0[k]`` at omega = k.  At phi = 0 the matrix at
-    omega = k is exactly n0[k] [[1, 1], [1, 1]] + I, through the checks of
-    `NoisePsd.levels` and `output_spectral_matrix`."""
-    d = np.zeros((4, 5))
-    d[0, [0, 1]] = d[2, [0, 3]] = 1.0
-    model = StateSpace(drift=-np.eye(6), input_map=np.zeros((6, 5)),
-                       output_map=np.zeros((4, 6)), feedthrough=d, gamma_c=1.0)
+    """Spectra at omega = 0, 1, ... of two empty resonant cavities
+    (delta = 0, gamma_c = 1) beside an uncoupled mirror: outputs x1 and x2
+    each reflect their own vacuum input and carry the mirror noise, which
+    is ``n0[k]`` at omega = k.  The reflection is exactly 1 at omega = 0,
+    where at phi = 0 the matrix is exactly n0[0] [[1, 1], [1, 1]] + I,
+    through the checks of `NoisePsd.levels` and `output_spectral_matrix`."""
+    a, b, c, d = -0.5 * np.eye(6), np.eye(6, 5, -1), np.eye(4, 6, 2), -np.eye(4, 5, 1)
+    d[[0, 2], 0] = 1.0
+    model = StateSpace(drift=a, input_map=b, output_map=c, feedthrough=d, gamma_c=1.0)
     noise = NoisePsd(vacuum_level=1.0, brownian=lambda w: np.asarray(n0)[w.astype(int)])
     return output_spectral_matrix(model, noise, np.arange(len(n0), dtype=float), 0.0)
 
