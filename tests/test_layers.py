@@ -8,15 +8,17 @@ runner, that `simulate` solves
 each angle's spectral reference once, where `criterion` computes its
 gains, so that the point and the grid share one arithmetic with no type
 fork, that `spectra` solves a linear system in one place only, once per
-spectral block, and builds its fixed basis maps once, that both routes
-read the noise levels through their one check, that one builder forms
-the drift and its couplings, that the CLI reads a config's parameter
-block in one place, that no module of the package, the tests or the
-demos imports a name it never uses, and that no private name of the
-package is left without a reader.
+spectral block, and builds its fixed mode-exchange indices once, that
+both routes read the noise levels through their one check, that one
+builder forms the drift and its couplings, that the CLI reads a config's
+parameter block in one place, that no module of the package, the tests
+or the demos imports a name it never uses, that no private name of the
+package is left without a reader, and that no text cites a private
+name the package no longer defines.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -157,12 +159,12 @@ def test_one_solve_per_spectral_block():
 
 
 def test_fixed_basis_maps_built_once():
-    # The sum/difference maps and the lossless field block are module
-    # constants and the phi projection is written out, so no map is built
-    # per spectral call.
-    for name in ("_sum_difference", "_sum_block"):
-        assert name not in callers("spectra", "np.kron")
-        assert name not in callers("spectra", "np.eye")
+    # The exchange of the modes and the lossless field block are module
+    # constants and the sum block is read off with slices, so no map or
+    # index is built per spectral call.
+    assert callers("spectra", "np.ix_") == ["<module>"] * 4
+    for name in ("np.kron", "np.eye", "np.ix_", "np.block", "np.array"):
+        assert "_sum_block" not in callers("spectra", name)
 
 
 def test_one_model_builder():
@@ -241,21 +243,25 @@ def test_no_unused_imports(path):
     assert not unused_imports(path.read_text())
 
 
-def unread_private_names(source: str) -> set[str]:
-    """Private functions, classes and constants that a module defines at
-    its top level and never reads; dunder names are not private."""
-    tree = ast.parse(source)
+def top_level_names(source: str) -> set[str]:
+    """Functions, classes and constants that a module defines at its top level."""
     defined = set()
-    for node in tree.body:
+    for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined.update(name.id for target in targets for name in ast.walk(target)
                            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Store))
-    read = {node.id for node in ast.walk(tree)
+    return defined
+
+
+def unread_private_names(source: str) -> set[str]:
+    """Private functions, classes and constants that a module defines at
+    its top level and never reads; dunder names are not private."""
+    read = {node.id for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
-    return {name for name in defined - read
+    return {name for name in top_level_names(source) - read
             if name.startswith("_") and not name.startswith("__")}
 
 
@@ -272,3 +278,15 @@ def test_unread_private_name_reader():
                          ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_no_unread_private_names(path):
     assert not unread_private_names(path.read_text())
+
+
+@pytest.mark.parametrize("path", sorted([*PACKAGE.glob("*.py"), TESTS.parent / "README.md"]),
+                         ids=lambda path: (f"{path.parent.name}/{path.name}"
+                                           if path.parent == PACKAGE else path.name))
+def test_no_stale_private_names(path):
+    # A private name that a docstring, comment or the README cites in
+    # backticks is a top-level definition of the package, so no text is
+    # left citing a helper that is gone.
+    defined = set().union(*(top_level_names(module.read_text())
+                            for module in PACKAGE.glob("*.py")))
+    assert not set(re.findall(r"`(_\w+)`", path.read_text())) - defined

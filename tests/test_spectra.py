@@ -373,11 +373,13 @@ class TestOutputSpectra:
         # so the half-difference of the two quadratures has the PSD
         # gamma_c / 2 at every omega and phi whatever the mirror does, and
         # it shares no input with the half-sum.  Checked on the 6-state
-        # solve, which still computes both: at the headline, at 30 drawn
-        # realizations, out to the double range and in a 1e25 K bath.
+        # solve, which still computes both: at the headline, on a twin that
+        # no builder makes, at 30 drawn realizations, out to the double
+        # range and in a 1e25 K bath.
         params, _, model, noise = headline_model
         rng = np.random.default_rng(30)
-        cases = [(model, noise), (model, noise_psd(replace(params, temperature=1e25)))]
+        cases = [(model, noise), (model, noise_psd(replace(params, temperature=1e25))),
+                 (unbuilt_twin(model), noise)]
         for _ in range(30):
             drawn, ss = realize_dimensionless(random_dimensionless(rng))
             cases.append((build_state_space(drawn, ss), noise_psd(drawn)))
@@ -528,13 +530,35 @@ class TestAgainstDirectSolve:
             assert_matches_reference(model, noise, 0.0, phi)
 
 
+# (x1, y1, x2, y2) -> (x1 + x2, y1 + y2, x1 - x2, y1 - y2) on the modes of
+# the states, and back.
+PAIR = np.kron([[1.0, 1.0], [1.0, -1.0]], np.eye(2))
+TO_SUM_DIFFERENCE, FROM_SUM_DIFFERENCE = np.eye(6), np.eye(6)
+TO_SUM_DIFFERENCE[2:, 2:], FROM_SUM_DIFFERENCE[2:, 2:] = PAIR, 0.5 * PAIR
+
+
+def sum_difference(model, phi):
+    """The whole 6-state ``model`` rotated onto the sums and differences of
+    the two modes, states (q, p, x1 + x2, y1 + y2, x1 - x2, y1 - y2) and
+    inputs (xi, x1_in + x2_in, y1_in + y2_in, x1_in - x2_in, y1_in - y2_in),
+    its outputs projected onto the phi-quadratures X1(phi), X2(phi)."""
+    c, s = math.cos(phi), math.sin(phi)
+    p = np.array([[c, s, 0.0, 0.0], [0.0, 0.0, c, s]])
+    to_states, from_states = TO_SUM_DIFFERENCE, FROM_SUM_DIFFERENCE
+    # The inputs (xi, fields) change basis as the states (p, fields) do.
+    return replace(model, drift=to_states @ model.drift @ from_states,
+                   input_map=to_states @ model.input_map @ from_states[1:, 1:],
+                   output_map=p @ model.output_map @ from_states,
+                   feedthrough=p @ model.feedthrough @ from_states[1:, 1:])
+
+
 def six_state_spectral_matrix(model, noise, omega, phi):
     """The spectral matrix of one 6-state solve on the whole rotated model,
-    two right-hand sides per omega, before its split into twin blocks: the
-    powers and the cross PSD of the half-sum m and the half-difference h of
-    its two rows, each summed over all five inputs."""
+    two right-hand sides per omega, with nothing split off: the powers and
+    the cross PSD of the half-sum m and the half-difference h of its two
+    rows, each summed over all five inputs."""
     w = np.asarray(omega, dtype=float)
-    r = output_response(spectra._sum_difference(model, phi), w)
+    r = output_response(sum_difference(model, phi), w)
     levels = noise.levels(w) * [1.0, 2.0, 2.0, 2.0, 2.0]
     m, h = 0.5 * (r[..., 0, :] + r[..., 1, :]), 0.5 * (r[..., 0, :] - r[..., 1, :])
     return SpectralMatrix(*((levels * (u * v.conj()).real).sum(axis=-1)
@@ -553,9 +577,27 @@ def assert_matches_six_state(model, noise, omega, phi):
     assert np.all(np.abs(gain - ref_gain) <= 1e-12 * scale / ref.s[..., 1, 1])
 
 
+def unbuilt_twin(model):
+    """A twin of ``model`` that `build_state_space` never makes.  Its modes
+    couple to each other, x1 to y2 and x2 to y1, antisymmetrically, so they
+    stay lossless; every output reads the mirror and carries xi, and both x
+    inputs push the mirror.  The xi feedthrough is small enough that the
+    spectra stay inside the double range at omega = 1.7e308."""
+    a, b, c, d = (m.copy() for m in (model.drift, model.input_map,
+                                      model.output_map, model.feedthrough))
+    a[2, 5] = a[4, 3] = 0.3 * model.gamma_c
+    a[5, 2] = a[3, 4] = -0.3 * model.gamma_c
+    b[1, [1, 3]] = 0.5 * a[1, 2]
+    c[[0, 2], 0], c[[1, 3], 0] = 0.5 * a[3, 0], -0.3 * a[3, 0]
+    d[[0, 2], 0], d[[1, 3], 0] = 2e12, -1e12
+    require_stable(a)
+    return replace(model, drift=a, input_map=b, output_map=c, feedthrough=d)
+
+
 class TestAgainstSixStateSolve:
-    """The 4-state solve of the sum block and the difference mode's vacuum
-    against the one 6-state solve of the model they split."""
+    """The 4-state solve of the sum mode read off the model, and the
+    difference mode's vacuum, against one 6-state solve of the whole model
+    rotated onto the sums and differences of its modes."""
 
     @pytest.mark.parametrize("phi", [0.0, math.pi / 2, 0.7])
     def test_realized_headline(self, headline_model, phi):
@@ -588,13 +630,26 @@ class TestAgainstSixStateSolve:
             for phi in (0.0, math.pi / 2, 0.7):
                 assert_matches_six_state(model, noise, omegas, phi)
 
+    @pytest.mark.parametrize("phi", [0.0, math.pi / 2, 0.7])
+    def test_twin_model_no_builder_makes(self, headline_model, phi):
+        # A built model multiplies the sum block's mode-to-mode drift and
+        # its mirror read-out by exact zeros; this twin has both, and xi
+        # and the x inputs reach outputs and mirror by routes of their own.
+        _, _, model, noise = headline_model
+        twin = unbuilt_twin(model)
+        omegas = np.linspace(-8.0, 8.0, 2001) * model.gamma_c
+        assert_matches_six_state(twin, noise, np.append(omegas, [-1e154, 1e154]), phi)
+        assert_matches_six_state(twin, noise, 0.0, phi)
+        assert np.abs(output_spectral_matrix(twin, noise, omegas, phi).s
+                      / output_spectral_matrix(model, noise, omegas, phi).s - 1.0).max() > 0.1
+
     @pytest.mark.parametrize("matrix, entry", [
         ("drift", (4, 4)), ("input_map", (5, 4)), ("output_map", (3, 5)),
         ("feedthrough", (2, 3))])
     def test_modes_not_twins_refused(self, headline_model, matrix, entry):
-        # The split is exact only while every entry coupling the blocks is
-        # an exact zero.  Perturbing one entry of the second mode, here its
-        # damping, input, detection or reflection, couples them.  The same
+        # Twins are the models that the exchange of the modes leaves
+        # unchanged.  Perturbing one entry of the second mode, here its
+        # damping, input, detection or reflection, breaks that.  The same
         # entry perturbed on both modes leaves twins, but cavities that are
         # not lossless and empty, whose difference mode is not the vacuum.
         _, _, model, noise = headline_model
@@ -612,6 +667,25 @@ class TestAgainstSixStateSolve:
             output_spectral_matrix(lossy, noise, np.array([0.0, 1e6]), 0.7)
         with pytest.raises(ParameterError, match="not lossless empty cavities"):
             inferred_variance_at(lossy, noise, 0.0, 0.7)
+
+    @pytest.mark.parametrize("matrix, entry, size", [
+        ("drift", (1, 4), (1, 4)), ("drift", (5, 0), (5, 0)),
+        ("output_map", (0, 0), (3, 0))],
+        ids=["force-of-x2", "phase-on-y2", "q-read-by-mode-1"])
+    def test_mirror_side_not_twins_refused(self, headline_model, matrix, entry, size):
+        # The mirror's side of the exchange is checked too, at every angle:
+        # x2 pressing on the mirror alone harder, the mirror writing more
+        # phase on y2 alone, or the first mode's x output alone reading q,
+        # each by 1e-3 of the drift entry ``size``.
+        _, _, model, noise = headline_model
+        perturbed = getattr(model, matrix).copy()
+        perturbed[entry] += 1e-3 * model.drift[size]
+        lopsided = replace(model, **{matrix: perturbed})
+        for phi in (0.0, math.pi / 2, 0.7):
+            with pytest.raises(ParameterError, match="the two modes are not twins"):
+                output_spectral_matrix(lopsided, noise, np.array([0.0, 1e6]), phi)
+            with pytest.raises(ParameterError, match="the two modes are not twins"):
+                inferred_variance_at(lopsided, noise, 0.0, phi)
 
     def test_coupled_twin_modes_refused(self, headline_model):
         # A damping shared between x1 and x2 leaves the modes twins, but
