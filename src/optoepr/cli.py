@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import itertools
 import math
 import sys
@@ -97,6 +98,7 @@ class _Parser(argparse.ArgumentParser):
 def parse_config(path: str) -> dict[str, float]:
     """Read a flat key = value config file."""
     values: dict[str, float] = {}
+    known = PHYSICAL_KEYS | DIMENSIONLESS_KEYS | SIM_KEYS
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -106,7 +108,6 @@ def parse_config(path: str) -> dict[str, float]:
                 raise ParameterError(f"{path}:{lineno}: expected 'key = value'")
             key, _, text = line.partition("=")
             key = key.strip()
-            known = PHYSICAL_KEYS | DIMENSIONLESS_KEYS | SIM_KEYS
             if key not in known:
                 raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
@@ -183,9 +184,10 @@ def _resolve_dimensionless(args, block) -> model.DimensionlessParams:
 
 def _write_lines(path: str | None, lines: Iterable[str]) -> None:
     """Write each of ``lines`` and a newline to the file ``path``, or to
-    stdout, as the iterable yields it."""
+    stdout, as the iterable yields it.  The file takes its text through a
+    64 KiB buffer, so a large CSV leaves in few writes."""
     with (contextlib.nullcontext(sys.stdout) if path is None
-          else open(path, "w", encoding="utf-8", newline="\n")) as fh:
+          else open(path, "w", buffering=2**16, encoding="utf-8", newline="\n")) as fh:
         for line in lines:
             fh.write(line)
             fh.write("\n")
@@ -220,15 +222,17 @@ def cmd_scan(args) -> int:
     p_text = [_fmt(p) for p in grid.p_axis.tolist()]
     # Each cell has a template per paradox flag, ending in the flag's text
     # and the next cell's p text; a row joins its cells' picks with its t
-    # text, and one `%` fills in the row's lhs values.
+    # text, and one `%` fills in the row's lhs values.  The templates are
+    # object arrays, so `np.where` picks a whole row's at once.
     ends = [f"\n{p}" for p in p_text[1:]] + [""]
-    cells = [tuple(f",{FLOAT_FORMAT},{_fmt(flag)}{end}" for flag in (False, True))
-             for end in ends]
+    false_cells, true_cells = (
+        np.array([f",{FLOAT_FORMAT},{_fmt(flag)}{end}" for end in ends], dtype=object)
+        for flag in (False, True))
 
     def lines():
         yield "p_cal,t_cal,lhs,paradox"
         for t, row, flags in zip(grid.t_axis.tolist(), values, paradox):
-            picks = [cell[flag] for cell, flag in zip(cells, flags.tolist())]
+            picks = np.where(flags, true_cells, false_cells).tolist()
             yield f",{_fmt(t)}".join([p_text[0]] + picks) % tuple(row.tolist())
 
     # Nothing from here on can fail but the writing, so each row is written
@@ -353,7 +357,10 @@ def cmd_steady_state(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process.  Parsing leaves it unchanged, so every
+    `main` call shares it; callers must not add to it."""
     parser = _Parser(prog="optoepr",
                      description="Radiation-pressure EPR criterion engine")
     sub = parser.add_subparsers(dest="command", required=True)

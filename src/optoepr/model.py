@@ -41,6 +41,13 @@ MAX_MECHANICAL_OPTICAL_RATIO = 1e-3
 ROOT_RESIDUAL_TOL = 1e-12
 
 
+def _require_finite(params) -> None:
+    """Refuse the first field of dataclass ``params`` that is inf or nan."""
+    for name, value in vars(params).items():
+        if not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Laboratory-frame parameters of the driven two-mode cavity (SI).
@@ -78,6 +85,7 @@ class PhysicalParams:
     input_power: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         positive = {
             "mass": self.mass,
             "cavity_length": self.cavity_length,
@@ -88,11 +96,11 @@ class PhysicalParams:
             "gamma_c": self.gamma_c,
         }
         for name, value in positive.items():
-            if not (value > 0.0) or not math.isfinite(value):
+            if value <= 0.0:
                 raise ParameterError(f"{name} must be strictly positive, got {value!r}")
         for name, value in (("temperature", self.temperature),
                             ("input_power", self.input_power)):
-            if value < 0.0 or not math.isfinite(value):
+            if value < 0.0:
                 raise ParameterError(f"{name} must be >= 0, got {value!r}")
         ratio = self.omega_m / self.omega_c
         if ratio >= MAX_MECHANICAL_OPTICAL_RATIO:
@@ -115,15 +123,15 @@ class DimensionlessParams:
     delta: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         # The one detuning rule.  The criterion divides by 2 delta^2, so a
         # delta whose square is zero or subnormal (delta < ~1.5e-154) is out.
-        if (not (0.0 < self.delta < math.inf)
-                or self.delta * self.delta < sys.float_info.min):
+        if self.delta <= 0.0 or self.delta * self.delta < sys.float_info.min:
             raise ParameterError(
                 f"delta must be finite and > 0 with a normal square, got {self.delta!r}")
-        if not (self.p_cal >= 0.0) or not math.isfinite(self.p_cal):
+        if self.p_cal < 0.0:
             raise ParameterError(f"p_cal must be >= 0, got {self.p_cal!r}")
-        if not (self.t_cal >= 0.0) or not math.isfinite(self.t_cal):
+        if self.t_cal < 0.0:
             raise ParameterError(f"t_cal must be >= 0, got {self.t_cal!r}")
 
 

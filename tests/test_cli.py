@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line surface and its exit-code contract."""
 
+import hashlib
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from optoepr import cli, criterion, epr_lhs, errors, model, sde, spectra
 from optoepr.cli import (EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL, EXIT_OK, main,
@@ -169,6 +172,15 @@ class TestCriterion:
         assert message in err and len(err.splitlines()) == 1
         assert not out_path.exists()
 
+    def test_overflowing_reduction_names_the_infinite_value(self, capsys, tmp_path):
+        # p_cal overflows to inf: the refusal says it is not finite, not
+        # that it is negative.
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(TEXTBOOK_PHYSICAL.replace("0.03", "1e300"))
+        code = main(["criterion", "--config", str(cfg), "--delta", "0.18"])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "optoepr: config error: p_cal must be finite, got inf\n"
+
     def test_underflowing_t_cal_denominator_exits_numerical(self, capsys,
                                                             realized_headline_config):
         # hbar omega_m^2 underflows to 0 where p_cal's denominator does not:
@@ -180,6 +192,16 @@ class TestCriterion:
         assert captured.out == ""
         assert "t_cal is outside the double range" in captured.err
         assert len(captured.err.splitlines()) == 1
+
+
+@st.composite
+def scan_axes(draw):
+    """(lo, hi, resolution) of a valid scan axis: 1 to 9 points, one point
+    only where lo == hi."""
+    res = draw(st.integers(1, 9))
+    lo = draw(st.floats(0.0, 2.0))
+    hi = lo if res == 1 else lo + draw(st.floats(1e-3, 2.0))
+    return lo, hi, res
 
 
 def per_cell_scan_csv(grid) -> str:
@@ -270,6 +292,37 @@ class TestScan:
         want = per_cell_scan_csv(grid)
         assert feature + "\n" in want
         assert out_path.read_bytes() == want.encode()
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(p_axis=scan_axes(), t_axis=scan_axes(),
+           delta=st.one_of(st.sampled_from([1e-9, 0.18]),
+                           st.floats(-9.0, 0.5).map(lambda e: 10.0 ** e)))
+    # Rows that are all paradox, rows with none, and invalid-regime cells.
+    @example(p_axis=(0.1, 0.3, 9), t_axis=(0.0, 0.1, 3), delta=0.18)
+    @example(p_axis=(0.0, 2.0, 9), t_axis=(1.0, 2.0, 4), delta=0.18)
+    @example(p_axis=(0.0, 1.0, 9), t_axis=(0.0, 1.0, 9), delta=1e-9)
+    def test_drawn_grid_matches_per_cell_formatter(self, p_axis, t_axis, delta):
+        (p_min, p_max, p_res), (t_min, t_max, t_res) = p_axis, t_axis
+        flags = [f"--delta={delta!r}", f"--p-min={p_min!r}", f"--p-max={p_max!r}",
+                 f"--t-min={t_min!r}", f"--t-max={t_max!r}",
+                 "--p-res", str(p_res), "--t-res", str(t_res)]
+        grid = criterion.scan((p_min, p_max), (t_min, t_max), delta, (p_res, t_res))
+        with tempfile.TemporaryDirectory() as tmp:
+            out_path = Path(tmp) / "grid.csv"
+            assert main(["scan", *flags, "--output", str(out_path)]) == EXIT_OK
+            assert out_path.read_bytes() == per_cell_scan_csv(grid).encode()
+
+    def test_default_grid_digest(self, capsys, tmp_path):
+        # The grid and its contour take only + - * / and linspace, so their
+        # bytes are the same on every platform.
+        grid, contour = tmp_path / "g.csv", tmp_path / "c.csv"
+        code, _ = run(capsys, "scan", "--delta", "0.18", "--output", str(grid),
+                      "--contour", str(contour))
+        assert code == EXIT_OK
+        assert hashlib.sha256(grid.read_bytes()).hexdigest() == (
+            "3fbf364293e55511d5fe616e01ff495804983a7c179cb4269f329cd944df0005")
+        assert hashlib.sha256(contour.read_bytes()).hexdigest() == (
+            "c2ad38e678409109431ce8bebaad673fcf90a70328d6c1f7ba96f302ce632296")
 
     def test_contour_output(self, capsys, tmp_path):
         grid, contour = tmp_path / "g.csv", tmp_path / "c.csv"
@@ -1153,6 +1206,42 @@ def test_python_m_runs_the_cli():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "--delta" in proc.stdout
+
+
+def test_reused_parser_matches_fresh_process(capsys, tmp_path, monkeypatch):
+    # One process builds one parser.  A flag error, a refused parameter and
+    # a help page run on it first, and every command then writes the bytes
+    # (stdout, stderr, exit code and files) of a fresh `python -m optoepr`.
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")   # help text wraps at the same width
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    physical = tmp_path / "physical.cfg"
+    physical.write_text(re.search(r"^(# physical block.*?)^```$", readme,
+                                  re.S | re.M).group(1))
+    commands = [
+        (["scan", "--p-res", "x", "--delta", "0.18"], []),
+        (["scan", "--delta", "-1"], []),
+        (["scan", "--help"], []),
+        (["scan", "--delta", "0.18", "--output", "{}grid.csv",
+          "--contour", "{}contour.csv"], ["grid.csv", "contour.csv"]),
+        (["spectrum", "--config", str(physical), "--omega-min=-8e6",
+          "--omega-max=8e6", "--points", "201"], []),
+    ]
+    here, fresh = tmp_path / "here", tmp_path / "fresh"
+    here.mkdir()
+    fresh.mkdir()
+    for argv, files in commands:
+        code = main([arg.format(f"{here}/") for arg in argv])
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "optoepr", *[arg.format(f"{fresh}/") for arg in argv]],
+            env=source_tree_env(), capture_output=True, text=True, timeout=60)
+        assert (code, captured.out, captured.err) == (
+            proc.returncode, proc.stdout, proc.stderr), argv
+        for name in files:
+            assert (here / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert code == EXIT_OK
 
 
 def test_closed_stdout_pipe_exits_io():

@@ -11,6 +11,8 @@ from optoepr import (ConvergenceError, DimensionlessParams, NumericalError,
                      steady_state_residual, to_dimensionless)
 from optoepr.constants import C_LIGHT, HBAR, K_B
 
+from conftest import TEXTBOOK_LAB
+
 
 def replace_params(base: PhysicalParams, **kw) -> PhysicalParams:
     fields = dict(mass=base.mass, cavity_length=base.cavity_length,
@@ -54,6 +56,20 @@ class TestParamValidation:
     def test_dimensionless_rejects_negative_t_cal(self):
         with pytest.raises(ParameterError, match="t_cal must be >= 0, got -0.1"):
             DimensionlessParams(0.1, -0.1, 0.18)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", sorted(TEXTBOOK_LAB))
+    def test_physical_refuses_non_finite(self, textbook_lab_params, field, value):
+        # A non-finite field is named as such, not as out of sign.
+        with pytest.raises(ParameterError, match=f"^{field} must be finite, got {value!r}$"):
+            replace_params(textbook_lab_params, **{field: value})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["p_cal", "t_cal", "delta"])
+    def test_dimensionless_refuses_non_finite(self, field, value):
+        triple = {"p_cal": 0.17, "t_cal": 0.1, "delta": 0.18, field: value}
+        with pytest.raises(ParameterError, match=f"^{field} must be finite, got {value!r}$"):
+            DimensionlessParams(**triple)
 
     def test_detuning_square_must_be_normal(self, textbook_lab_params):
         # The criterion divides by 2 delta^2: a delta whose square is zero or
