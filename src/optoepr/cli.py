@@ -50,15 +50,16 @@ DIMENSIONLESS_KEYS = {"p_cal", "t_cal", "delta"}
 SIM_KEYS = {"dt", "tau", "segments", "trajectories", "seed", "burn_in"}
 
 # Frequencies per stacked spectral solve in `spectrum`.  A solve holds
-# about 0.5 KB per frequency at its peak (2.0 MB a block), and so does the
-# formatting of a block's rows, so blocks keep both bounded whatever
-# --points is; only each block's (rows, 6) result, 48 bytes a frequency, is
-# kept until the CSV is written.
+# about 0.5 KB per frequency at its peak (2.0 MB a block), and the
+# formatting of a block's rows about 0.4 KB (1.7 MB), so blocks keep both
+# bounded whatever --points is; only each block's (rows, 6) result, 48 bytes
+# a frequency, is kept until the CSV is written.
 SPECTRUM_BLOCK = 4096
 
 
-# The one float format of every report and CSV; the CSV row templates are
-# built from it, so a block of rows is formatted by one `%` call.
+# The one float format of every report and CSV; `scan` builds its row
+# templates from it, so a row is formatted by one `%` call, and `_csv_rows`
+# writes its bytes.
 FLOAT_FORMAT = "%.12g"
 
 # `scan` and `spectrum` write their CSV as they format it, so the budget
@@ -82,10 +83,141 @@ def _fmt(value) -> str:
     return FLOAT_FORMAT % value
 
 
+# `_csv_rows` writes a float through numpy when it can prove the text
+# `FLOAT_FORMAT % v` gives, and through `%` itself otherwise.  The numpy
+# path takes finite 1e-290 < |v| < 1e290, whose 10 ** (11 - e) scales are
+# normal doubles.  It is written for FLOAT_FORMAT = "%.12g": a 12-digit
+# mantissa, three groups of four digits, and fields of at most 19 bytes.
+_CSV_CHUNK = 4096
+_CSV_WIDTH = 20
+# A value's 32-byte source row: its 12 mantissa digits, the four digits of
+# its |decimal exponent|, its separator, a NUL (padding, dropped after the
+# gather), then these constant bytes.
+_CSV_CONST = b"0-.e+%12g"
+_CSV_EXP, _CSV_SEP, _CSV_PAD, _CSV_CONST_AT = 12, 16, 17, 18
+
+
+def _const(char: str) -> int:
+    return _CSV_CONST_AT + _CSV_CONST.index(char.encode())
+
+
+@functools.cache
+def _csv_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(powers, digits, zeros, layouts) of the `_csv_rows` numpy path, built
+    on first use.
+
+    ``powers[k + 300]`` is the double nearest 10**k, for k in -300 .. 308.
+    For g < 10**4, ``digits[g]`` holds the four ASCII digits of g as one
+    uint32 and ``zeros[g]`` counts their trailing zeros.  Row
+    ``(c * 12 + s - 1) * 2 + neg`` of ``layouts`` lays out the field of a
+    value of notation class c with s significant digits and sign ``neg``:
+    the source-row index of each byte, its separator, then padding.  Class
+    x + 4 is the fixed-point notation of decimal exponent x in -4 .. 11;
+    classes 16 to 19 are the exponent notation of e+XX, e+XXX, e-XX and
+    e-XXX.  The last row spells FLOAT_FORMAT, for the values `%` writes.
+    """
+    powers = np.array([float(f"1e{k}") for k in range(-300, 309)])
+    g = np.arange(10**4, dtype=np.uint16)[:, None] // np.array(
+        [1000, 100, 10, 1], dtype=np.uint16) % 10
+    digits = (g + ord("0")).astype(np.uint8).view(np.uint32).ravel()
+    zeros = np.argmax(g[:, ::-1] != 0, axis=1)
+    zeros[0] = 4
+
+    c, s, neg = (a.reshape(-1, 1) for a in np.meshgrid(
+        np.arange(20), np.arange(1, 13), np.arange(2), indexing="ij"))
+    # Fixed point writes "0.000" and the mantissa below x = 0, else its
+    # first x + 1 digits, a point and the rest; exponent notation writes one
+    # digit, a point, the rest, "e", the exponent's sign and digits.
+    x = c - 4
+    fixed = c < 16
+    lead = np.where(fixed & (x < 0), 1 - x, 0)
+    whole = np.where(fixed, np.where(x < 0, s, x + 1), 1)
+    frac = np.maximum(s - whole, 0)
+    exp_digits = 2 + c % 2
+    suffix = np.where(fixed, 0, 2 + exp_digits)
+    k = np.arange(_CSV_WIDTH)[None, :]
+    ends = np.cumsum([neg, lead, whole, frac > 0, frac, suffix], axis=0)
+    at = k - np.concatenate([np.zeros_like(neg)[None], ends[:-1]])   # offset in each part
+    layouts = np.select(
+        [*(k < ends), k == ends[5]],
+        [_const("-"), np.where(at[1] == 1, _const("."), _const("0")), at[2],
+         _const("."), whole + at[4],
+         np.select([at[5] == 0, at[5] == 1],
+                   [_const("e"), np.where(c >= 18, _const("-"), _const("+"))],
+                   _CSV_EXP + 2 - exp_digits + at[5]),
+         _CSV_SEP],
+        _CSV_PAD)
+    fallback = np.full((1, _CSV_WIDTH), _CSV_PAD)
+    fallback[0, :len(FLOAT_FORMAT) + 1] = [*map(_const, FLOAT_FORMAT), _CSV_SEP]
+    tables = (powers, digits, zeros.astype(np.uint8),
+              np.concatenate([layouts, fallback]).astype(np.uint8))
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _csv_chunk(v: np.ndarray, source: np.ndarray, base: np.ndarray) -> str:
+    """``FLOAT_FORMAT % v`` of each value of ``v``, each followed by the
+    separator in its row of ``source``; ``base`` holds each row's offset."""
+    powers, digits, zeros, layouts = _csv_tables()
+    n = len(v)
+    a = np.abs(v)
+    with np.errstate(all="ignore"):
+        fast = (a > 1e-290) & (a < 1e290)
+        a = np.where(fast, a, 1.0)
+        # y = a 10^(11 - e) is a's 12-digit mantissa.  It carries the error
+        # of two roundings, under 2.5e-4 at y < 1e12, so rint(y) is a's
+        # correctly rounded mantissa unless y lies within 1e-3 of a tie.
+        # Within a few ulps of a power of ten floor(log10) may miss e by
+        # one, and y then leaves [1e11, 1e12): `%` writes those values.
+        e = np.floor(np.log10(a)).astype(np.intp)
+        y = a * powers.take(300 + 11 - e)
+        m = np.rint(y)
+        fast &= (y >= 1e11) & (y < 1e12) & (np.abs(y - m) < 0.499)
+    top = m == 1e12   # rounded up into the next decade
+    e += top
+    m = np.where(top, 1e11, m).astype(np.intp)
+    high = m // 10**8
+    rest = m - high * 10**8
+    mid = rest // 10**4
+    groups = np.stack([high, mid, rest - mid * 10**4], axis=1)
+    words = source[:n].view(np.uint32)
+    words[:, :3] = digits.take(groups)
+    words[:, 3] = digits.take(np.abs(e))
+    # m's trailing zeros: a group of 0000 has 4 and carries on to the next.
+    z = zeros.take(groups)
+    tail = z[:, 2] + (z[:, 2] == 4) * (z[:, 1] + (z[:, 1] == 4) * z[:, 0])
+    notation = np.where((e >= -4) & (e < 12), e + 4,
+                        16 + 2 * (e < 0) + (np.abs(e) >= 100))
+    key = (notation * 12 + 11 - tail) * 2 + np.signbit(v)
+    key[~fast] = len(layouts) - 1
+    out = source[:n].ravel().take(layouts.take(key, axis=0) + base[:n])
+    text = out.tobytes().translate(None, b"\0").decode("ascii")
+    if not fast.all():
+        text %= tuple(v[~fast].tolist())
+    return text
+
+
 def _csv_rows(values: np.ndarray) -> str:
-    """Rows of a 2-D float array as ``FLOAT_FORMAT`` CSV lines, one string."""
-    row = ",".join([FLOAT_FORMAT] * values.shape[1])
-    return "\n".join([row] * len(values)) % tuple(values.ravel().tolist())
+    """Rows of a 2-D float array as ``FLOAT_FORMAT`` CSV lines, one string.
+
+    The text is the bytes `%` writes value by value; it is built in chunks
+    of at most _CSV_CHUNK values.
+    """
+    rows, cols = values.shape
+    if rows == 0:
+        return ""
+    step = min(rows, max(1, _CSV_CHUNK // cols))
+    # One source row per value of a chunk; only the digits change between
+    # chunks.
+    source = np.zeros((step * cols, 32), dtype=np.uint8)
+    source[:, _CSV_SEP] = ord(",")
+    source[cols - 1::cols, _CSV_SEP] = ord("\n")
+    source[:, _CSV_CONST_AT:_CSV_CONST_AT + len(_CSV_CONST)] = np.frombuffer(
+        _CSV_CONST, dtype=np.uint8)
+    base = np.arange(0, source.size, 32)[:, None]
+    return "".join(_csv_chunk(values[start:start + step].ravel(), source, base)
+                   for start in range(0, rows, step))[:-1]
 
 
 class _Parser(argparse.ArgumentParser):

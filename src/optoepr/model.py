@@ -162,16 +162,21 @@ def drive_kappa(params: PhysicalParams) -> float:
     """Dimensionless cubic coefficient kappa of the steady-state equation,
     2 hbar omega_c^2 |alpha_in|^2 / (m omega_m^2 L^2 gamma_c^2).
 
-    Raises NumericalError where a square overflows (OverflowError) or the
-    denominator underflows to 0, as gamma_c ** 2 does below ~1e-162 s^-2.
+    Raises NumericalError where kappa is not finite, where a square
+    overflows (OverflowError) or where the denominator underflows to 0, as
+    gamma_c ** 2 does below ~1e-162 s^-2.
     """
     try:
-        return (2.0 * HBAR * params.omega_c ** 2 * input_amplitude_sq(params)
-                / (params.mass * params.omega_m ** 2
-                   * params.cavity_length ** 2 * params.gamma_c ** 2))
+        kappa = (2.0 * HBAR * params.omega_c ** 2 * input_amplitude_sq(params)
+                 / (params.mass * params.omega_m ** 2
+                    * params.cavity_length ** 2 * params.gamma_c ** 2))
     except (OverflowError, ZeroDivisionError) as exc:
         raise NumericalError(f"drive strength kappa is outside the double range "
                              f"({exc}) for {params}") from None
+    if not math.isfinite(kappa):
+        raise NumericalError(f"drive strength kappa is {kappa!r}, outside the "
+                             f"double range, for {params}")
+    return kappa
 
 
 def to_dimensionless(params: PhysicalParams, delta: float) -> DimensionlessParams:
@@ -183,7 +188,9 @@ def to_dimensionless(params: PhysicalParams, delta: float) -> DimensionlessParam
         If ``delta`` breaks the detuning rule of `DimensionlessParams` (the
         reduced description is only defined for positive detuning).
     NumericalError
-        Where a square in p_cal overflows or a denominator underflows to 0.
+        Where p_cal or t_cal is not finite at a finite ``delta``, where a
+        square in p_cal overflows (OverflowError) or where a denominator
+        underflows to 0.
     """
     try:
         p_cal = (8.0 * params.omega_0 * delta * params.input_power
@@ -194,6 +201,13 @@ def to_dimensionless(params: PhysicalParams, delta: float) -> DimensionlessParam
     except (OverflowError, ZeroDivisionError) as exc:
         raise NumericalError(f"p_cal or t_cal is outside the double range ({exc}) "
                              f"for {params}") from None
+    # The fields of params are finite, so at a finite delta only an overflow
+    # leaves p_cal or t_cal inf or nan; DimensionlessParams refuses any other
+    # delta itself.
+    for name, value in (("p_cal", p_cal), ("t_cal", t_cal)):
+        if math.isfinite(delta) and not math.isfinite(value):
+            raise NumericalError(f"{name} is {value!r}, outside the double range, "
+                                 f"for {params}")
     return DimensionlessParams(p_cal=p_cal, t_cal=t_cal, delta=delta)
 
 

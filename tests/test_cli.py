@@ -67,6 +67,13 @@ def set_key(cfg: Path, key: str, value: str) -> Path:
     return cfg
 
 
+def readme_physical_block() -> str:
+    """The physical config block README prints."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
+    return re.search(r"^(# physical block.*?)^```$", readme, re.S | re.M).group(1)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -173,13 +180,25 @@ class TestCriterion:
         assert not out_path.exists()
 
     def test_overflowing_reduction_names_the_infinite_value(self, capsys, tmp_path):
-        # p_cal overflows to inf: the refusal says it is not finite, not
-        # that it is negative.
+        # At 1e300 W on README's physical block p_cal and kappa overflow to
+        # inf: every command that reduces the block exits 2, names the
+        # infinite value and writes nothing.
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(TEXTBOOK_PHYSICAL.replace("0.03", "1e300"))
-        code = main(["criterion", "--config", str(cfg), "--delta", "0.18"])
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == "optoepr: config error: p_cal must be finite, got inf\n"
+        cfg.write_text(readme_physical_block().replace("input_power_w = 0.03",
+                                                       "input_power_w = 1e300"))
+        for argv, name in [
+            (["criterion", "--delta", "0.18"], "p_cal"),
+            (["steady-state"], "drive strength kappa"),
+            (["spectrum", "--omega-min=-8e6", "--omega-max=8e6", "--points", "3"],
+             "drive strength kappa"),
+        ]:
+            code = main([*argv, "--config", str(cfg)])
+            captured = capsys.readouterr()
+            assert code == EXIT_NUMERICAL, argv
+            assert captured.out == ""
+            assert captured.err.startswith(
+                f"optoepr: numerical failure: {name} is inf, outside the double range, ")
+            assert len(captured.err.splitlines()) == 1
 
     def test_underflowing_t_cal_denominator_exits_numerical(self, capsys,
                                                             realized_headline_config):
@@ -499,6 +518,77 @@ def test_eps_half_pi_past_first_quotient_range_exits_ok(capsys):
         assert math.isfinite(float(vals[key])), (key, vals[key])
 
 
+def per_value_csv(values: np.ndarray) -> str:
+    """Reference `_csv_rows` text: every value through FLOAT_FORMAT on its own."""
+    return "\n".join(",".join(cli.FLOAT_FORMAT % v for v in row)
+                     for row in values.tolist())
+
+
+def csv_edge_values() -> np.ndarray:
+    """Values at the edges of the `_csv_rows` numpy path, and either sign."""
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    twelve = np.random.default_rng(5).integers(10**11, 10**12, 40).tolist()
+    # (d + 0.5) 10^k is a tie of the last written digit: exact at k = 0,
+    # a near-tie wherever 10^k is inexact.
+    ties = [(d + 0.5) * 10.0 ** k for d in [*range(1, 1000, 7), *twelve]
+            for k in range(-24, 25, 4)]
+    switches = [1e-5, 9.99999999999e-5, 9.999999999995e-5, 1e-4, 999999999999.5,
+                999999999999.4, 99999999999.95, 1e12, 1e11]
+    three_digit = [1.5e-123, 7.25e200, 9.99999999999e99, 9.999999999995e99,
+                   1e-290, 1e290, 1.7976931348623157e308]
+    subnormal = [5e-324, 1e-310, 2.2250738585072014e-308,
+                 np.nextafter(2.2250738585072014e-308, 0.0)]
+    special = [0.0, np.inf, np.nan]
+    values = np.concatenate([powers, np.nextafter(powers, 0.0),
+                             np.nextafter(powers, np.inf), ties, switches,
+                             three_digit, subnormal, special])
+    return np.concatenate([values, -values])
+
+
+class TestCsvRows:
+    """`_csv_rows` writes the bytes of FLOAT_FORMAT % v for every value."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(bits=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=60),
+           cols=st.integers(1, 6))
+    def test_raw_bit_patterns_match_per_value_format(self, bits, cols):
+        values = np.array(bits, dtype=np.uint64).view(np.float64)
+        values = np.resize(values, -(-len(values) // cols) * cols).reshape(-1, cols)
+        assert cli._csv_rows(values) == per_value_csv(values)
+
+    def test_million_bit_patterns_match_per_value_format(self):
+        # Many chunks, the last one partial: 200000 rows of 5 at 819 a chunk.
+        bits = np.random.default_rng(11).integers(0, 2**64, 10**6, dtype=np.uint64,
+                                                  endpoint=False)
+        values = bits.view(np.float64).reshape(-1, 5)
+        assert cli._csv_rows(values) == per_value_csv(values)
+
+    @pytest.mark.parametrize("cols", [1, 6])
+    def test_edge_values_match_per_value_format(self, cols):
+        values = csv_edge_values()
+        values = np.resize(values, -(-len(values) // cols) * cols).reshape(-1, cols)
+        assert cli._csv_rows(values) == per_value_csv(values)
+
+    def test_block_mixing_percent_and_numpy_values(self):
+        values = np.array([[0.0, 1.25, -0.0, 3e-300],
+                           [np.nan, 0.0001, -np.inf, 123456789012.5],
+                           [-2.5e-7, 5e-324, 1e290, -999999999999.5]])
+        assert cli._csv_rows(values) == (
+            "0,1.25,-0,3e-300\n"
+            "nan,0.0001,-inf,123456789012\n"
+            "-2.5e-07,4.94065645841e-324,1e+290,-1e+12")
+        assert cli._csv_rows(values) == per_value_csv(values)
+        assert cli._csv_rows(values[:0]) == ""
+
+    def test_import_builds_no_table(self):
+        code = ("import optoepr.cli as cli\n"
+                "assert cli._csv_tables.cache_info().currsize == 0")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).resolve().parent.parent / "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
 def per_value_spectrum_csv(config, omegas, phi) -> str:
     """Reference `spectrum` CSV (branch 0), from one stacked solve formatted one
     value at a time."""
@@ -595,11 +685,29 @@ class TestSpectrum:
         assert want.count("\n") == points + 1
         assert out_path.read_bytes() == want.encode()
 
+    @pytest.mark.parametrize("block", ["realized-headline", "readme"])
+    def test_s22_column_is_s11(self, tmp_path, realized_headline_config, block):
+        # The sum and difference modes share no input, so the cross PSD is 0
+        # and s11 = S_m + S_h + 0 and s22 = S_m + S_h - 0 are the same double.
+        if block == "readme":
+            cfg = tmp_path / "readme.cfg"
+            cfg.write_text(readme_physical_block())
+        else:
+            cfg = realized_headline_config
+        out_path = tmp_path / "spec.csv"
+        assert main(["spectrum", "--config", str(cfg), "--omega-min=-1.6e7",
+                     "--omega-max=1.6e7", "--points", "201", "--phi", "0.7",
+                     "--output", str(out_path)]) == EXIT_OK
+        rows = [line.split(",") for line in out_path.read_text().splitlines()]
+        assert rows[0][1::2] == ["s11", "s22", "gain"]
+        assert len(rows) == 202
+        assert all(row[1] == row[3] for row in rows[1:])
+
     def test_large_axis_memory_within_per_line_cost(self, tmp_path,
                                                     realized_headline_config):
         # Only each block's (rows, 6) result is held until the write, and
         # the blocks are formatted one at a time as the file takes them:
-        # about 74 bytes of traced memory per output line at 1e5 points,
+        # about 77 bytes of traced memory per output line at 1e5 points,
         # where one whole CSV text took 262 and a per-omega loop 310.
         points = 100_001
         out_path = tmp_path / "big.csv"
@@ -774,12 +882,13 @@ input_power_w = 1e-3
     ["spectrum", "--omega-min", "0", "--omega-max", "1e6", "--points", "3"],
     ["simulate"],
 ], ids=["steady-state", "spectrum", "simulate"])
-@pytest.mark.parametrize("old, new", [
-    ("input_power_w = 1e-3", "input_power_w = 1e308"),
-    ("detuning0 = 0.1", "detuning0 = 1e300"),
+@pytest.mark.parametrize("old, new, message", [
+    ("input_power_w = 1e-3", "input_power_w = 1e308", "drive strength kappa is inf"),
+    ("detuning0 = 0.1", "detuning0 = 1e300", "steady-state detuning is nan"),
 ], ids=["power-1e308", "detuning0-1e300"])
-def test_overflowing_steady_state_exits_numerical(capsys, tmp_path, argv, old, new):
-    # The cubic's root is nan here (kappa overflows, or the bracket does):
+def test_overflowing_steady_state_exits_numerical(capsys, tmp_path, argv, old, new,
+                                                  message):
+    # kappa overflows, or the cubic's bracket does and its root is nan:
     # every command that solves it fails cleanly and prints no nan.
     cfg = tmp_path / "over.cfg"
     cfg.write_text(DETUNED_PHYSICAL.replace(old, new))
@@ -787,7 +896,7 @@ def test_overflowing_steady_state_exits_numerical(capsys, tmp_path, argv, old, n
     captured = capsys.readouterr()
     assert code == EXIT_NUMERICAL
     assert captured.out == ""
-    assert "steady-state detuning is nan" in captured.err
+    assert message in captured.err
     assert "Traceback" not in captured.err
 
 
