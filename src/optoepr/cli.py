@@ -33,7 +33,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import criterion, model, sde, spectra
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_budget
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -62,19 +62,15 @@ SPECTRUM_BLOCK = 4096
 # writes its bytes.
 FLOAT_FORMAT = "%.12g"
 
-# `scan` and `spectrum` write their CSV as they format it, so the budget
-# bounds the file, and for `spectrum` also the arrays held until the write.
-# A grid whose CSV could pass this many bytes, at 20 per field (the widest
-# FLOAT_FORMAT text, -1.23456789012e-308, and its separator), is refused
-# before anything is allocated.
-CSV_BUDGET_BYTES = 2**30
-
 
 def _check_csv_budget(rows: int, fields: int) -> None:
-    if rows * fields * 20 > CSV_BUDGET_BYTES:
-        raise ParameterError(
-            f"{rows} rows of {fields} fields could need more than the "
-            f"{CSV_BUDGET_BYTES / 2**30:.0f} GiB CSV budget")
+    """Refuse a CSV that could pass the budget at 20 bytes a field, the
+    widest FLOAT_FORMAT text (-1.23456789012e-308) and its separator.
+    `scan` and `spectrum` write their CSV as they format it, so the budget
+    bounds the file, and for `spectrum` also the arrays held until the
+    write."""
+    check_budget("a CSV of {} rows x {} fields", rows * fields * 20,
+                 "use fewer rows", rows, fields)
 
 
 def _fmt(value) -> str:

@@ -19,20 +19,20 @@ exactly 1 and a paradox is ``lhs < 1``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRegimeError, ParameterError
+from .errors import InvalidRegimeError, ParameterError, check_budget
 from .model import DimensionlessParams
 
 # Below this value of eps the closed form would give a non-positive variance;
 # such a point is flagged as an invalid regime rather than clamped.
 EPS_FLOOR = -0.5
 
-# `scan` refuses a grid whose work arrays could pass this many bytes, at the
-# ~40 per cell its traced peak reaches at 1000 x 1000, before allocating.
-SCAN_BUDGET_BYTES = 2**30
+# `scan` charges its budget the ~40 bytes per cell that its traced peak
+# reaches at 1000 x 1000, and refuses a larger grid before allocating.
 _SCAN_CELL_BYTES = 40
 
 
@@ -127,13 +127,12 @@ def scan(p_range: tuple[float, float], t_range: tuple[float, float],
     a single value lo == hi with resolution 1.  Range ends must be finite
     with non-negative lower ends, and delta must pass the detuning rule of
     `DimensionlessParams`.  A grid on which eps(0) or eps(pi/2) overflows
-    anywhere, or whose work arrays could pass SCAN_BUDGET_BYTES, is refused.
+    anywhere, or whose work arrays could pass BUDGET_BYTES, is refused.
     """
     res_p, res_t = (resolution, resolution) if np.ndim(resolution) == 0 else resolution
-    if max(res_p, 0) * max(res_t, 0) * _SCAN_CELL_BYTES > SCAN_BUDGET_BYTES:
-        raise ParameterError(
-            f"a {res_p} x {res_t} scan grid could need more than the "
-            f"{SCAN_BUDGET_BYTES / 2**30:.0f} GiB scan budget")
+    res_p, res_t = operator.index(res_p), operator.index(res_t)   # exact for the budget
+    check_budget("a {} x {} scan grid", max(res_p, 0) * max(res_t, 0) * _SCAN_CELL_BYTES,
+                 "use a coarser grid", res_p, res_t)
     DimensionlessParams(0.0, 0.0, delta)   # the detuning rule
     p_axis = _axis(*map(float, p_range), res_p)
     t_axis = _axis(*map(float, t_range), res_t)

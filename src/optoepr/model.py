@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass
 
 from .constants import C_LIGHT, HBAR, K_B
-from .errors import ConvergenceError, NumericalError, ParameterError
+from .errors import ConvergenceError, NumericalError, ParameterError, require_finite
 
 # Enforced upper bound on omega_m / omega_c; the model assumes the mechanical
 # frequency is far below the optical one.
@@ -39,13 +39,6 @@ MAX_MECHANICAL_OPTICAL_RATIO = 1e-3
 
 # Relative residual demanded of every steady-state root.
 ROOT_RESIDUAL_TOL = 1e-12
-
-
-def _require_finite(params) -> None:
-    """Refuse the first field of dataclass ``params`` that is inf or nan."""
-    for name, value in vars(params).items():
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +78,7 @@ class PhysicalParams:
     input_power: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        require_finite(**vars(self))
         positive = {
             "mass": self.mass,
             "cavity_length": self.cavity_length,
@@ -123,7 +116,7 @@ class DimensionlessParams:
     delta: float
 
     def __post_init__(self) -> None:
-        _require_finite(self)
+        require_finite(**vars(self))
         # The one detuning rule.  The criterion divides by 2 delta^2, so a
         # delta whose square is zero or subnormal (delta < ~1.5e-154) is out.
         if self.delta <= 0.0 or self.delta * self.delta < sys.float_info.min:

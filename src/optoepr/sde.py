@@ -68,7 +68,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import spectra
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_budget, require_finite
 from .spectra import NoisePsd, StateSpace
 
 # Steps are generated and consumed in fixed blocks so that a trajectory's
@@ -80,13 +80,6 @@ DT_SAFETY = 0.08
 
 # Hard step-size guard from the integrate() contract.
 DT_LIMIT = 0.1
-
-# integrate() refuses output records larger than this many bytes, and both
-# estimators refuse plans whose draws, as doubles, exceed it; every check
-# also charges each trajectory its noise stream, held for the whole run.
-# The estimators stream their draws in blocks, so for them it bounds the run
-# time and the streams' memory, not an allocation of the draws.
-RECORD_BUDGET_BYTES = 2**30
 
 # What one trajectory's noise stream holds: a `Generator` on a `PCG64` from
 # `_streams` took 760-830 B of resident memory each, over 50 000 to 200 000
@@ -166,9 +159,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.dt) and self.dt > 0.0):
             raise ParameterError(f"dt must be finite and positive, got {self.dt!r}")
+        require_finite(tau=self.tau, burn_in=self.burn_in)
         for name, value in (("tau", self.tau), ("burn_in", self.burn_in)):
-            if not math.isfinite(value):
-                raise ParameterError(f"{name} must be finite, got {value!r}")
             if abs(value) / self.dt > MAX_STEPS:   # inf when the ratio overflows
                 raise ParameterError(f"{name} = {value!r} spans more than MAX_STEPS = "
                                      f"2**53 steps of dt = {self.dt!r}")
@@ -267,28 +259,13 @@ def _check_plan(model: StateSpace, cfg: SimConfig) -> tuple[int, int, int]:
     return steps
 
 
-def _g(n: int, unit: int = 1) -> str:
-    """n / unit as %.6g, also past the double range, where `Decimal`
-    rounds the exact quotient to the same 6 digits.  `decimal` is imported
-    there: importing the package does not load it."""
-    try:
-        return format(n / unit, ".6g")
-    except OverflowError:
-        import decimal
-        six = decimal.Context(prec=6)
-        return format(six.normalize(six.divide(n, unit)), "g")
-
-
 def _check_budget(what: str, n_traj: int, per_traj: int, advice: str) -> None:
     """Refuse n_traj trajectories of per_traj doubles and a noise stream
-    each above the budget.  The counts are exact ints, so a plan of any
-    size is compared and reported without a float overflow."""
-    n_bytes = n_traj * (8 * per_traj + _STREAM_BYTES)
-    if n_bytes > RECORD_BUDGET_BYTES:
-        raise ParameterError(
-            f"{what} of {_g(n_traj)} trajectories x ({_g(per_traj)} doubles and a "
-            f"stream) needs {_g(n_bytes, 2**30)} GiB, above the "
-            f"{RECORD_BUDGET_BYTES / 2**30:.0f} GiB budget; {advice}")
+    each above the budget.  The streams are held for the whole run; the
+    estimators stream their draws in blocks, so for them the budget bounds
+    the run time and the streams' memory, not an allocation of the draws."""
+    check_budget(what + " of {} trajectories x ({} doubles and a stream)",
+                 n_traj * (8 * per_traj + _STREAM_BYTES), advice, n_traj, per_traj)
 
 
 def _hasher(const: int, mult: int) -> Callable:
@@ -430,9 +407,7 @@ def _window_step(model: StateSpace, noise: NoisePsd, dt: float, phi: float,
     """`_step`'s chain (S, B, w C, w D) with its outputs weighted by w =
     (cos phi, sin phi, -gain cos phi, -gain sin phi), for finite phi and
     gain: each step's one output is its term of the carrier window sum."""
-    for name, value in (("phi", phi), ("gain", gain)):
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value!r}")
+    require_finite(phi=phi, gain=gain)
     step, b, out_map, feed = _step(model, noise, dt)
     c, s = math.cos(phi), math.sin(phi)
     w = np.array([[c, s, -gain * c, -gain * s]])
@@ -553,7 +528,7 @@ def integrate(model: StateSpace, noise: NoisePsd, cfg: SimConfig) -> SimulationR
     for every trajectory from the zero state and returns the integrated
     output increments (burn-in included; the estimators skip it).  Memory is
     O(n_trajectories * n_steps), and a record whose doubles and streams
-    pass RECORD_BUDGET_BYTES is refused before anything is allocated; use
+    pass BUDGET_BYTES is refused before anything is allocated; use
     the streaming estimators for production window counts.
 
     `_propagate` runs `_step`'s chain on each of `_each_slice`'s slices,
@@ -599,9 +574,7 @@ def windowed_transform(increments: np.ndarray, dt: float, tau: float,
     for name, value in (("dt", dt), ("tau", tau)):
         if not (math.isfinite(value) and value > 0.0):
             raise ParameterError(f"{name} must be finite and positive, got {value!r}")
-    for name, value in (("omega", omega), ("phi", phi)):
-        if not math.isfinite(value):
-            raise ParameterError(f"{name} must be finite, got {value!r}")
+    require_finite(omega=omega, phi=phi)
     steps = tau / dt   # inf when the ratio overflows
     k_per = round(steps) if steps < increments.shape[0] + 1 else 0
     if k_per < 1 or increments.shape[0] < k_per:
@@ -647,7 +620,7 @@ def estimate_inference_variance(model: StateSpace, noise: NoisePsd,
     `_propagate`, whose per-step output is the step's term of the window
     sum, and streams the window sums instead of materializing records, so
     memory is O(n_trajectories) and time O(n_trajectories * steps); plans
-    whose draws and streams exceed RECORD_BUDGET_BYTES are refused before
+    whose draws and streams exceed BUDGET_BYTES are refused before
     any stream is spawned.  The transform has zero mean by construction and
     the uncentred second moment over all windows is the variance estimator;
     the standard error is the jackknife (equivalently the standard error of
@@ -738,7 +711,7 @@ def sample_inference_variance(model: StateSpace, noise: NoisePsd,
     the windows run through `_propagate` as the steps of the window chain,
     whose output is the window sum.  Time is O(n_trajectories * n_segments)
     whatever the step count, memory O(n_trajectories), and plans whose
-    draws and streams exceed RECORD_BUDGET_BYTES are refused before any
+    draws and streams exceed BUDGET_BYTES are refused before any
     stream is spawned.  The distribution is the step chain's (same dt, same
     burn-in), the draws are not, and the estimate and its jackknife error
     are formed the same way.

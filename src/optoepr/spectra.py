@@ -61,7 +61,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import HBAR, K_B
-from .errors import InstabilityError, NumericalError, ParameterError
+from .errors import InstabilityError, NumericalError, ParameterError, require_finite
 from .model import (DimensionlessParams, PhysicalParams, SteadyState,
                     drive_kappa, steady_state)
 
@@ -361,8 +361,7 @@ def output_spectral_matrix(model: StateSpace, noise: NoisePsd, omega,
     `SpectralMatrix.inference` is defined on it.  Otherwise NumericalError
     names the first omega that fails.
     """
-    if not math.isfinite(phi):
-        raise ParameterError(f"phi must be finite, got {phi!r}")
+    require_finite(phi=phi)
     w = np.asarray(omega, dtype=float)
     block = _sum_block(model)
     u = np.array([[math.cos(phi), math.sin(phi)]])

@@ -432,10 +432,12 @@ class TestScan:
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--omega-min", "0", "--omega-max", "4e6", "--points", "100000000000000"],
     ["scan", "--delta", "0.18", "--p-res", "10000000", "--t-res", "10000000"],
+    ["scan", "--delta", "0.18", "--p-res", str(10**30), "--t-res", "2"],
+    ["spectrum", "--omega-min", "0", "--omega-max", "4e6", "--points", str(10**35)],
 ])
 def test_oversized_grid_refused_before_allocating(capsys, tmp_path, argv):
-    # A grid far past the CSV budget exits 1 with one line, writes no file
-    # and allocates nothing of its size.
+    # A grid far past the CSV budget exits 1 with one readable line, its
+    # counts as %.6g numbers, writes no file and allocates nothing of its size.
     cfg = tmp_path / "empty.cfg"
     cfg.write_text(TEXTBOOK_PHYSICAL.replace("input_power_w  = 0.03",
                                           "input_power_w  = 0"))
@@ -450,6 +452,7 @@ def test_oversized_grid_refused_before_allocating(capsys, tmp_path, argv):
     err = capsys.readouterr().err
     assert code == EXIT_CONFIG
     assert err.count("\n") == 1 and "budget" in err
+    assert not re.search(r"\d{20}", err)
     assert not out_path.exists()
     assert peak < 2**20
 

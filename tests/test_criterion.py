@@ -1,6 +1,7 @@
 """Tests for the closed-form criterion, its gains, scans, and boundary."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -10,7 +11,8 @@ import pytest
 
 from optoepr import (DimensionlessParams, InvalidRegimeError, ParameterError,
                      epr_lhs, paradox_boundary, scan)
-from optoepr.criterion import _SCAN_CELL_BYTES, SCAN_BUDGET_BYTES
+from optoepr.criterion import _SCAN_CELL_BYTES
+from optoepr.errors import BUDGET_BYTES as SCAN_BUDGET_BYTES
 
 from conftest import HEADLINE, random_dimensionless
 
@@ -210,6 +212,19 @@ class TestScan:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_huge_grid_budget_message_is_readable(self):
+        # The counts and GiB print as %.6g numbers, not 41-digit integers.
+        with pytest.raises(ParameterError, match="budget") as info:
+            scan((0.0, 1.0), (0.0, 1.0), 0.18, (10**40, 2))
+        assert not re.search(r"\d{20}", str(info.value))
+
+    def test_numpy_resolution_counted_exactly(self):
+        # 3e9 x 3e9 cells: an int64 product of the counts would wrap
+        # negative and pass the budget; the counts are Python ints.
+        res = np.int64(3 * 10**9)
+        with pytest.raises(ParameterError, match="budget"):
+            scan((0.0, 1.0), (0.0, 1.0), 0.18, (res, res))
 
 
 OVERFLOWING = [DimensionlessParams(0.1, 1e308, 0.18),

@@ -9,8 +9,10 @@ each angle's spectral reference once, where `criterion` computes its
 gains, so that the point and the grid share one arithmetic with no type
 fork, that `spectra` solves a linear system in one place only, once per
 spectral block, and builds its fixed mode-exchange indices once, that
-both routes read the noise levels through their one check, that one
-builder forms the drift and its couplings, that the CLI reads a config's
+both routes read the noise levels through their one check, that every
+route refuses an oversized plan or a non-finite value through the one
+rule in `errors`, that one builder forms the drift and its couplings,
+that the CLI reads a config's
 parameter block in one place, that no module of the package, the tests
 or the demos imports a name it never uses, that no private name of the
 package is left without a reader, and that no text cites a private
@@ -195,6 +197,21 @@ def test_one_noise_rule():
     assert callers("spectra", "noise.levels") == ["output_spectral_matrix"]
     assert not [path.name for path in PACKAGE.glob("*.py")
                 if "PSD_TOL" in path.read_text()]
+
+
+def test_one_refusal_layer():
+    # The size budget and the finite-value message are defined in `errors`
+    # alone, and `check_budget` is the one comparison with the budget.
+    modules = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert [(module, name) for module, source in modules.items()
+            for name in top_level_names(source) if name.endswith("BUDGET_BYTES")] == [
+        ("errors", "BUDGET_BYTES")]
+    assert [module for module, source in modules.items()
+            if "must be finite, got" in source] == ["errors"]
+    assert [(module, getattr(top, "name", "<module>"))
+            for module, source in modules.items() for top in ast.parse(source).body
+            for node in ast.walk(top) if isinstance(node, ast.Compare)
+            and "BUDGET_BYTES" in ast.unparse(node)] == [("errors", "check_budget")]
 
 
 def test_one_config_reader_in_cli():

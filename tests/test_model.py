@@ -41,6 +41,11 @@ class TestParamValidation:
         p = replace_params(textbook_lab_params, temperature=0.0, input_power=0.0)
         assert p.temperature == 0.0
 
+    @pytest.mark.parametrize("field", ["temperature", "input_power"])
+    def test_rejects_negative_temperature_and_power(self, textbook_lab_params, field):
+        with pytest.raises(ParameterError, match=rf"^{field} must be >= 0, got -1e-09$"):
+            replace_params(textbook_lab_params, **{field: -1e-9})
+
     def test_rejects_fast_mechanics(self, textbook_lab_params):
         with pytest.raises(ParameterError):
             replace_params(textbook_lab_params, omega_m=textbook_lab_params.omega_c / 10)

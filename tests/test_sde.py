@@ -23,8 +23,8 @@ from optoepr import (DimensionlessParams, NoisePsd, NumericalError,
                      realize_dimensionless, sample_inference_variance,
                      windowed_transform)
 from optoepr import sde
-from optoepr.sde import (MAX_STEPS, NOISE_BLOCK, RECORD_BUDGET_BYTES, _draw_block,
-                         _streams)
+from optoepr.errors import BUDGET_BYTES as RECORD_BUDGET_BYTES
+from optoepr.sde import MAX_STEPS, NOISE_BLOCK, _draw_block, _streams
 from optoepr.spectra import N_NOISES
 
 from conftest import HEADLINE
